@@ -3,7 +3,7 @@
 Every emitted report embeds a run manifest (command, inputs, seeds,
 tolerances, version, wall clock).  Exit codes: 0 success, 1 domain error,
 2 usage error.  Randomized commands without an explicit --seed draw one from
-entropy and record it in the manifest.
+entropy and record it in the manifest; a run that uses no seed records null.
 """
 
 from __future__ import annotations
@@ -193,7 +193,8 @@ def _cmd_lattice(args) -> int:
 def _cmd_search(args) -> int:
     started = time.monotonic()
     config, state = io.load_configuration(args.config)
-    seed = _resolve_seed(args.seed)
+    # only a sweep, or a start state drawn for a file without velocities, is random
+    seed = _resolve_seed(args.seed) if args.method == "sweep" or state is None else None
     if args.method == "sweep":
         sweep = search.velocity_sweep(
             config, args.samples, seed, depth_cap=args.depth_cap

@@ -15,6 +15,7 @@ which coincides with the double sum for every input.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
@@ -22,7 +23,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import NotNormalizedError, ScheduleError
-from .foldings import HalfSpace, fold
+from .foldings import STABILITY_MARGIN, HalfSpace, fold
 from .geometry import (
     BallConfiguration,
     ContactGraph,
@@ -37,32 +38,75 @@ from .geometry import (
 CHANGE_TOLERANCE = 1e-14
 
 
-def _pair_slices(d: int, i: int, j: int) -> tuple[slice, slice]:
-    return slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
+def _moved(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """The collision predicate: the state moved by more than CHANGE_TOLERANCE
+    in max norm.  Stacked states are compared row by row."""
+    return np.max(np.abs(after - before), axis=-1) > CHANGE_TOLERANCE
 
 
-def _collide_values(
-    config: BallConfiguration,
-    values: np.ndarray,
-    i: int,
-    j: int,
-    approach_tolerance: float,
-) -> np.ndarray | None:
-    """Apply the exchange to a flat value vector; None when nothing happens."""
-    if not config.touches(i, j):
-        return None
-    d = config.dimension
-    si, sj = _pair_slices(d, i, j)
-    dx = config.centers[i] - config.centers[j]
-    rel = float((values[si] - values[sj]) @ dx)
-    if rel >= -approach_tolerance:
-        return None
-    u = dx / np.linalg.norm(dx)
-    transfer = float((values[sj] - values[si]) @ u) * u
-    out = values.copy()
-    out[si] = values[si] + transfer
-    out[sj] = values[sj] - transfer
-    return out
+class _PairKernel:
+    """The pair exchange on the edges of one graph, each edge's geometry computed once.
+
+    :meth:`step` performs the operations of :func:`collide` in the same order,
+    so the states agree bit for bit.  It returns a fresh array and never
+    mutates its input, so callers may keep states by reference.
+    """
+
+    def __init__(self, config: BallConfiguration, graph: ContactGraph, tolerance: float):
+        d = config.dimension
+        self.edges = graph.edges
+        self.tolerance = tolerance
+        #: (block i, block j, x_i - x_j, unit direction) per touching edge.
+        self.pairs: dict[Edge, tuple] = {}
+        for i, j in graph.edges:
+            if config.touches(i, j):
+                dx = config.centers[i] - config.centers[j]
+                si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
+                self.pairs[i, j] = (si, sj, dx, dx / np.linalg.norm(dx))
+
+    def step(self, values: np.ndarray, edge: Edge) -> np.ndarray | None:
+        """State after the exchange on ``edge``; None when the pair does not
+        touch or is not approaching."""
+        pair = self.pairs.get(edge)
+        if pair is None:
+            return None
+        si, sj, dx, u = pair
+        vi, vj = values[si], values[sj]
+        if float((vi - vj) @ dx) >= -self.tolerance:
+            return None
+        transfer = float((vj - vi) @ u) * u
+        out = values.copy()
+        out[si] = vi + transfer
+        out[sj] = vj - transfer
+        return out
+
+    def collisions(self, values: np.ndarray) -> Iterator[tuple[Edge, np.ndarray]]:
+        """(edge, next state) for each graph edge, in order, whose exchange
+        moves ``values`` by the collision predicate."""
+        for e in self.edges:
+            out = self.step(values, e)
+            if out is not None and _moved(values, out):
+                yield e, out
+
+    def walk(
+        self, values: np.ndarray, max_steps: int, rng: np.random.Generator | None = None
+    ) -> tuple[list[Edge], list[np.ndarray], bool]:
+        """Collide the first colliding edge, or with ``rng`` a uniform draw among
+        them, until none is left (third result True) or after max_steps; returns
+        the edges and the states, the start included."""
+        edges, states = [], [values]
+        while len(edges) < max_steps:
+            options = self.collisions(states[-1])
+            if rng is None:
+                step = next(options, None)
+            else:
+                options = list(options)
+                step = options[int(rng.integers(len(options)))] if options else None
+            if step is None:
+                return edges, states, True
+            edges.append(step[0])
+            states.append(step[1])
+        return edges, states, False
 
 
 def collide(
@@ -77,13 +121,25 @@ def collide(
     (v_i - v_j) . (x_i - x_j) >= -approach_tolerance (the pair is separating
     or at rest relative to the contact line).  The default tolerance 0 means
     an exact IEEE comparison; a positive value widens the no-collision band
-    for robustness studies.
+    for robustness studies.  This is the reference for the loops' kernel.
     """
     i, j = edge
     if i == j:
         raise ValueError("a ball cannot collide with itself")
-    out = _collide_values(config, state.values, i, j, approach_tolerance)
-    return state if out is None else state.with_values(out)
+    if not config.touches(i, j):
+        return state
+    d = config.dimension
+    si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
+    values = state.values
+    dx = config.centers[i] - config.centers[j]
+    if float((values[si] - values[sj]) @ dx) >= -approach_tolerance:
+        return state
+    u = dx / np.linalg.norm(dx)
+    transfer = float((values[sj] - values[si]) @ u) * u
+    out = values.copy()
+    out[si] = values[si] + transfer
+    out[sj] = values[sj] - transfer
+    return state.with_values(out)
 
 
 def collide_as_folding(
@@ -120,12 +176,12 @@ def monotone_functional(
     return 2.0 * config.n * float(config.stacked() @ state.values)
 
 
-def functional_value(config: BallConfiguration, values: np.ndarray) -> float:
-    """The pair-sum functional in its shift-invariant closed form."""
-    x = config.stacked()
-    sx = config.centers.sum(axis=0)
-    sv = values.reshape(config.n, config.dimension).sum(axis=0)
-    return 2.0 * config.n * float(x @ values) - 2.0 * float(sv @ sx)
+def functional_value(config: BallConfiguration, values: np.ndarray) -> float | np.ndarray:
+    """The pair-sum functional in its shift-invariant closed form; one value
+    per row when ``values`` is a stack of states of shape (T, nd)."""
+    sv = values.reshape(*values.shape[:-1], config.n, config.dimension).sum(axis=-2)
+    x, sx = config.stacked(), config.centers.sum(axis=0)
+    return 2.0 * config.n * (values @ x) - 2.0 * (sv @ sx)
 
 
 @dataclass(frozen=True)
@@ -172,10 +228,11 @@ class SimulationTrace:
     """States, per-step change flags, and functional values along a schedule.
 
     ``states`` has shape (T+1, nd); step t applied ``edges[t-1]`` to
-    ``states[t-1]``.  ``collisions`` counts steps whose state changed.
-    ``stabilized`` is True when a policy run stopped because the state lies
-    in every half-space of the governing graph, so all further pseudo-
-    collisions would be identities.
+    ``states[t-1]``.  ``changed``, ``functional`` and ``energies`` are
+    derived once from the recorded states after the run.  ``collisions``
+    counts steps whose state changed.  ``stabilized`` is True when a policy
+    run stopped because the state lies in every half-space of the governing
+    graph, so all further pseudo-collisions would be identities.
     """
 
     n: int
@@ -214,11 +271,9 @@ class SimulationTrace:
             fh.write(json.dumps(record) + "\n")
 
 
-def _stability_matrix(config: BallConfiguration, graph: ContactGraph) -> np.ndarray:
-    cols = [collision_direction(config, e).vector for e in graph.edges]
-    if not cols:
-        return np.zeros((config.n * config.dimension, 0))
-    return np.column_stack(cols)
+def _stability_matrix(config: BallConfiguration, edges: Iterable[Edge]) -> np.ndarray:
+    cols = [collision_direction(config, e).vector for e in edges]
+    return np.column_stack(cols) if cols else np.zeros((config.n * config.dimension, 0))
 
 
 def run_schedule(
@@ -234,104 +289,72 @@ def run_schedule(
     Explicit schedules run for min(len(schedule), max_steps) steps and must
     reference only edges of the governing graph (:class:`ScheduleError`
     otherwise).  Policy schedules stop early once the state lies in every
-    edge half-space the policy can still apply (margin >= -1e-12), and
-    otherwise run until max_steps (default 10^6 for policies).
+    half-space of the graph's touching pairs, with margin at least
+    :data:`~pinnedballs.foldings.STABILITY_MARGIN`, the tolerance that also
+    stops folding orbits; otherwise they run until max_steps (default 10^6
+    for policies).  Graph edges whose balls do not touch never change the
+    state.
     """
     if graph is None:
         graph = full_contact_graph(config)
     if state0.n != config.n or state0.d != config.dimension:
         raise ValueError("state shape does not match configuration")
+    kernel = _PairKernel(config, graph, approach_tolerance)
 
+    stable = None
     if schedule.kind == "explicit":
-        for e in schedule.edges:
+        for e in dict.fromkeys(schedule.edges):
             if not graph.has_edge(*e):
                 raise ScheduleError(
                     f"edge ({e[0] + 1}, {e[1] + 1}) is not in the governing graph"
                 )
-        planned = schedule.edges if max_steps is None else schedule.edges[:max_steps]
+        planned = schedule.edges[:max_steps]
     else:
-        planned = None
         if max_steps is None:
             max_steps = 1_000_000
+        if schedule.kind == "round-robin":
+            planned = itertools.islice(itertools.cycle(graph.edges), max_steps)
+        elif schedule.kind == "seeded-random":
+            rng = np.random.default_rng(schedule.seed)
+            planned = (
+                graph.edges[int(rng.integers(len(graph.edges)))] for _ in range(max_steps)
+            )
+        zmat_t = _stability_matrix(config, kernel.pairs).T
 
-    graph_edges = graph.edges
-    zmat = _stability_matrix(config, graph)
+        def stable(values: np.ndarray) -> bool:
+            return bool(np.all(zmat_t @ values >= STABILITY_MARGIN))
 
-    def is_stable(values: np.ndarray) -> bool:
-        if zmat.shape[1] == 0:
-            return True
-        return bool(np.all(zmat.T @ values >= -1e-12))
-
-    rng = (
-        np.random.default_rng(schedule.seed)
-        if schedule.kind == "seeded-random"
-        else None
-    )
-
-    current = state0.values.copy()
-    states = [current.copy()]
-    applied: list[Edge] = []
-    changed: list[bool] = []
-    f_values = [functional_value(config, current)]
-    energies = [float(current @ current)]
-    stabilized = False
-
-    def push(step_edge: Edge, out: np.ndarray | None) -> None:
-        if out is None:
-            did_change = False
-        else:
-            did_change = bool(np.max(np.abs(out - current)) > CHANGE_TOLERANCE)
-        applied.append(step_edge)
-        changed.append(did_change)
-        if out is not None:
-            current[:] = out
-        states.append(current.copy())
-        f_values.append(functional_value(config, current))
-        energies.append(float(current @ current))
-
-    if schedule.kind == "explicit":
-        for e in planned:
-            out = _collide_values(config, current, e[0], e[1], approach_tolerance)
-            push(e, out)
-    elif schedule.kind == "lexicographic-greedy":
-        while len(applied) < max_steps:
-            step = None
-            for e in graph_edges:
-                out = _collide_values(config, current, e[0], e[1], approach_tolerance)
-                if out is not None and np.max(np.abs(out - current)) > CHANGE_TOLERANCE:
-                    step = (e, out)
-                    break
-            if step is None:
+    current = state0.values
+    if schedule.kind == "lexicographic-greedy":
+        applied, states, stabilized = kernel.walk(current, max_steps)
+    else:
+        states, applied = [current], []
+        # edges whose exchange is known to leave the current state as it is
+        idle: set[Edge] = set()
+        stabilized = stable is not None and stable(current)
+        for e in () if stabilized else planned:
+            out = None if e in idle else kernel.step(current, e)
+            applied.append(e)
+            if out is None:
+                idle.add(e)
+            else:
+                current = out
+                idle.clear()
+            states.append(current)
+            # an unchanged state that was not stable stays not stable
+            if out is not None and stable is not None and stable(current):
                 stabilized = True
                 break
-            push(*step)
-    else:
-        if not graph_edges:
-            stabilized = True
-        elif is_stable(current):
-            stabilized = True
-        else:
-            k = 0
-            while len(applied) < max_steps:
-                if schedule.kind == "round-robin":
-                    e = graph_edges[k % len(graph_edges)]
-                    k += 1
-                else:
-                    e = graph_edges[int(rng.integers(len(graph_edges)))]
-                out = _collide_values(config, current, e[0], e[1], approach_tolerance)
-                push(e, out)
-                if is_stable(current):
-                    stabilized = True
-                    break
 
+    stacked = np.array(states)
     return SimulationTrace(
         n=config.n,
         d=config.dimension,
-        states=np.array(states),
+        states=stacked,
         edges=tuple(applied),
-        changed=np.array(changed, dtype=bool),
-        functional=np.array(f_values),
-        energies=np.array(energies),
+        changed=_moved(stacked[:-1], stacked[1:]),
+        functional=functional_value(config, stacked),
+        energies=np.einsum("ti,ti->t", stacked, stacked),
         stabilized=stabilized,
     )
 
@@ -348,7 +371,7 @@ def decompose_state(
     and every pseudo-collision on a graph edge leaves v_fixed untouched while
     preserving |v_span|.
     """
-    zmat = _stability_matrix(config, graph)
+    zmat = _stability_matrix(config, graph.edges)
     if zmat.shape[1] == 0:
         zero = np.zeros_like(state.values)
         return state, state.with_values(zero)

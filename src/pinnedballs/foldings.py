@@ -21,6 +21,8 @@ import numpy as np
 from .errors import BudgetExhaustedError, NoInteriorWitnessError
 
 UNIT_TOLERANCE = 1e-12
+#: A point with margin at least this lies in a half-space.  Both stop rules
+#: use it: folding orbits and the policy runs of ``dynamics.run_schedule``.
 STABILITY_MARGIN = -1e-12
 POINT_QUANTUM_DECIMALS = 12
 
@@ -33,6 +35,9 @@ class HalfSpace:
 
     def __post_init__(self):
         normal = np.array(self.normal, dtype=float).reshape(-1)
+        # a NaN norm passes any "> tolerance" test, so finiteness comes first
+        if not np.all(np.isfinite(normal)):
+            raise ValueError("half-space normal must be finite")
         if abs(np.linalg.norm(normal) - 1.0) > UNIT_TOLERANCE:
             raise ValueError("half-space normal must have unit length")
         normal.setflags(write=False)
@@ -169,13 +174,17 @@ def orbit(
     The caller must supply a witness point with strictly positive margin
     against every half-space; this is the hypothesis under which orbits are
     guaranteed finite.  The orbit stops when the current point lies (margin
-    >= -1e-12) in every half-space the schedule can still apply, and raises
-    :class:`BudgetExhaustedError` carrying the partial orbit otherwise.
-    Distinct points are counted at 1e-12 quantization.
+    >= STABILITY_MARGIN) in every half-space the schedule can still apply,
+    and raises :class:`BudgetExhaustedError` carrying the partial orbit
+    otherwise.  Distinct points are counted at 1e-12 quantization.  The
+    start and the witness must be finite.
     """
     if not halfspaces:
         raise ValueError("need at least one half-space")
     w = np.array(witness, dtype=float).reshape(-1)
+    v = np.array(start, dtype=float).reshape(-1)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+        raise ValueError("orbit start and witness must be finite")
     wmargin = min(h.margin(w) for h in halfspaces)
     if not wmargin > 0.0:
         raise NoInteriorWitnessError(wmargin)
@@ -185,7 +194,6 @@ def orbit(
     def stable(v: np.ndarray) -> bool:
         return all(h.margin(v) >= STABILITY_MARGIN for h in recurring)
 
-    v = np.array(start, dtype=float).reshape(-1)
     points = [v.copy()]
     seen = {_point_key(v)}
     if stable(v):

@@ -42,9 +42,10 @@ def canonical_edge(i: int, j: int) -> Edge:
 class BallConfiguration:
     """Fixed unit-ball centers plus the tolerance used for touching tests.
 
-    ``centers`` has shape (n, dimension).  Construction validates that open
-    ball interiors are disjoint: any pair closer than 2 - contact_tolerance
-    raises :class:`OverlapError`.
+    ``centers`` has shape (n, dimension) and finite entries, and
+    0 <= contact_tolerance < 2, since from 2 on no pair could overlap.
+    Construction validates that open ball interiors are disjoint: any pair
+    closer than 2 - contact_tolerance raises :class:`OverlapError`.
     """
 
     dimension: int
@@ -54,8 +55,14 @@ class BallConfiguration:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.contact_tolerance < 0:
-            raise ValueError("contact_tolerance must be non-negative")
+        try:
+            tolerance = float(self.contact_tolerance)
+        except (TypeError, ValueError):
+            tolerance = math.nan
+        if not 0.0 <= tolerance < CONTACT_DISTANCE:
+            raise ValueError(
+                f"contact_tolerance must lie in [0, 2), got {self.contact_tolerance!r}"
+            )
         centers = np.array(self.centers, dtype=float)
         if centers.ndim != 2:
             raise ValueError("centers must be a list of points")
@@ -65,6 +72,8 @@ class BallConfiguration:
             raise ValueError(
                 f"centers have dimension {centers.shape[1]}, expected {self.dimension}"
             )
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("centers must be finite numbers")
         n = centers.shape[0]
         for i in range(n - 1):
             dists = np.linalg.norm(centers[i + 1 :] - centers[i], axis=1)
@@ -74,6 +83,7 @@ class BallConfiguration:
                 raise OverlapError(i, j, float(dists[short[0]]))
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "contact_tolerance", tolerance)
 
     @property
     def n(self) -> int:

@@ -36,6 +36,8 @@ def load_configuration(
             raise ValueError(
                 f"{path}: velocities shape {blocks.shape} does not match centers"
             )
+        if not np.all(np.isfinite(blocks)):
+            raise ValueError(f"{path}: velocities must be finite numbers")
         state = StateVector(config.n, config.dimension, blocks.reshape(-1))
     return config, state
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .dynamics import CHANGE_TOLERANCE, Schedule, _collide_values, run_schedule
+from .dynamics import Schedule, _PairKernel, run_schedule
 from .errors import BudgetExceededError, NotNormalizedError, TooManyEdgesError
 from .geometry import (
     BallConfiguration,
@@ -111,31 +111,12 @@ def greedy_schedule(
     if policy == "random" and seed is None:
         raise ValueError("random policy needs a seed")
 
-    current = state0.values.copy()
-    witness: list[Edge] = []
-    steps = 0
-    while steps < max_steps:
-        options: list[tuple[Edge, np.ndarray]] = []
-        for e in graph.edges:
-            out = _collide_values(config, current, e[0], e[1], 0.0)
-            if out is not None and np.max(np.abs(out - current)) > CHANGE_TOLERANCE:
-                options.append((e, out))
-                if policy == "lexicographic":
-                    break
-        if not options:
-            break
-        if policy == "lexicographic":
-            e, out = options[0]
-        else:
-            e, out = options[int(rng.integers(len(options)))]
-        current = out
-        witness.append(e)
-        steps += 1
+    witness, _, _ = _PairKernel(config, graph, 0.0).walk(state0.values, max_steps, rng)
     return SearchResult(
         method="greedy",
         collisions=len(witness),
         witness=tuple(witness),
-        nodes_explored=steps,
+        nodes_explored=len(witness),
     )
 
 
@@ -167,6 +148,7 @@ def exhaustive_max_collisions(
     if len(graph.edges) > max_branch_edges:
         raise TooManyEdgesError(len(graph.edges), max_branch_edges)
 
+    kernel = _PairKernel(config, graph, 0.0)
     nodes = 0
     truncated = False
     memo: dict[tuple[bytes, int], tuple[int, tuple[Edge, ...]]] = {}
@@ -182,24 +164,17 @@ def exhaustive_max_collisions(
             return memo[key]
         best: tuple[int, tuple[Edge, ...]] = (0, ())
         if depth < depth_cap:
-            for e in graph.edges:
-                out = _collide_values(config, values, e[0], e[1], 0.0)
-                if out is None or np.max(np.abs(out - values)) <= CHANGE_TOLERANCE:
-                    continue
+            for e, out in kernel.collisions(values):
                 extra, tail = dfs(out, depth + 1)
                 if 1 + extra > best[0]:
                     best = (1 + extra, (e,) + tail)
-        else:
-            for e in graph.edges:
-                out = _collide_values(config, values, e[0], e[1], 0.0)
-                if out is not None and np.max(np.abs(out - values)) > CHANGE_TOLERANCE:
-                    truncated = True
-                    break
+        elif next(kernel.collisions(values), None) is not None:
+            truncated = True
         if key is not None:
             memo[key] = best
         return best
 
-    found, tail = dfs(state0.values.copy(), 0)
+    found, tail = dfs(state0.values, 0)
 
     # replay makes the reported count authoritative for the witness
     trace = run_schedule(config, state0, Schedule.explicit(tail), graph=graph)

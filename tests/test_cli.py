@@ -152,6 +152,68 @@ class TestOrbitCommand:
         assert "margin" in err
 
 
+class TestNonFiniteInput:
+    """Malformed numbers fail with exit code 1 instead of being reported."""
+
+    def test_nan_center(self, capsys, tmp_path):
+        path = _write(
+            tmp_path / "nan.json",
+            {"dimension": 2, "centers": [[0.0, 0.0], [float("nan"), 0.0]]},
+        )
+        code, out, err = _run(capsys, ["validate", path])
+        assert code == 1 and out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("tolerance", [3, "x"])
+    def test_absurd_contact_tolerance(self, capsys, tmp_path, tolerance):
+        path = _write(
+            tmp_path / "tol.json",
+            {"dimension": 1, "centers": [[0.0], [0.5]], "contact_tolerance": tolerance},
+        )
+        code, _, err = _run(capsys, ["validate", path])
+        assert code == 1
+        assert "contact_tolerance" in err
+
+    def test_infinite_velocity(self, capsys, tmp_path):
+        path = _write(
+            tmp_path / "inf.json",
+            {
+                "dimension": 1,
+                "centers": [[-1.0], [1.0]],
+                "velocities": [[float("inf")], [0.0]],
+            },
+        )
+        schedule = _write(tmp_path / "schedule.json", [[1, 2]])
+        code, out, err = _run(capsys, ["simulate", path, schedule])
+        assert code == 1 and out == ""
+        assert "finite" in err
+
+    def test_nan_normal(self, capsys, tmp_path):
+        path = _write(
+            tmp_path / "halfspaces.json",
+            {"dimension": 2, "normals": [[float("nan"), 0.0]]},
+        )
+        code, _, err = _run(
+            capsys, ["orbit", path, "--start", "[1, 0]", "--witness", "[1, 0]"]
+        )
+        assert code == 1
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "start, witness", [("[NaN, 0]", "[0.7, 0.7]"), ("[-1, -1]", "[Infinity, 0.7]")]
+    )
+    def test_non_finite_orbit_point(self, capsys, tmp_path, start, witness):
+        path = _write(
+            tmp_path / "halfspaces.json",
+            {"dimension": 2, "normals": [[1.0, 0.0], [0.0, 1.0]]},
+        )
+        code, _, err = _run(
+            capsys, ["orbit", path, "--start", start, "--witness", witness]
+        )
+        assert code == 1
+        assert "finite" in err
+
+
 class TestLatticeCommand:
     def test_hexagonal_patch(self, capsys, tmp_path):
         out_cfg = str(tmp_path / "lattice.json")
@@ -175,7 +237,16 @@ class TestSearchCommand:
         report = json.loads(out)
         assert report["collisions"] == 3
         assert report["bound"]["within"] is True
-        assert report["manifest"]["seed"] == 5
+        # the file supplies the velocities, so the seed had no effect
+        assert report["manifest"]["seed"] is None
+
+    def test_seed_recorded_when_start_is_drawn(self, capsys, tmp_path):
+        path = _write(
+            tmp_path / "bare.json", {"dimension": 1, "centers": [[-2.0], [0.0], [2.0]]}
+        )
+        code, out, _ = _run(capsys, ["search", path, "--method", "greedy", "--seed", "5"])
+        assert code == 0
+        assert json.loads(out)["manifest"]["seed"] == 5
 
     def test_sweep_seed_recorded_when_generated(self, capsys, chain_config):
         code, out, _ = _run(

@@ -5,6 +5,7 @@ import pytest
 
 from pinnedballs import configs
 from pinnedballs.dynamics import (
+    CHANGE_TOLERANCE,
     Schedule,
     collide,
     collide_as_folding,
@@ -14,8 +15,10 @@ from pinnedballs.dynamics import (
     run_schedule,
 )
 from pinnedballs.errors import NotNormalizedError, ScheduleError
+from pinnedballs.foldings import STABILITY_MARGIN
 from pinnedballs.geometry import (
     BallConfiguration,
+    ContactGraph,
     StateVector,
     collision_direction,
     full_contact_graph,
@@ -276,3 +279,98 @@ class TestDecomposeState:
             assert abs(
                 np.linalg.norm(span.values) - np.linalg.norm(span2.values)
             ) <= 1e-12
+
+
+def _collide_replay(config, state, edges):
+    """Reference states: one dynamics.collide call per scheduled edge."""
+    states = [state]
+    for e in edges:
+        states.append(collide(config, states[-1], e))
+    return np.array([s.values for s in states])
+
+
+def _moved(before, after):
+    return float(np.max(np.abs(after - before))) > CHANGE_TOLERANCE
+
+
+def _stable(config, graph, values):
+    return all(
+        float(collision_direction(config, e).vector @ values) >= STABILITY_MARGIN
+        for e in graph.edges
+    )
+
+
+class TestKernelAgainstCollide:
+    """run_schedule's precomputed kernel against a plain loop over collide."""
+
+    def _check_trace(self, config, state, graph, trace):
+        expected = _collide_replay(config, state, trace.edges)
+        assert np.array_equal(trace.states, expected)
+        flags = [_moved(a, b) for a, b in zip(expected[:-1], expected[1:])]
+        assert list(trace.changed) == flags
+        for t, values in enumerate(trace.states):
+            assert abs(trace.functional[t] - functional_value(config, values)) <= 1e-12
+            assert abs(trace.energies[t] - float(values @ values)) <= 1e-12
+
+    def test_explicit(self, rng):
+        for _ in range(20):
+            config, state = random_normalized_system(rng, n_max=10)
+            graph = full_contact_graph(config)
+            picks = rng.integers(len(graph.edges), size=300)
+            edges = tuple(graph.edges[k] for k in picks)
+            trace = run_schedule(config, state, Schedule.explicit(edges))
+            assert trace.edges == edges and not trace.stabilized
+            self._check_trace(config, state, graph, trace)
+
+    def test_round_robin_and_seeded_random(self, rng):
+        for k in range(20):
+            config, state = random_normalized_system(rng, n_max=10)
+            graph = full_contact_graph(config)
+            seed = int(rng.integers(2**31))
+            schedule = Schedule.round_robin() if k % 2 else Schedule.seeded_random(seed)
+            trace = run_schedule(config, state, schedule, max_steps=5000)
+            if k % 2:
+                cycle = graph.edges * (trace.steps // len(graph.edges) + 1)
+                assert trace.edges == cycle[: trace.steps]
+            else:
+                draws = np.random.default_rng(seed)
+                assert trace.edges == tuple(
+                    graph.edges[int(draws.integers(len(graph.edges)))]
+                    for _ in range(trace.steps)
+                )
+            self._check_trace(config, state, graph, trace)
+            # the run stops at its first stable state
+            assert trace.stabilized and _stable(config, graph, trace.states[-1])
+            assert not any(_stable(config, graph, v) for v in trace.states[:-1])
+
+    def test_lexicographic_greedy(self, rng):
+        for _ in range(20):
+            config, state = random_normalized_system(rng, n_max=10)
+            graph = full_contact_graph(config)
+            trace = run_schedule(config, state, Schedule.greedy())
+            current, edges = state, []
+            while colliding := [
+                e
+                for e in graph.edges
+                if _moved(current.values, collide(config, current, e).values)
+            ]:
+                edges.append(colliding[0])
+                current = collide(config, current, colliding[0])
+            assert trace.edges == tuple(edges) and trace.stabilized
+            assert all(trace.changed)
+            self._check_trace(config, state, graph, trace)
+
+    def test_non_touching_graph_edge_is_identity(self):
+        # balls 2 and 3 are 3 apart and approach each other, but never touch
+        config = validate_configuration([[-2.0], [0.0], [3.0]])
+        graph = ContactGraph(3, [(0, 1), (1, 2)])
+        state = _state([[1.0], [0.0], [-1.0]])
+        schedule = Schedule.explicit([(1, 2), (0, 1), (1, 2)])
+        trace = run_schedule(config, state, schedule, graph=graph)
+        assert list(trace.changed) == [False, True, False]
+        np.testing.assert_array_equal(trace.states[1], state.values)
+        np.testing.assert_array_equal(trace.states[3], trace.states[2])
+        for schedule in (Schedule.round_robin(), Schedule.greedy()):
+            trace = run_schedule(config, state, schedule, graph=graph)
+            assert trace.stabilized and trace.collisions == 1
+            np.testing.assert_array_equal(trace.states[-1], [0.0, 1.0, -1.0])

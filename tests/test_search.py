@@ -11,7 +11,12 @@ from pinnedballs.errors import (
     NotNormalizedError,
     TooManyEdgesError,
 )
-from pinnedballs.geometry import StateVector, normalize_system
+from pinnedballs.geometry import (
+    ContactGraph,
+    StateVector,
+    normalize_system,
+    validate_configuration,
+)
 from pinnedballs.rigidity import alpha
 from pinnedballs.search import (
     compare_with_bound,
@@ -68,6 +73,40 @@ class TestGreedy:
             trace = run_schedule(config, state, Schedule.explicit(result.witness))
             assert trace.collisions == result.collisions
 
+    def test_lexicographic_matches_greedy_schedule_kind(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 11))
+            d = int(rng.integers(1, 4))
+            style = "mixed" if d >= 2 else "tree"
+            config = configs.random_contact_configuration(n, d, rng, style=style)
+            config, state = normalize_system(config, sample_unit_state(n, d, rng))
+            result = greedy_schedule(config, state)
+            trace = run_schedule(config, state, Schedule.greedy())
+            assert result.witness == trace.edges
+            assert result.collisions == trace.collisions
+
+
+def _non_touching_system():
+    """A touching pair plus a third ball that the user graph joins to the
+    second ball although they are 3 apart and approach each other."""
+    config = validate_configuration([[-2.0], [0.0], [3.0]])
+    state = StateVector.from_blocks([[1.0], [0.0], [-1.0]])
+    config, state = normalize_system(config, state)
+    return config, state, ContactGraph(3, [(0, 1), (1, 2)])
+
+
+class TestNonTouchingGraphEdge:
+    def test_greedy_skips_the_pair(self):
+        config, state, graph = _non_touching_system()
+        assert greedy_schedule(config, state, graph=graph).witness == ((0, 1),)
+        random = greedy_schedule(config, state, policy="random", seed=1, graph=graph)
+        assert random.witness == ((0, 1),)
+
+    def test_exhaustive_skips_the_pair(self):
+        config, state, graph = _non_touching_system()
+        result = exhaustive_max_collisions(config, state, graph=graph)
+        assert result.collisions == 1 and result.witness == ((0, 1),)
+
 
 class TestExhaustive:
     def test_two_balls(self):
@@ -118,6 +157,17 @@ class TestExhaustive:
             a = exhaustive_max_collisions(config, state, memoize=True)
             b = exhaustive_max_collisions(config, state, memoize=False)
             assert a.collisions == b.collisions
+
+    @pytest.mark.parametrize("family", ["chain", "triangle", "square", "rhombus"])
+    def test_memoization_changes_nothing_on_desk_families(self, family):
+        rng = np.random.default_rng(11)
+        base = configs.collinear_chain(3) if family == "chain" else getattr(configs, family)()
+        for _ in range(8):
+            state = sample_unit_state(base.n, base.dimension, rng)
+            config, state = normalize_system(base, state)
+            a = exhaustive_max_collisions(config, state, memoize=True)
+            b = exhaustive_max_collisions(config, state, memoize=False)
+            assert (a.collisions, a.witness) == (b.collisions, b.witness)
 
     def test_bound_comparison(self):
         config, state = _chain3_system()
