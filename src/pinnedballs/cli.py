@@ -270,11 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true", help="normalize the system first")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("alpha", help="exhaustive approximate-rigidity index")
+    p = sub.add_parser("alpha", help="approximate-rigidity index alpha")
     p.add_argument("config")
     p.add_argument("--zero-tolerance", type=float, default=rigidity.DEFAULT_ZERO_TOLERANCE)
     p.add_argument("--max-edges", type=int, default=rigidity.DEFAULT_MAX_EDGES)
-    p.add_argument("--verbose", action="store_true", help="include the candidate table")
+    p.add_argument(
+        "--verbose", action="store_true",
+        help="include the candidate table (runs the subset enumeration)",
+    )
     p.set_defaults(func=_cmd_alpha)
 
     p = sub.add_parser("bound", help="collision-count bounds")
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-from", help="compute alpha exhaustively from this configuration")
+    p.add_argument("--alpha-from", help="compute alpha from this configuration")
     p.add_argument("--tau", default="exact", help="exact | upper | lower | value:<int>")
     p.add_argument("--tree-constant", choices=["nominal", "corrected"], default="corrected")
     p.set_defaults(func=_cmd_bound)

@@ -292,13 +292,15 @@ def run_schedule(
     half-space of the graph's touching pairs, with margin at least
     :data:`~pinnedballs.foldings.STABILITY_MARGIN`, the tolerance that also
     stops folding orbits; otherwise they run until max_steps (default 10^6
-    for policies).  Graph edges whose balls do not touch never change the
-    state.
+    for policies).  A negative max_steps raises ValueError.  Graph edges
+    whose balls do not touch never change the state.
     """
     if graph is None:
         graph = full_contact_graph(config)
     if state0.n != config.n or state0.d != config.dimension:
         raise ValueError("state shape does not match configuration")
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     kernel = _PairKernel(config, graph, approach_tolerance)
 
     stable = None

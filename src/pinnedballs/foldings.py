@@ -189,6 +189,8 @@ def orbit(
     if not wmargin > 0.0:
         raise NoInteriorWitnessError(wmargin)
 
+    # indices() checks a periodic word's range, so it runs before any indexing
+    order = schedule.indices(len(halfspaces))
     recurring = [halfspaces[i] for i in schedule.recurring_indices(len(halfspaces))]
 
     def stable(v: np.ndarray) -> bool:
@@ -199,7 +201,7 @@ def orbit(
     if stable(v):
         return OrbitResult(np.array(points), 0, v, 0)
     steps = 0
-    for idx in schedule.indices(len(halfspaces)):
+    for idx in order:
         v = fold(v, halfspaces[idx])
         steps += 1
         key = _point_key(v)

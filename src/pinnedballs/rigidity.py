@@ -85,7 +85,7 @@ class AlphaCandidate:
 
 @dataclass(frozen=True, eq=False)
 class AlphaReport:
-    """Result of the exhaustive minimum over subgraphs and chosen edges."""
+    """Result of :func:`alpha`; ``candidates`` is None unless the table was collected."""
 
     alpha: float
     argmin_edge: Edge
@@ -123,14 +123,27 @@ def alpha(
     max_edges: int = DEFAULT_MAX_EDGES,
     collect_table: bool = True,
 ) -> AlphaReport:
-    """Exhaustive minimum of the strictly positive alpha_star values.
+    """Minimum of the strictly positive alpha_star values over all subgraphs.
 
-    Enumerates, for every edge e of the full graph and every subset S of the
-    remaining edges, the distance from z_e to span{z_f : f in S}; values at
-    or below zero_tolerance are classified as zero and excluded from the
-    minimum.  The enumeration is exponential in the edge count, so graphs
-    with more than max_edges edges are rejected with
-    :class:`TooManyEdgesError`.
+    alpha_star(S + e, e) is the distance from z_e to span{z_f : f in S}; values
+    at or below zero_tolerance are classified as zero and excluded from the
+    minimum.  The distance only shrinks as the span grows, so the minimum is
+    attained on the hyperplanes (maximal flats) H of the linear matroid of
+    collision directions: alpha = min over H and e outside H of the distance
+    from z_e to span(H).  Without the table this is how it is computed: every
+    independent subset of rank(E) - 1 edges is completed to its closure H (the
+    edges within zero_tolerance of its span), and each H is visited once.
+    ``n_candidates`` then counts the (H, e) pairs examined, ``n_zero`` the
+    edges in the span of the other edges, and ``argmin_edges`` is H + e.
+
+    With ``collect_table`` the subsets are enumerated instead, the reference
+    the hyperplane path is tested against: for every edge e and every subset
+    S of the remaining edges, the table records alpha_star(S + e, e), and
+    ``n_candidates``/``n_zero`` count its rows and its zero rows.  That takes
+    m 2^(m-1) least-squares solves for m edges.
+
+    Graphs with more than max_edges edges are rejected with
+    :class:`TooManyEdgesError` on both paths.
     """
     graph = full_contact_graph(config)
     edges = list(graph.edges)
@@ -138,8 +151,65 @@ def alpha(
         raise TooManyEdgesError(len(edges), max_edges)
     if not edges:
         raise AllZeroError("the configuration has no touching pairs")
+    zmat = np.column_stack([collision_direction(config, e).vector for e in edges])
+    if collect_table:
+        return _alpha_by_subsets(edges, zmat, zero_tolerance)
+    return _alpha_by_hyperplanes(edges, zmat, zero_tolerance)
 
-    zcols = {e: collision_direction(config, e).vector for e in edges}
+
+def _alpha_by_hyperplanes(
+    edges: list[Edge], zmat: np.ndarray, zero_tolerance: float
+) -> AlphaReport:
+    m = len(edges)
+    rank = int(np.linalg.matrix_rank(zmat, tol=RANK_TOLERANCE))
+    seen: set[bytes] = set()
+    best = math.inf
+    best_edge: Edge | None = None
+    best_set: tuple[Edge, ...] = ()
+    n_candidates = 0
+    n_zero = m
+    for basis in itertools.combinations(range(m), rank - 1):
+        if basis:
+            q, r = np.linalg.qr(zmat[:, basis])
+            if np.min(np.abs(np.diag(r))) <= RANK_TOLERANCE:
+                continue
+            residual = np.linalg.norm(zmat - q @ (q.T @ zmat), axis=0)
+        else:
+            # distance from a unit vector to the zero subspace
+            residual = np.ones(m)
+        closed = residual <= zero_tolerance
+        key = closed.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        outside = np.flatnonzero(~closed)
+        if outside.size == 0:
+            continue
+        n_candidates += outside.size
+        # a hyperplane E - e exists exactly when e is outside the span of the rest
+        n_zero -= outside.size == 1
+        k = outside[np.argmin(residual[outside])]
+        if residual[k] < best:
+            best = float(residual[k])
+            best_edge = edges[k]
+            best_set = tuple(edges[i] for i in np.flatnonzero(closed)) + (best_edge,)
+    if best_edge is None:
+        raise AllZeroError("no strictly positive candidate values")
+    return AlphaReport(
+        alpha=best,
+        argmin_edge=best_edge,
+        argmin_edges=tuple(sorted(best_set)),
+        zero_tolerance=zero_tolerance,
+        n_candidates=n_candidates,
+        n_zero=n_zero,
+        candidates=None,
+    )
+
+
+def _alpha_by_subsets(
+    edges: list[Edge], zmat: np.ndarray, zero_tolerance: float
+) -> AlphaReport:
+    zcols = dict(zip(edges, zmat.T))
     best = math.inf
     best_edge: Edge | None = None
     best_set: tuple[Edge, ...] = ()
@@ -160,8 +230,7 @@ def alpha(
                 is_zero = value <= zero_tolerance
                 n_candidates += 1
                 n_zero += is_zero
-                if collect_table:
-                    table.append(AlphaCandidate(chosen, combo, value, is_zero))
+                table.append(AlphaCandidate(chosen, combo, value, is_zero))
                 if not is_zero and value < best:
                     best = value
                     best_edge = chosen
@@ -175,7 +244,7 @@ def alpha(
         zero_tolerance=zero_tolerance,
         n_candidates=n_candidates,
         n_zero=n_zero,
-        candidates=tuple(table) if collect_table else None,
+        candidates=tuple(table),
     )
 
 

@@ -76,6 +76,15 @@ class TestSimulate:
         assert code == 1
         assert "not in the governing graph" in err
 
+    def test_negative_max_steps_fails(self, capsys, chain_config, tmp_path):
+        schedule = _write(tmp_path / "schedule.json", [[1, 2], [2, 3]])
+        code, out, err = _run(
+            capsys, ["simulate", chain_config, schedule, "--max-steps", "-1"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "max_steps" in err
+
 
 class TestAlpha:
     def test_chain_alpha(self, capsys, chain_config):
@@ -150,6 +159,25 @@ class TestOrbitCommand:
         )
         assert code == 1
         assert "margin" in err
+
+    def test_periodic_word_out_of_range(self, capsys, tmp_path):
+        path = _write(
+            tmp_path / "halfspaces.json",
+            {"dimension": 2, "normals": [[1.0, 0.0], [0.0, 1.0]]},
+        )
+        code, out, err = _run(
+            capsys,
+            [
+                "orbit", path,
+                "--start", "[-1.0, -1.0]",
+                "--witness", "[0.7, 0.7]",
+                "--policy", "periodic",
+                "--word", "0,5",
+            ],
+        )
+        assert code == 1
+        assert out == ""
+        assert "out of range" in err
 
 
 class TestNonFiniteInput:

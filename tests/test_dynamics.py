@@ -135,6 +135,23 @@ class TestRunSchedule:
         )
         assert trace.steps == 1
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            Schedule.explicit([(0, 1), (0, 1)]),
+            Schedule.round_robin(),
+            Schedule.seeded_random(3),
+            Schedule.greedy(),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_negative_max_steps_rejected(self, schedule):
+        config, state = normalize_system(
+            configs.touching_pair(), _state([[1.0], [-1.0]])
+        )
+        with pytest.raises(ValueError, match="max_steps"):
+            run_schedule(config, state, schedule, max_steps=-1)
+
     def test_round_robin_stabilizes(self, rng):
         for _ in range(30):
             config, state = random_normalized_system(rng)

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinnedballs import configs
 from pinnedballs.dynamics import decompose_state
@@ -147,6 +148,52 @@ class TestAlpha:
             assert alpha(permuted, collect_table=False).alpha == pytest.approx(
                 report.alpha, abs=1e-9
             )
+
+
+NAMED = {
+    "pair": configs.touching_pair,
+    "chain3": lambda: configs.collinear_chain(3),
+    "triangle": configs.triangle,
+    "rhombus": configs.rhombus,
+    "square": configs.square,
+    "flower": configs.hexagonal_flower,
+}
+
+
+def _hyperplanes_against_subsets(config):
+    """The hyperplane path against the subset enumeration it replaces."""
+    fast = alpha(config, collect_table=False)
+    oracle = alpha(config)
+    assert abs(fast.alpha - oracle.alpha) <= 1e-12
+    direct = alpha_star(config, fast.argmin_edges, fast.argmin_edge)
+    assert abs(direct - fast.alpha) <= 1e-12
+    assert (fast.n_zero > 0) == (oracle.n_zero > 0)
+    return fast, oracle
+
+
+class TestHyperplanesAgainstSubsets:
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named(self, name):
+        fast, oracle = _hyperplanes_against_subsets(NAMED[name]())
+        assert fast.candidates is None
+        if name == "flower":
+            # no edge of the flower is a coloop: each lies in a self-stress
+            assert fast.n_zero == oracle.n_zero == 12
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 7),
+        d=st.integers(1, 3),
+        style=st.sampled_from(["mixed", "tree"]),
+    )
+    def test_random(self, seed, n, d, style):
+        rng = np.random.default_rng(seed)
+        config = configs.random_contact_configuration(
+            n, d, rng, style=style if d >= 2 else "tree"
+        )
+        assert len(full_contact_graph(config).edges) <= 12
+        _hyperplanes_against_subsets(config)
 
 
 class TestStressCertificate:
