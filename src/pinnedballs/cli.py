@@ -122,7 +122,7 @@ def _cmd_bound(args) -> int:
         if args.alpha_from:
             config, _ = io.load_configuration(args.alpha_from)
             inputs.append(args.alpha_from)
-            alpha_value = rigidity.alpha(config, collect_table=False).alpha
+            alpha_value = rigidity.alpha(config).alpha
             alpha_source = "exhaustive"
             n, d = config.n, config.dimension
         else:
@@ -214,7 +214,7 @@ def _cmd_search(args) -> int:
             except BudgetExceededError as exc:
                 result = exc.best
         if args.with_bound:
-            alpha_value = rigidity.alpha(config, collect_table=False).alpha
+            alpha_value = rigidity.alpha(config).alpha
             tau, tau_source = bounds.resolve_tau(config.dimension)
             result = search.compare_with_bound(
                 result,

@@ -12,6 +12,7 @@ configuration.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,16 +34,20 @@ class QuadraticInteger:
     r2: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "r1", int(self.r1))
-        object.__setattr__(self, "r2", int(self.r2))
+        # operator.index refuses floats instead of truncating them
+        if type(self.r1) is not int:
+            object.__setattr__(self, "r1", operator.index(self.r1))
+        if type(self.r2) is not int:
+            object.__setattr__(self, "r2", operator.index(self.r2))
 
     @staticmethod
     def _coerce(value) -> "QuadraticInteger":
         if isinstance(value, QuadraticInteger):
             return value
-        if isinstance(value, int):
-            return QuadraticInteger(value, 0)
-        raise TypeError(f"cannot coerce {value!r} to QuadraticInteger")
+        try:
+            return QuadraticInteger(operator.index(value), 0)
+        except TypeError:
+            raise TypeError(f"cannot coerce {value!r} to QuadraticInteger") from None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -136,6 +141,10 @@ class LatticePoint:
     b: int
 
     def __post_init__(self):
+        if type(self.a) is not int:
+            object.__setattr__(self, "a", operator.index(self.a))
+        if type(self.b) is not int:
+            object.__setattr__(self, "b", operator.index(self.b))
         if (self.a - self.b) % 2 != 0:
             raise ValueError(
                 f"({self.a}, {self.b}*sqrt(3)) violates the lattice parity rule"
@@ -161,6 +170,8 @@ def squared_distance(p: LatticePoint, q: LatticePoint) -> int:
 
 def lattice_points_in_radius(radius: float) -> list[LatticePoint]:
     """All lattice points with |point| <= radius, sorted by norm then coordinates."""
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
     if radius < 0:
         raise ValueError("radius must be non-negative")
     r2 = radius * radius
@@ -234,29 +245,82 @@ def _cofactor_determinant(rows: list[list[QuadraticInteger]]) -> QuadraticIntege
     return rec((1 << m) - 1)
 
 
-def _bareiss_determinant(rows: list[list[QuadraticInteger]]) -> QuadraticInteger:
-    m = len(rows)
-    mat = [row[:] for row in rows]
+#: An element r1 + r2*sqrt(3) as a plain integer pair, for the inner loops.
+Pair = tuple[int, int]
+_ZERO: Pair = (0, 0)
+_ONE: Pair = (1, 0)
+
+
+def _echelon(mat: list[list[Pair]]) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of an int-pair matrix, in place.
+
+    Columns are scanned left to right and each pivot is the first non-zero
+    entry at or below the current row, so the pivot columns are the greedy
+    (leftmost) basis of the column space.  By Sylvester's identity each update
+    divides exactly by the previous pivot, and after k pivots the entry (i, j)
+    below them is the minor of the row-swapped matrix on the pivot rows plus
+    row i and the pivot columns plus column j.  A square matrix of full rank
+    thus ends with its determinant in the last pivot, up to the sign of the
+    row swaps.  Returns the pivot columns and that sign; stops once every row
+    holds a pivot.
+    """
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    pivots: list[int] = []
     sign = 1
-    prev = QI_ONE
-    for k in range(m - 1):
-        if not mat[k][k]:
-            pivot_row = next((i for i in range(k + 1, m) if mat[i][k]), None)
-            if pivot_row is None:
-                return QI_ZERO
-            mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
+    # previous pivot q1 + q2*sqrt(3); dividing by it is multiplying by its
+    # conjugate and dividing by ``div``, its field norm (or q1 when q2 = 0)
+    q1, q2, div = 1, 0, 1
+    for c in range(cols):
+        r = len(pivots)
+        k = r
+        while k < rows and mat[k][c] == _ZERO:
+            k += 1
+        if k == rows:
+            continue
+        if k != r:
+            mat[r], mat[k] = mat[k], mat[r]
             sign = -sign
-        pivot = mat[k][k]
-        for i in range(k + 1, m):
-            row_i = mat[i]
-            row_k = mat[k]
-            lead = row_i[k]
-            for j in range(k + 1, m):
-                row_i[j] = (pivot * row_i[j] - lead * row_k[j]).exact_div(prev)
-            row_i[k] = QI_ZERO
-        prev = pivot
-    det = mat[m - 1][m - 1]
-    return det if sign > 0 else -det
+        top = mat[r]
+        p1, p2 = top[c]
+        p2x3 = 3 * p2
+        for i in range(r + 1, rows):
+            row = mat[i]
+            l1, l2 = row[c]
+            row[c] = _ZERO
+            lead = l1 or l2
+            l2x3 = 3 * l2
+            for j in range(c + 1, cols):
+                a1, a2 = row[j]
+                if lead:
+                    b1, b2 = top[j]
+                    if not (a1 or a2 or b1 or b2):
+                        continue
+                    x1 = p1 * a1 + p2x3 * a2 - l1 * b1 - l2x3 * b2
+                    x2 = p1 * a2 + p2 * a1 - l1 * b2 - l2 * b1
+                elif a1 or a2:
+                    x1 = p1 * a1 + p2x3 * a2
+                    x2 = p1 * a2 + p2 * a1
+                else:
+                    continue
+                if q2:
+                    x1, x2 = x1 * q1 - 3 * x2 * q2, x2 * q1 - x1 * q2
+                row[j] = (x1 // div, x2 // div)
+        q1, q2 = p1, p2
+        div = p1 if p2 == 0 else p1 * p1 - 3 * p2 * p2
+        pivots.append(c)
+        if r + 1 == rows:
+            break
+    return pivots, sign
+
+
+def _bareiss_determinant(rows: list[list[QuadraticInteger]]) -> QuadraticInteger:
+    mat = [[(x.r1, x.r2) for x in row] for row in rows]
+    pivots, sign = _echelon(mat)
+    if len(pivots) < len(mat):
+        return QI_ZERO
+    r1, r2 = mat[-1][-1]
+    return QuadraticInteger(sign * r1, sign * r2)
 
 
 def exact_determinant(matrix, method: str = "auto") -> QuadraticInteger:
@@ -278,28 +342,8 @@ def exact_determinant(matrix, method: str = "auto") -> QuadraticInteger:
 
 def exact_rank(vectors: Sequence[Sequence[QuadraticInteger]]) -> int:
     """Rank of a family of Z[sqrt(3)] vectors via fraction-free elimination."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    prev = QI_ONE
-    for c in range(cols):
-        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][c]
-        for i in range(rank + 1, len(rows)):
-            lead = rows[i][c]
-            for j in range(c + 1, cols):
-                rows[i][j] = (pivot * rows[i][j] - lead * rows[rank][j]).exact_div(prev)
-            rows[i][c] = QI_ZERO
-        prev = pivot
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    mat = [[(q.r1, q.r2) for q in map(QuadraticInteger._coerce, v)] for v in vectors]
+    return len(_echelon(mat)[0])
 
 
 # --- admissible column patterns ---------------------------------------------
@@ -460,24 +504,27 @@ def lattice_alpha_lower_bound(n: int) -> float:
 # --- exact rigidity certificate ----------------------------------------------
 
 
-def exact_collision_vector(
-    points: Sequence[LatticePoint], edge: Edge
-) -> list[QuadraticInteger]:
-    """Unnormalized collision vector of a touching lattice pair, over Z[sqrt(3)]."""
+def _collision_pairs(points: Sequence[LatticePoint], edge: Edge) -> list[Pair]:
     i, j = canonical_edge(*edge)
     if squared_distance(points[i], points[j]) != 4:
         raise NotTouchingError(
             i, j, math.sqrt(squared_distance(points[i], points[j]))
         )
-    n = len(points)
-    vec = [QI_ZERO] * (2 * n)
+    vec = [_ZERO] * (2 * len(points))
     da = points[i].a - points[j].a
     db = points[i].b - points[j].b
-    vec[2 * i] = QuadraticInteger(da, 0)
-    vec[2 * i + 1] = QuadraticInteger(0, db)
-    vec[2 * j] = QuadraticInteger(-da, 0)
-    vec[2 * j + 1] = QuadraticInteger(0, -db)
+    vec[2 * i] = (da, 0)
+    vec[2 * i + 1] = (0, db)
+    vec[2 * j] = (-da, 0)
+    vec[2 * j + 1] = (0, -db)
     return vec
+
+
+def exact_collision_vector(
+    points: Sequence[LatticePoint], edge: Edge
+) -> list[QuadraticInteger]:
+    """Unnormalized collision vector of a touching lattice pair, over Z[sqrt(3)]."""
+    return [QuadraticInteger(r1, r2) for r1, r2 in _collision_pairs(points, edge)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,14 +549,19 @@ def exact_alpha_certificate(
 
     Works with the integer-scaled collision vectors so that all arithmetic
     stays in Z[sqrt(3)]; the 2^{-3/2} normalization is applied once at the
-    end.  The bound is the distance from the chosen direction to a hyperplane
-    containing the span of the others: a maximal independent subset of the
-    other edges' vectors (chosen by exact rank) is completed to dimension
-    2n - 1 with standard basis vectors, the hyperplane normal c is computed
-    as an exact cofactor vector, and the certificate is |z . c| / |c|.
-    Returns exactly 0.0 when the chosen direction already lies in the span
-    (or, defensively, when z . c vanishes), and exactly 1.0 when the span is
-    trivial.
+    end.  The bound is the distance from the chosen direction w to a
+    hyperplane containing the span of the others.  One fraction-free echelon
+    of the 2n x (k+1) matrix [z_f for the k other edges, in order | w] picks
+    the basis B: its pivot columns are the greedy maximal independent subset
+    of the others, and w lies in their span exactly when its column is not a
+    pivot.  :func:`extend_basis` completes B with standard basis vectors e_q
+    to dimension 2n - 1, and the hyperplane normal c has the cofactors
+    c_i = det([e_i | B | e_q for the picks q]).  These vanish on the picks;
+    on the p + 1 rows R outside them they are, up to one common sign, the
+    p x p minors of B restricted to R, all read off one elimination of
+    [B_R | I].  The certificate is |w . c| / |c|.  Returns exactly 0.0 when
+    w already lies in the span (or, defensively, when w . c vanishes), and
+    exactly 1.0 when the span is trivial.
     """
     n = len(points)
     if n < 1:
@@ -521,64 +573,71 @@ def exact_alpha_certificate(
         raise ValueError(f"edge {chosen} is not in the edge set")
     others = [e for e in edges if e != chosen]
 
-    w_exact = exact_collision_vector(points, chosen)
+    w = _collision_pairs(points, chosen)
+    vectors = [_collision_pairs(points, e) for e in others]
 
-    basis_vectors: list[list[QuadraticInteger]] = []
-    basis_edges: list[Edge] = []
-    for e in others:
-        candidate = exact_collision_vector(points, e)
-        if exact_rank(basis_vectors + [candidate]) > len(basis_vectors):
-            basis_vectors.append(candidate)
-            basis_edges.append(e)
-    p = len(basis_vectors)
-
-    if p == 0:
+    if not vectors:
         # trivial span: the certificate is the length of the unit direction
         norm_sq = QuadraticInteger(8, 0)
-        data = CertificateData(8, 0, tuple(w_exact), norm_sq, (), (), False)
-        return 1.0, data
+        normal = tuple(QuadraticInteger(r1, r2) for r1, r2 in w)
+        return 1.0, CertificateData(8, 0, normal, norm_sq, (), (), False)
 
-    if exact_rank(basis_vectors + [w_exact]) == p:
-        data = CertificateData(
-            0, 0, (QI_ZERO,) * m, QI_ZERO, tuple(basis_edges), (), True
-        )
+    k = len(vectors)
+    columns = vectors + [w]
+    pivots, _ = _echelon([[col[r] for col in columns] for r in range(m)])
+    basis = [vectors[c] for c in pivots if c < k]
+    basis_edges = tuple(others[c] for c in pivots if c < k)
+    p = len(basis)
+
+    if pivots[-1] != k:
+        data = CertificateData(0, 0, (QI_ZERO,) * m, QI_ZERO, basis_edges, (), True)
         return 0.0, data
 
-    float_basis = [np.array([float(x) for x in v]) for v in basis_vectors]
-    float_w = np.array([float(x) for x in w_exact])
+    root3 = math.sqrt(3.0)
+    float_basis = [np.array([r1 + r2 * root3 for r1, r2 in v]) for v in basis]
+    float_w = np.array([r1 + r2 * root3 for r1, r2 in w])
     picks = extend_basis(float_basis, float_w, m)
 
-    # columns of the bordered matrix, first column swapped per cofactor
-    fixed_cols = [list(v) for v in basis_vectors]
-    for idx in picks:
-        col = [QI_ZERO] * m
-        col[idx] = QI_ONE
-        fixed_cols.append(col)
-
-    normal: list[QuadraticInteger] = []
+    # Move the rows R outside the picks to the top, keeping both groups in
+    # order: [e_i | B | e_picks] becomes block triangular with an identity in
+    # the pick corner, so c_{R[a]} = s det([e_a | B_R]), s the sign of that
+    # row permutation.  Row p of the echelon of [B_R | I] holds, in column
+    # p + a, t det([B_R | e_a]) = t (-1)^p det([e_a | B_R]), t the sign of
+    # the echelon's row swaps.
     pick_set = set(picks)
-    for i in range(m):
-        if i in pick_set:
-            normal.append(QI_ZERO)
-            continue
-        matrix = [
-            [(QI_ONE if r == i else QI_ZERO)] + [col[r] for col in fixed_cols]
-            for r in range(m)
-        ]
-        normal.append(exact_determinant(matrix))
-
-    num = QI_ZERO
-    for wi, ci in zip(w_exact, normal):
-        num = num + wi * ci
-    if not num:
+    outside = [r for r in range(m) if r not in pick_set]
+    inversions = sum(1 for q in picks for r in outside if r > q)
+    aug = [
+        [v[r] for v in basis] + [_ONE if a == b else _ZERO for b in range(p + 1)]
+        for a, r in enumerate(outside)
+    ]
+    minor_pivots, swaps = _echelon(aug)
+    if minor_pivots[:p] == list(range(p)):
+        factor = swaps * (-1) ** (inversions + p)
+        minors = [(factor * r1, factor * r2) for r1, r2 in aug[p][p:]]
+    else:
+        # B_R has rank below p, so every minor vanishes
+        minors = [_ZERO] * (p + 1)
+    normal_pairs = [_ZERO] * m
+    num1 = num2 = 0
+    for r, (c1, c2) in zip(outside, minors):
+        normal_pairs[r] = (c1, c2)
+        w1, w2 = w[r]
+        num1 += w1 * c1 + 3 * w2 * c2
+        num2 += w1 * c2 + w2 * c1
+    normal = tuple(QuadraticInteger(r1, r2) for r1, r2 in normal_pairs)
+    if not (num1 or num2):
         data = CertificateData(
-            0, 0, tuple(normal), QI_ZERO, tuple(basis_edges), tuple(picks), True
+            0, 0, normal, QI_ZERO, basis_edges, tuple(picks), True
         )
         return 0.0, data
+    num = QuadraticInteger(num1, num2)
 
-    norm_sq = QI_ZERO
-    for ci in normal:
-        norm_sq = norm_sq + ci * ci
+    sq1 = sq2 = 0
+    for c1, c2 in minors:
+        sq1 += c1 * c1 + 3 * c2 * c2
+        sq2 += 2 * c1 * c2
+    norm_sq = QuadraticInteger(sq1, sq2)
 
     with mpmath.workprec(HIGH_PRECISION_BITS):
         value = abs(num.to_mpf()) / (
@@ -586,12 +645,6 @@ def exact_alpha_certificate(
         )
         bound = float(value)
     data = CertificateData(
-        num.r1,
-        num.r2,
-        tuple(normal),
-        norm_sq,
-        tuple(basis_edges),
-        tuple(picks),
-        False,
+        num.r1, num.r2, normal, norm_sq, basis_edges, tuple(picks), False
     )
     return bound, data

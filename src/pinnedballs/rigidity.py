@@ -121,7 +121,7 @@ def alpha(
     config: BallConfiguration,
     zero_tolerance: float = DEFAULT_ZERO_TOLERANCE,
     max_edges: int = DEFAULT_MAX_EDGES,
-    collect_table: bool = True,
+    collect_table: bool = False,
 ) -> AlphaReport:
     """Minimum of the strictly positive alpha_star values over all subgraphs.
 
@@ -130,7 +130,7 @@ def alpha(
     minimum.  The distance only shrinks as the span grows, so the minimum is
     attained on the hyperplanes (maximal flats) H of the linear matroid of
     collision directions: alpha = min over H and e outside H of the distance
-    from z_e to span(H).  Without the table this is how it is computed: every
+    from z_e to span(H).  By default this is how it is computed: every
     independent subset of rank(E) - 1 edges is completed to its closure H (the
     edges within zero_tolerance of its span), and each H is visited once.
     ``n_candidates`` then counts the (H, e) pairs examined, ``n_zero`` the
@@ -151,10 +151,32 @@ def alpha(
         raise TooManyEdgesError(len(edges), max_edges)
     if not edges:
         raise AllZeroError("the configuration has no touching pairs")
-    zmat = np.column_stack([collision_direction(config, e).vector for e in edges])
+    zmat = _direction_matrix(config, edges)
     if collect_table:
         return _alpha_by_subsets(edges, zmat, zero_tolerance)
     return _alpha_by_hyperplanes(edges, zmat, zero_tolerance)
+
+
+def _direction_matrix(config: BallConfiguration, edges: list[Edge]) -> np.ndarray:
+    """Unit collision directions of touching edges, as the columns of one matrix.
+
+    Column k holds x_i - x_j in block i and its negative in block j for the
+    k-th edge (i, j), normalised as :func:`collision_direction` does, so the
+    columns equal its vectors bit for bit; the result is C-ordered like a
+    column stack of them, so the factorizations downstream round the same
+    way.  The edges must come from the contact graph, which has already
+    checked that each pair touches.
+    """
+    d = config.dimension
+    i, j = np.array(edges).T
+    diff = config.centers[i] - config.centers[j]
+    rows = np.arange(len(edges))[:, None]
+    block = np.arange(d)
+    raw = np.zeros((len(edges), config.n * d))
+    raw[rows, (i * d)[:, None] + block] = diff
+    raw[rows, (j * d)[:, None] + block] = -diff
+    norms = np.sqrt([r @ r for r in raw])
+    return np.ascontiguousarray((raw / norms[:, None]).T)
 
 
 def _alpha_by_hyperplanes(
@@ -406,7 +428,7 @@ def spherical_vertex_check(
     if np.linalg.matrix_rank(zcols, tol=RANK_TOLERANCE) < len(subset):
         raise DependentEdgesError("subset directions are linearly dependent")
     if alpha_value is None:
-        alpha_value = alpha(config, collect_table=False).alpha
+        alpha_value = alpha(config).alpha
 
     vertex_margins = []
     for k in range(len(subset)):

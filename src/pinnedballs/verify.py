@@ -161,7 +161,7 @@ def check_tree_alpha_floor(rng, rounds=25) -> CheckResult:
         n = int(rng.integers(2, 7))
         d = int(rng.integers(1, 4))
         config = configs.random_contact_configuration(n, d, rng, style="tree")
-        value = rigidity.alpha(config, collect_table=False).alpha
+        value = rigidity.alpha(config).alpha
         worst_margin = min(worst_margin, value - math.sqrt(2.0) / n)
         if value < 4.0 / n - 1e-9:
             failures_nominal += 1
@@ -350,7 +350,7 @@ def check_search_bound_sanity(rng) -> CheckResult:
         report = bounds.max_collisions_bound(
             config_c.n,
             config_c.dimension,
-            rigidity.alpha(config_c, collect_table=False).alpha,
+            rigidity.alpha(config_c).alpha,
             bounds.resolve_tau(config_c.dimension)[0],
         )
         compared = search.compare_with_bound(result, report)

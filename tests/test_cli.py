@@ -255,6 +255,12 @@ class TestLatticeCommand:
         saved = json.loads(open(out_cfg).read())
         assert len(saved["centers"]) == 7
 
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_non_finite_radius_fails(self, capsys, radius):
+        code, out, err = _run(capsys, ["lattice", "--radius", radius])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
 
 class TestSearchCommand:
     def test_exhaustive_with_bound(self, capsys, chain_config):

@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 
 from pinnedballs.errors import NonconformingColumnError, NotTouchingError
+from pinnedballs.geometry import canonical_edge
 from pinnedballs.lattice import (
+    HIGH_PRECISION_BITS,
     QI_ONE,
     QI_ZERO,
     SQRT3,
+    CertificateData,
     ConvergentPair,
     LatticePoint,
     QuadraticInteger,
+    _bareiss_determinant,
+    _cofactor_determinant,
     check_column_conditions,
     classify_column,
     contact_edges,
@@ -30,7 +35,7 @@ from pinnedballs.lattice import (
     squared_distance,
     verify_det_bound,
 )
-from pinnedballs.rigidity import alpha_star
+from pinnedballs.rigidity import alpha_star, extend_basis
 
 
 def _qi(rng, span=6):
@@ -74,6 +79,19 @@ class TestQuadraticInteger:
         assert QuadraticInteger(-26, 15).sign() == -1
         assert QuadraticInteger(97, -56).sign() == 1  # 97^2 = 9409 > 9408
 
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            QuadraticInteger(1.5)
+
+    def test_float_pair_rejected(self):
+        with pytest.raises(TypeError):
+            QuadraticInteger(2.9, -0.5)
+
+    def test_numpy_integers_accepted(self):
+        value = QuadraticInteger(np.int64(3), np.int32(-2))
+        assert value == QuadraticInteger(3, -2)
+        assert type(value.r1) is int and type(value.r2) is int
+
     def test_float_and_mpf_agree(self, rng):
         for _ in range(100):
             q = _qi(rng)
@@ -89,6 +107,15 @@ class TestLatticePoints:
         assert is_lattice_point(2, 0)
         with pytest.raises(ValueError):
             LatticePoint(1, 2)
+
+    def test_float_coordinates_rejected(self):
+        with pytest.raises(TypeError):
+            LatticePoint(1.5, 1.5)
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="finite"):
+            lattice_points_in_radius(radius)
 
     def test_radius_zero(self):
         assert lattice_points_in_radius(0) == [LatticePoint(0, 0)]
@@ -135,6 +162,9 @@ class TestExactDeterminant:
             a = exact_determinant(matrix, method="cofactor")
             b = exact_determinant(matrix, method="bareiss")
             assert a == b
+
+    def test_numpy_integer_matrix(self):
+        assert exact_determinant(np.array([[1, 2], [3, 4]])) == QuadraticInteger(-2)
 
     def test_rank(self):
         v1 = [QI_ONE, QI_ZERO, SQRT3]
@@ -193,6 +223,13 @@ def _random_conforming(rng, m):
             col[int(idx[3])] = QuadraticInteger(0, int(rng.choice([-1, 1])))
         cols.append(col)
     return [[cols[j][i] for j in range(m)] for i in range(m)]
+
+
+def test_elimination_matches_cofactor_on_conforming(rng):
+    for m in range(3, 11):
+        for _ in range(4 if m < 10 else 2):
+            rows = _random_conforming(rng, m)
+            assert _bareiss_determinant(rows) == _cofactor_determinant(rows)
 
 
 class TestDetBound:
@@ -363,3 +400,121 @@ class TestExactAlphaCertificate:
         points = [LatticePoint(0, 0), LatticePoint(4, 0)]
         with pytest.raises(NotTouchingError):
             exact_alpha_certificate(points, [(0, 1)], (0, 1))
+
+
+def _bordered_certificate(points, edge_set, edge):
+    """The certificate the long way: an exact rank test per other edge, then
+    one full 2n x 2n bordered determinant per cofactor."""
+    m = 2 * len(points)
+    chosen = canonical_edge(*edge)
+    edges = sorted({canonical_edge(*e) for e in edge_set})
+    others = [e for e in edges if e != chosen]
+    w = exact_collision_vector(points, chosen)
+    basis, basis_edges = [], []
+    for e in others:
+        v = exact_collision_vector(points, e)
+        if exact_rank(basis + [v]) > len(basis):
+            basis.append(v)
+            basis_edges.append(e)
+    basis_edges = tuple(basis_edges)
+    if not basis:
+        return 1.0, CertificateData(8, 0, tuple(w), QuadraticInteger(8), (), (), False)
+    if exact_rank(basis + [w]) == len(basis):
+        return 0.0, CertificateData(0, 0, (QI_ZERO,) * m, QI_ZERO, basis_edges, (), True)
+    picks = extend_basis(
+        [np.array([float(x) for x in v]) for v in basis],
+        np.array([float(x) for x in w]),
+        m,
+    )
+    fixed = basis + [[QI_ONE if r == q else QI_ZERO for r in range(m)] for q in picks]
+    normal = tuple(
+        QI_ZERO
+        if i in picks
+        else exact_determinant(
+            [[QI_ONE if r == i else QI_ZERO] + [col[r] for col in fixed] for r in range(m)]
+        )
+        for i in range(m)
+    )
+    num = sum((a * c for a, c in zip(w, normal)), QI_ZERO)
+    if not num:
+        return 0.0, CertificateData(0, 0, normal, QI_ZERO, basis_edges, tuple(picks), True)
+    norm_sq = sum((c * c for c in normal), QI_ZERO)
+    with mpmath.workprec(HIGH_PRECISION_BITS):
+        value = abs(num.to_mpf()) / (
+            mpmath.mpf(2) ** mpmath.mpf("1.5") * mpmath.sqrt(norm_sq.to_mpf())
+        )
+        bound = float(value)
+    data = CertificateData(
+        num.r1, num.r2, normal, norm_sq, basis_edges, tuple(picks), False
+    )
+    return bound, data
+
+
+def _certificate_fields(value, data):
+    return (
+        value,
+        data.r1,
+        data.r2,
+        data.normal,
+        data.norm_squared,
+        data.basis_edges,
+        data.basis_indices,
+        data.exact_zero,
+    )
+
+
+def _assert_matches_bordered(points, edges, chosen):
+    got = exact_alpha_certificate(points, edges, chosen)
+    assert _certificate_fields(*got) == _certificate_fields(
+        *_bordered_certificate(points, edges, chosen)
+    )
+    return got
+
+
+class TestCertificateAgainstBorderedDeterminants:
+    """One echelon plus the minors outside the picks give every field of the
+    full bordered-determinant construction, compared with ``==``."""
+
+    def test_every_edge_of_the_flower(self):
+        flower = lattice_points_in_radius(2.1)
+        edges = contact_edges(flower)
+        zeros = 0
+        for chosen in edges:
+            _, data = _assert_matches_bordered(flower, edges, chosen)
+            zeros += data.exact_zero
+        assert zeros > 0
+
+    def test_random_sub_patches(self):
+        rng = np.random.default_rng(4)
+        flower = lattice_points_in_radius(2.1)
+        kinds = set()
+        for _ in range(40):
+            size = int(rng.integers(2, 8))
+            idx = sorted(rng.choice(len(flower), size=size, replace=False))
+            points = [flower[int(i)] for i in idx]
+            edges = list(contact_edges(points))
+            if not edges:
+                continue
+            if len(edges) > 1 and rng.integers(2):
+                keep = rng.choice(len(edges), size=len(edges) - 1, replace=False)
+                edges = [edges[int(k)] for k in sorted(keep)]
+            for chosen in edges:
+                value, data = _assert_matches_bordered(points, edges, chosen)
+                if data.exact_zero:
+                    kinds.add("zero")
+                elif not data.basis_edges:
+                    kinds.add("trivial")
+                else:
+                    kinds.add("positive")
+        assert kinds == {"zero", "trivial", "positive"}
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_twelve_edges_of_the_thirteen_disc_patch(self, seed):
+        rng = np.random.default_rng(seed)
+        points = lattice_points_in_radius(3.5)
+        edges = contact_edges(points)
+        assert len(points) == 13
+        keep = sorted(rng.choice(len(edges), size=12, replace=False))
+        subset = [edges[int(k)] for k in keep]
+        for chosen in subset:
+            _assert_matches_bordered(points, subset, chosen)

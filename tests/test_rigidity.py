@@ -21,6 +21,7 @@ from pinnedballs.geometry import (
     validate_configuration,
 )
 from pinnedballs.rigidity import (
+    _direction_matrix,
     alpha,
     alpha_star,
     extend_basis,
@@ -105,14 +106,14 @@ class TestAlphaStar:
 
 class TestAlpha:
     def test_two_ball_alpha_is_one(self):
-        report = alpha(configs.touching_pair())
+        report = alpha(configs.touching_pair(), collect_table=True)
         assert report.alpha == 1.0
         assert report.argmin_edge == (0, 1)
         assert report.n_candidates == 1
         assert report.n_zero == 0
 
     def test_chain_alpha_with_candidate_table(self):
-        report = alpha(configs.collinear_chain(3))
+        report = alpha(configs.collinear_chain(3), collect_table=True)
         assert report.alpha == pytest.approx(SQRT3 / 2.0, abs=1e-12)
         # candidates: each of the 2 edges alone (value 1) and with the other
         assert report.n_candidates == 4
@@ -163,11 +164,14 @@ NAMED = {
 def _hyperplanes_against_subsets(config):
     """The hyperplane path against the subset enumeration it replaces."""
     fast = alpha(config, collect_table=False)
-    oracle = alpha(config)
+    oracle = alpha(config, collect_table=True)
     assert abs(fast.alpha - oracle.alpha) <= 1e-12
     direct = alpha_star(config, fast.argmin_edges, fast.argmin_edge)
     assert abs(direct - fast.alpha) <= 1e-12
     assert (fast.n_zero > 0) == (oracle.n_zero > 0)
+    edges = list(full_contact_graph(config).edges)
+    per_edge = np.column_stack([collision_direction(config, e).vector for e in edges])
+    assert np.array_equal(_direction_matrix(config, edges), per_edge)
     return fast, oracle
 
 
