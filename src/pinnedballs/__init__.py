@@ -31,6 +31,7 @@ from .foldings import (
     OrbitResult,
     adversarial_two_halfplanes,
     fold,
+    fold_into_cone,
     orbit,
 )
 from .geometry import (

@@ -123,7 +123,7 @@ def _cmd_bound(args) -> int:
             config, _ = io.load_configuration(args.alpha_from)
             inputs.append(args.alpha_from)
             alpha_value = rigidity.alpha(config).alpha
-            alpha_source = "exhaustive"
+            alpha_source = "hyperplanes"
             n, d = config.n, config.dimension
         else:
             if args.alpha is None:
@@ -220,7 +220,7 @@ def _cmd_search(args) -> int:
                 result,
                 bounds.max_collisions_bound(
                     config.n, config.dimension, alpha_value, tau,
-                    alpha_source="exhaustive", tau_source=tau_source,
+                    alpha_source="hyperplanes", tau_source=tau_source,
                 ),
             )
         report = result.as_dict()

@@ -71,6 +71,46 @@ def fold(point: Sequence[float], halfspace: HalfSpace) -> np.ndarray:
     return v - 2.0 * m * halfspace.normal
 
 
+def fold_into_cone(
+    points: np.ndarray, normals: np.ndarray, max_passes: int = 100_000
+) -> np.ndarray:
+    """Fold each row of ``points`` into the cone {v : v . normals[:, k] >= 0 for all k}.
+
+    ``points`` has shape (B, N) and ``normals`` shape (N, m) with finite unit
+    columns.  Every row repeats the scalar loop on its own: per pass, take the
+    margins against all columns, then for each column k that was negative at
+    the start of the pass, in ascending order, recompute m = v . z_k and apply
+    :func:`fold` (v - 2 m z_k when m < 0).  A row leaves the active set once
+    no margin is negative.  Raises RuntimeError when rows are still active
+    after ``max_passes`` passes.  Returns a new (B, N) array.
+    """
+    v = np.array(points, dtype=float)
+    z = np.asarray(normals, dtype=float)
+    if v.ndim != 2 or z.ndim != 2 or v.shape[1] != z.shape[0]:
+        raise ValueError(
+            f"need points (B, N) and normals (N, m), got {v.shape} and {z.shape}"
+        )
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(z))):
+        raise ValueError("points and normals must be finite")
+    if np.any(np.abs(np.linalg.norm(z, axis=0) - 1.0) > UNIT_TOLERANCE):
+        raise ValueError("normals must have unit length")
+    active = np.arange(v.shape[0])
+    for _ in range(max_passes):
+        bad = v[active] @ z < 0.0
+        keep = bad.any(axis=1)
+        active, bad = active[keep], bad[keep]
+        if active.size == 0:
+            return v
+        for k in np.flatnonzero(bad.any(axis=0)):
+            rows = active[bad[:, k]]
+            zk = z[:, k]
+            m = v[rows] @ zk
+            neg = m < 0.0
+            rows = rows[neg]
+            v[rows] = v[rows] - 2.0 * m[neg, None] * zk
+    raise RuntimeError("folding did not stabilize within the pass budget")
+
+
 @dataclass(frozen=True)
 class FoldingSchedule:
     """Finite description of an infinite folding order.

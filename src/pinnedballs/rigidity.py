@@ -26,8 +26,10 @@ from .errors import (
     AllZeroError,
     DependentEdgesError,
     DependentInputError,
+    NotTouchingError,
     TooManyEdgesError,
 )
+from .foldings import fold_into_cone
 from .geometry import (
     BallConfiguration,
     ContactGraph,
@@ -164,8 +166,7 @@ def _direction_matrix(config: BallConfiguration, edges: list[Edge]) -> np.ndarra
     k-th edge (i, j), normalised as :func:`collision_direction` does, so the
     columns equal its vectors bit for bit; the result is C-ordered like a
     column stack of them, so the factorizations downstream round the same
-    way.  The edges must come from the contact graph, which has already
-    checked that each pair touches.
+    way.  The edges must touch; the contact graph's edges do by construction.
     """
     d = config.dimension
     i, j = np.array(edges).T
@@ -347,20 +348,22 @@ def extend_basis(
     if np.linalg.matrix_rank(with_w, tol=rank_tolerance) < len(cols) + 1:
         raise DependentInputError("excluded vector lies in the span of the input")
 
-    # orthonormal basis of span(vectors + excluded), grown greedily with e_i
-    q, _ = np.linalg.qr(with_w)
-    basis = list(q.T[: len(cols) + 1])
+    # orthonormal basis of span(vectors + excluded) in the first `size`
+    # columns of q, grown greedily with e_i; e_i's residual is e_i - Q Q[i]
+    size = len(cols) + 1
+    q = np.zeros((dim, dim))
+    q[:, :size] = np.linalg.qr(with_w)[0]
     picks: list[int] = []
     needed = dim - 1 - len(cols)
     for i in range(dim):
         if len(picks) == needed:
             break
-        e = np.zeros(dim)
-        e[i] = 1.0
-        residual = e - sum((b @ e) * b for b in basis)
+        residual = -(q[:, :size] @ q[i, :size])
+        residual[i] += 1.0
         norm = np.linalg.norm(residual)
         if norm > rank_tolerance:
-            basis.append(residual / norm)
+            q[:, size] = residual / norm
+            size += 1
             picks.append(i)
     if len(picks) != needed:
         raise DependentInputError("could not reach the requested dimension")
@@ -380,26 +383,6 @@ class SphericalVertexReport:
     samples_ok: bool
 
 
-def _fold_into_cone(
-    config: BallConfiguration,
-    zmat: np.ndarray,
-    values: np.ndarray,
-    max_passes: int = 100_000,
-) -> np.ndarray:
-    """Fold a vector until it has non-negative margin on every column of zmat."""
-    v = values.copy()
-    for _ in range(max_passes):
-        margins = zmat.T @ v
-        bad = np.nonzero(margins < 0.0)[0]
-        if bad.size == 0:
-            return v
-        for k in bad:
-            m = float(zmat[:, k] @ v)
-            if m < 0.0:
-                v = v - 2.0 * m * zmat[:, k]
-    raise RuntimeError("folding did not stabilize within the pass budget")
-
-
 def spherical_vertex_check(
     config: BallConfiguration,
     graph: ContactGraph,
@@ -416,52 +399,50 @@ def spherical_vertex_check(
     residual of one direction against the span of the others) must clear some
     facet hyperplane by at least alpha; and every sampled unit state of the
     feasible cone within the span of the graph's directions must clear some
-    facet by at least alpha / (n d).  Raises :class:`DependentEdgesError`
-    when the subset's directions are linearly dependent.
+    facet by at least alpha / (n d).  The samples are standard normal draws
+    projected onto that span (draws shorter than 1e-9 are dropped), folded
+    into the cone together by :func:`~pinnedballs.foldings.fold_into_cone`
+    and normalized.  Raises :class:`DependentEdgesError` when the subset's
+    directions are linearly dependent, :class:`NotTouchingError` when a
+    subset or graph edge joins balls that do not touch, and ValueError for
+    a negative ``samples``.
     """
     subset = _edge_list(edge_subset)
     if not subset:
         raise ValueError("edge subset must be non-empty")
-    zcols = np.column_stack(
-        [collision_direction(config, e).vector for e in subset]
-    )
+    if not graph.edges:
+        raise ValueError("graph must have at least one edge")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    # _direction_matrix assumes touching edges
+    for i, j in subset + list(graph.edges):
+        if not config.touches(i, j):
+            raise NotTouchingError(i, j, config.distance(i, j))
+    zcols = _direction_matrix(config, subset)
     if np.linalg.matrix_rank(zcols, tol=RANK_TOLERANCE) < len(subset):
         raise DependentEdgesError("subset directions are linearly dependent")
     if alpha_value is None:
         alpha_value = alpha(config).alpha
 
-    vertex_margins = []
-    for k in range(len(subset)):
-        others = np.delete(zcols, k, axis=1)
-        z = zcols[:, k]
-        if others.shape[1] == 0:
-            w = z
-        else:
-            coef, *_ = np.linalg.lstsq(others, z, rcond=None)
-            residual = z - others @ coef
-            w = residual / np.linalg.norm(residual)
-        vertex_margins.append(float(np.max(zcols.T @ w)))
-    vertex_margins = np.array(vertex_margins)
+    # column k of Q R^{-T} is orthogonal to every other column of zcols and has
+    # inner product 1 with z_k: the residual of z_k against the others, scaled
+    q, r = np.linalg.qr(zcols)
+    vertices = q @ np.linalg.inv(r).T
+    vertices /= np.linalg.norm(vertices, axis=0)
+    vertex_margins = np.max(zcols.T @ vertices, axis=0)
 
-    graph_cols = np.column_stack(
-        [collision_direction(config, e).vector for e in graph.edges]
-    )
+    graph_cols = _direction_matrix(config, list(graph.edges))
     u_mat, s, _ = np.linalg.svd(graph_cols, full_matrices=False)
     rank = int(np.count_nonzero(s > 1e-12 * s[0]))
     basis = u_mat[:, :rank]
 
-    rng = np.random.default_rng(seed)
-    sample_margins = []
-    for _ in range(samples):
-        raw = rng.standard_normal(config.n * config.dimension)
-        v = basis @ (basis.T @ raw)
-        norm = np.linalg.norm(v)
-        if norm < 1e-9:
-            continue
-        v = _fold_into_cone(config, graph_cols, v)
-        v = v / np.linalg.norm(v)
-        sample_margins.append(float(np.max(graph_cols.T @ v)))
-    sample_margins = np.array(sample_margins)
+    # one draw of all samples gives the same numbers as one draw per sample
+    raw = np.random.default_rng(seed).standard_normal((samples, config.n * config.dimension))
+    states = (raw @ basis) @ basis.T
+    states = states[np.linalg.norm(states, axis=1) >= 1e-9]
+    states = fold_into_cone(states, graph_cols)
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    sample_margins = np.max(states @ graph_cols, axis=1)
 
     floor = alpha_value / (config.n * config.dimension)
     return SphericalVertexReport(

@@ -35,6 +35,7 @@ class BoundComparison:
     log2_collisions: float | None
     log2_bound: float
     within: bool
+    alpha_source: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +62,7 @@ class SearchResult:
                 "log2_collisions": self.bound.log2_collisions,
                 "log2_bound": self.bound.log2_bound,
                 "within": self.bound.within,
+                "alpha_source": self.bound.alpha_source,
             }
         return out
 
@@ -73,7 +75,9 @@ def compare_with_bound(result: SearchResult, report: BoundReport) -> SearchResul
     )
     return dataclasses.replace(
         result,
-        bound=BoundComparison(log2_lambda, report.log2_bound, bool(within)),
+        bound=BoundComparison(
+            log2_lambda, report.log2_bound, bool(within), report.alpha_source
+        ),
     )
 
 

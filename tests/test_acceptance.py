@@ -343,7 +343,7 @@ def test_c09_end_to_end_inequality():
             centered, normalized = normalize_system(config, state)
             bound_report = max_collisions_bound(
                 centered.n, centered.dimension, report.alpha, tau,
-                alpha_source="exhaustive", tau_source="external-table",
+                alpha_source="hyperplanes", tau_source="external-table",
             )
             try:
                 result = exhaustive_max_collisions(centered, normalized, depth_cap=20)

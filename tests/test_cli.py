@@ -113,7 +113,7 @@ class TestBound:
     def test_alpha_from_config(self, capsys, chain_config):
         code, out, _ = _run(capsys, ["bound", "--alpha-from", chain_config])
         report = json.loads(out)
-        assert report["alpha_source"] == "exhaustive"
+        assert report["alpha_source"] == "hyperplanes"
         assert report["alpha"] == pytest.approx(math.sqrt(3.0) / 2.0)
 
     def test_tree_and_lattice_modes(self, capsys):
@@ -271,6 +271,7 @@ class TestSearchCommand:
         report = json.loads(out)
         assert report["collisions"] == 3
         assert report["bound"]["within"] is True
+        assert report["bound"]["alpha_source"] == "hyperplanes"
         # the file supplies the velocities, so the seed had no effect
         assert report["manifest"]["seed"] is None
 

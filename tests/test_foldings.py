@@ -9,6 +9,7 @@ from pinnedballs.foldings import (
     HalfSpace,
     adversarial_two_halfplanes,
     fold,
+    fold_into_cone,
     orbit,
 )
 
@@ -165,3 +166,78 @@ class TestAdversarial:
         witness /= np.linalg.norm(witness)
         result = orbit(start, halfspaces, schedule, witness=witness)
         assert result.size > 100
+
+
+def _fold_rows_sequentially(points, halfspaces):
+    """Reference for fold_into_cone: one row at a time with :func:`fold`.
+
+    Per pass, every half-space with a negative margin at the start of the
+    pass is applied in ascending order."""
+    out = []
+    for v in points:
+        while True:
+            bad = [h for h in halfspaces if h.margin(v) < 0.0]
+            if not bad:
+                break
+            for h in bad:
+                v = fold(v, h)
+        out.append(v)
+    return np.array(out)
+
+
+class TestFoldIntoCone:
+    def test_matches_sequential_folds_on_random_cones(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(60):
+            d = int(rng.integers(2, 7))
+            m = int(rng.integers(2, 11))
+            halfspaces, _ = _random_family(rng, d, m)
+            normals = np.column_stack([h.normal for h in halfspaces])
+            points = rng.standard_normal((int(rng.integers(1, 40)), d))
+            folded = fold_into_cone(points, normals)
+            np.testing.assert_allclose(
+                folded, _fold_rows_sequentially(points, halfspaces), rtol=0.0, atol=1e-12
+            )
+            assert np.all(folded @ normals >= 0.0)
+
+    def test_rows_inside_are_unchanged_and_input_is_kept(self):
+        normals = np.eye(3)
+        points = np.array([[1.0, 2.0, 3.0], [-1.0, 2.0, -3.0]])
+        before = points.copy()
+        folded = fold_into_cone(points, normals)
+        np.testing.assert_array_equal(folded, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(points, before)
+
+    def test_empty_batch(self):
+        assert fold_into_cone(np.zeros((0, 2)), np.eye(2)).shape == (0, 2)
+
+    def test_running_out_of_passes_raises(self):
+        # (-1, -1) folds in the first pass and is certified inside in the second
+        normals, points = np.eye(2), np.array([[-1.0, -1.0]])
+        with pytest.raises(RuntimeError):
+            fold_into_cone(points, normals, max_passes=1)
+        np.testing.assert_array_equal(fold_into_cone(points, normals, max_passes=2), [[1.0, 1.0]])
+
+    def test_adversarial_wedge_exhausts_a_small_budget(self):
+        halfspaces, start, _ = adversarial_two_halfplanes(50)
+        normals = np.column_stack([h.normal for h in halfspaces])
+        with pytest.raises(RuntimeError):
+            fold_into_cone(start[None, :], normals, max_passes=5)
+        folded = fold_into_cone(start[None, :], normals)
+        np.testing.assert_allclose(
+            folded, _fold_rows_sequentially([start], halfspaces), rtol=0.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "points, normals",
+        [
+            (np.zeros(2), np.eye(2)),
+            (np.zeros((1, 3)), np.eye(2)),
+            (np.zeros((1, 2)), 2.0 * np.eye(2)),
+            (np.array([[np.nan, 0.0]]), np.eye(2)),
+            (np.zeros((1, 2)), np.array([[np.inf, 0.0], [0.0, 1.0]])),
+        ],
+    )
+    def test_malformed_input_rejected(self, points, normals):
+        with pytest.raises(ValueError):
+            fold_into_cone(points, normals)

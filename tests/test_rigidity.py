@@ -11,9 +11,12 @@ from pinnedballs.errors import (
     AllZeroError,
     DependentEdgesError,
     DependentInputError,
+    NotTouchingError,
     TooManyEdgesError,
 )
+from pinnedballs.foldings import HalfSpace, fold
 from pinnedballs.geometry import (
+    ContactGraph,
     StateVector,
     collision_direction,
     full_contact_graph,
@@ -260,12 +263,46 @@ class TestExtendBasis:
             with_w = np.column_stack(basis + [w])
             assert np.linalg.matrix_rank(with_w, tol=1e-10) == dim
 
+    def test_picks_match_sequential_gram_schmidt(self, rng):
+        # reference: the basis grown one vector at a time, residuals summed in Python
+        for _ in range(100):
+            dim = int(rng.integers(2, 13))
+            k = int(rng.integers(0, dim - 1))
+            vectors = [rng.standard_normal(dim) for _ in range(k)]
+            # a repeated coordinate pattern makes some e_i fall into the span
+            w = np.round(rng.standard_normal(dim))
+            stacked = np.column_stack(vectors + [w])
+            if np.linalg.matrix_rank(stacked, tol=1e-10) < k + 1:
+                continue
+            basis = list(np.linalg.qr(stacked)[0].T)
+            expected = []
+            for i in range(dim):
+                if len(expected) == dim - 1 - k:
+                    break
+                e = np.eye(dim)[i]
+                residual = e - sum((b @ e) * b for b in basis)
+                if np.linalg.norm(residual) > 1e-10:
+                    basis.append(residual / np.linalg.norm(residual))
+                    expected.append(i)
+            assert extend_basis(vectors, w, dim) == expected
+
     def test_dependent_inputs_rejected(self):
         e1 = np.array([1.0, 0.0, 0.0])
         with pytest.raises(DependentInputError):
             extend_basis([e1, 2 * e1], np.array([0.0, 1.0, 0.0]), 3)
         with pytest.raises(DependentInputError):
             extend_basis([e1], 3 * e1, 3)
+
+
+def _independent_subset(config, graph):
+    """Greedy maximal subset of the graph's edges with independent directions."""
+    subset, cols = [], []
+    for e in graph.edges:
+        trial = cols + [collision_direction(config, e).vector]
+        if np.linalg.matrix_rank(np.column_stack(trial), tol=1e-10) == len(trial):
+            subset.append(e)
+            cols = trial
+    return subset
 
 
 class TestSphericalVertexCheck:
@@ -290,24 +327,121 @@ class TestSphericalVertexCheck:
         for _ in range(10):
             config, _ = random_normalized_system(rng, n_max=5, d_max=3)
             graph = full_contact_graph(config)
-            # maximal independent subset, greedily
-            subset = []
-            cols = []
-            for e in graph.edges:
-                z = collision_direction(config, e).vector
-                trial = np.column_stack(cols + [z])
-                if np.linalg.matrix_rank(trial, tol=1e-10) == len(cols) + 1:
-                    subset.append(e)
-                    cols.append(z)
+            subset = _independent_subset(config, graph)
             report = spherical_vertex_check(config, graph, subset, samples=100)
             assert report.vertices_ok
             assert report.samples_ok
+
+    def test_negative_sample_count_rejected(self):
+        config = configs.collinear_chain(3)
+        graph = full_contact_graph(config)
+        with pytest.raises(ValueError, match="samples"):
+            spherical_vertex_check(config, graph, graph.edges, alpha_value=0.5, samples=-5)
+
+    def test_non_touching_subset_edge_rejected(self):
+        config = configs.collinear_chain(3)
+        graph = full_contact_graph(config)
+        with pytest.raises(NotTouchingError) as exc:
+            spherical_vertex_check(config, graph, [(0, 2)], alpha_value=0.5)
+        assert (exc.value.i, exc.value.j) == (0, 2)
+
+    def test_non_touching_graph_edge_rejected(self):
+        config = configs.collinear_chain(3)
+        graph = ContactGraph(3, ((0, 1), (0, 2), (1, 2)))
+        with pytest.raises(NotTouchingError) as exc:
+            spherical_vertex_check(config, graph, [(0, 1)], alpha_value=0.5)
+        assert exc.value.distance == pytest.approx(4.0)
 
     def test_dependent_subset_rejected(self):
         config = configs.hexagonal_flower()
         graph = full_contact_graph(config)
         with pytest.raises(DependentEdgesError):
             spherical_vertex_check(config, graph, graph.edges, samples=0)
+
+
+def _cone_check_per_sample(config, graph, subset, alpha_value, samples=200, seed=0, tol=1e-9):
+    """The cone check one sample at a time: one lstsq per vertex direction, one
+    draw per sample, each folded with :func:`fold` until no margin is negative."""
+    zcols = np.column_stack([collision_direction(config, e).vector for e in subset])
+    vertex_margins = []
+    for k in range(len(subset)):
+        others = np.delete(zcols, k, axis=1)
+        z = zcols[:, k]
+        if others.shape[1] == 0:
+            w = z
+        else:
+            coef, *_ = np.linalg.lstsq(others, z, rcond=None)
+            residual = z - others @ coef
+            w = residual / np.linalg.norm(residual)
+        vertex_margins.append(float(np.max(zcols.T @ w)))
+    vertex_margins = np.array(vertex_margins)
+
+    graph_cols = np.column_stack([collision_direction(config, e).vector for e in graph.edges])
+    halfspaces = [HalfSpace(z) for z in graph_cols.T]
+    u_mat, s, _ = np.linalg.svd(graph_cols, full_matrices=False)
+    basis = u_mat[:, : int(np.count_nonzero(s > 1e-12 * s[0]))]
+    rng = np.random.default_rng(seed)
+    sample_margins = []
+    for _ in range(samples):
+        raw = rng.standard_normal(config.n * config.dimension)
+        v = basis @ (basis.T @ raw)
+        if np.linalg.norm(v) < 1e-9:
+            continue
+        while True:
+            bad = [h for h in halfspaces if h.margin(v) < 0.0]
+            if not bad:
+                break
+            for h in bad:
+                v = fold(v, h)
+        v = v / np.linalg.norm(v)
+        sample_margins.append(float(np.max(graph_cols.T @ v)))
+    sample_margins = np.array(sample_margins)
+    floor = alpha_value / (config.n * config.dimension)
+    return (
+        vertex_margins,
+        bool(np.all(vertex_margins >= alpha_value - tol)),
+        sample_margins,
+        bool(np.all(sample_margins >= floor - tol)),
+    )
+
+
+def _cone_check_against_per_sample(config, seed):
+    graph = full_contact_graph(config)
+    subset = _independent_subset(config, graph)
+    value = alpha(config).alpha
+    report = spherical_vertex_check(config, graph, subset, alpha_value=value, seed=seed)
+    vertex_margins, vertices_ok, sample_margins, samples_ok = _cone_check_per_sample(
+        config, graph, subset, value, seed=seed
+    )
+    np.testing.assert_allclose(report.vertex_margins, vertex_margins, rtol=0.0, atol=1e-12)
+    assert report.sample_margins.shape == sample_margins.shape
+    np.testing.assert_allclose(report.sample_margins, sample_margins, rtol=0.0, atol=1e-12)
+    assert report.vertices_ok == vertices_ok
+    assert report.samples_ok == samples_ok
+
+
+class TestConeCheckAgainstPerSample:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            configs.touching_pair(),
+            configs.collinear_chain(3),
+            configs.collinear_chain(4, 2),
+            configs.triangle(),
+            configs.square(),
+            configs.rhombus(),
+            configs.hexagonal_flower(),
+        ],
+        ids=["pair", "chain3", "chain4-2d", "triangle", "square", "rhombus", "flower"],
+    )
+    def test_named_configurations(self, config):
+        _cone_check_against_per_sample(config, seed=7)
+
+    def test_seeded_random_configurations(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(30):
+            config, _ = random_normalized_system(rng, n_max=7, d_max=3)
+            _cone_check_against_per_sample(config, seed=int(rng.integers(2**31)))
 
 
 def _segment_entry_point(config, graph, u, v):
