@@ -6,6 +6,9 @@ totally elastic collision of equal masses; pairs that do not touch or are
 not approaching are left unchanged.  The same map is realized by folding the
 stacked state across the half-space of the pair's collision direction, and
 both implementations are exposed so they can be checked against each other.
+The exchange arithmetic is defined once, in ``_exchanges``, on Python floats
+with dot products summed in component order: :func:`collide` and every
+schedule loop share it, and no BLAS build can change their bits.
 
 Along any schedule the energy and total momentum are conserved and the
 functional F = sum_{i,j} (v_j - v_i) . (x_j - x_i) never decreases; it is
@@ -44,68 +47,92 @@ def _moved(before: np.ndarray, after: np.ndarray) -> np.ndarray:
     return np.max(np.abs(after - before), axis=-1) > CHANGE_TOLERANCE
 
 
+def _pair(config: BallConfiguration, i: int, j: int) -> tuple:
+    """(slice of block i, slice of block j, x_i - x_j, unit direction), as floats."""
+    dx, d = config.centers[i] - config.centers[j], config.dimension
+    si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
+    return si, sj, dx.tolist(), (dx / np.linalg.norm(dx)).tolist()
+
+
+def _exchanges(vals: list, pairs: Iterable[tuple], tolerance: float) -> list[tuple]:
+    """The pair exchange, defined once: (index, new v_i, new v_j) for each of
+    ``pairs`` (see :func:`_pair`) that approaches in the flat state ``vals``,
+    i.e. (v_i - v_j) . (x_i - x_j) < -tolerance.  Dot products are summed in
+    component order on Python floats, so no BLAS build can change a bit."""
+    out = []
+    for k, (si, sj, dx, u) in enumerate(pairs):
+        vi, vj = vals[si], vals[sj]
+        approach = t = 0.0
+        for a, b, c in zip(vi, vj, dx):
+            approach += (a - b) * c
+        if approach >= -tolerance:
+            continue
+        for a, b, c in zip(vi, vj, u):
+            t += (b - a) * c
+        out.append((k, [a + t * c for a, c in zip(vi, u)], [b - t * c for b, c in zip(vj, u)]))
+    return out
+
+
+def _apply(values: np.ndarray, pair: tuple, tolerance: float) -> np.ndarray | None:
+    """A fresh array after the exchange on ``pair``; None when it does not approach."""
+    found = _exchanges(values.tolist(), (pair,), tolerance)
+    if not found:
+        return None
+    out = values.copy()
+    out[pair[0]], out[pair[1]] = found[0][1:]
+    return out
+
+
 class _PairKernel:
     """The pair exchange on the edges of one graph, each edge's geometry computed once.
 
-    :meth:`step` performs the operations of :func:`collide` in the same order,
-    so the states agree bit for bit.  It returns a fresh array and never
-    mutates its input, so callers may keep states by reference.
+    Every method goes through :func:`_exchanges`, as :func:`collide` does, so
+    the states agree bit for bit.  :meth:`step` maps an array to a fresh array
+    for :func:`run_schedule`; :meth:`children` and :meth:`walk` carry states
+    as lists of floats.  No method mutates its input, so callers may keep
+    states by reference.
     """
 
     def __init__(self, config: BallConfiguration, graph: ContactGraph, tolerance: float):
-        d = config.dimension
-        self.edges = graph.edges
         self.tolerance = tolerance
-        #: (block i, block j, x_i - x_j, unit direction) per touching edge.
-        self.pairs: dict[Edge, tuple] = {}
-        for i, j in graph.edges:
-            if config.touches(i, j):
-                dx = config.centers[i] - config.centers[j]
-                si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
-                self.pairs[i, j] = (si, sj, dx, dx / np.linalg.norm(dx))
+        #: :func:`_pair` per touching edge, in graph order.
+        self.pairs = {e: _pair(config, *e) for e in graph.edges if config.touches(*e)}
+        self._edges, self._pairs = list(self.pairs), list(self.pairs.values())
 
     def step(self, values: np.ndarray, edge: Edge) -> np.ndarray | None:
         """State after the exchange on ``edge``; None when the pair does not
         touch or is not approaching."""
         pair = self.pairs.get(edge)
-        if pair is None:
-            return None
-        si, sj, dx, u = pair
-        vi, vj = values[si], values[sj]
-        if float((vi - vj) @ dx) >= -self.tolerance:
-            return None
-        transfer = float((vj - vi) @ u) * u
-        out = values.copy()
-        out[si] = vi + transfer
-        out[sj] = vj - transfer
+        return None if pair is None else _apply(values, pair, self.tolerance)
+
+    def children(self, vals: list) -> list[tuple[Edge, list]]:
+        """(edge, next state) for each graph edge, in order, whose exchange
+        moves ``vals`` by the collision predicate of :func:`_moved`; only the
+        2d changed components can differ, so only they are compared."""
+        out = []
+        for k, new_i, new_j in _exchanges(vals, self._pairs, self.tolerance):
+            si, sj = self._pairs[k][:2]
+            diffs = map(float.__sub__, new_i + new_j, vals[si] + vals[sj])
+            if max(map(abs, diffs)) > CHANGE_TOLERANCE:
+                nxt = vals.copy()
+                nxt[si], nxt[sj] = new_i, new_j
+                out.append((self._edges[k], nxt))
         return out
 
-    def collisions(self, values: np.ndarray) -> Iterator[tuple[Edge, np.ndarray]]:
-        """(edge, next state) for each graph edge, in order, whose exchange
-        moves ``values`` by the collision predicate."""
-        for e in self.edges:
-            out = self.step(values, e)
-            if out is not None and _moved(values, out):
-                yield e, out
-
     def walk(
-        self, values: np.ndarray, max_steps: int, rng: np.random.Generator | None = None
-    ) -> tuple[list[Edge], list[np.ndarray], bool]:
+        self, vals: list, max_steps: int, rng: np.random.Generator | None = None
+    ) -> tuple[list[Edge], list[list], bool]:
         """Collide the first colliding edge, or with ``rng`` a uniform draw among
         them, until none is left (third result True) or after max_steps; returns
         the edges and the states, the start included."""
-        edges, states = [], [values]
+        edges, states = [], [vals]
         while len(edges) < max_steps:
-            options = self.collisions(states[-1])
-            if rng is None:
-                step = next(options, None)
-            else:
-                options = list(options)
-                step = options[int(rng.integers(len(options)))] if options else None
-            if step is None:
+            options = self.children(states[-1])
+            if not options:
                 return edges, states, True
-            edges.append(step[0])
-            states.append(step[1])
+            edge, nxt = options[0 if rng is None else int(rng.integers(len(options)))]
+            edges.append(edge)
+            states.append(nxt)
         return edges, states, False
 
 
@@ -128,18 +155,8 @@ def collide(
         raise ValueError("a ball cannot collide with itself")
     if not config.touches(i, j):
         return state
-    d = config.dimension
-    si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
-    values = state.values
-    dx = config.centers[i] - config.centers[j]
-    if float((values[si] - values[sj]) @ dx) >= -approach_tolerance:
-        return state
-    u = dx / np.linalg.norm(dx)
-    transfer = float((values[sj] - values[si]) @ u) * u
-    out = values.copy()
-    out[si] = values[si] + transfer
-    out[sj] = values[sj] - transfer
-    return state.with_values(out)
+    out = _apply(state.values, _pair(config, i, j), approach_tolerance)
+    return state if out is None else state.with_values(out)
 
 
 def collide_as_folding(
@@ -328,7 +345,7 @@ def run_schedule(
 
     current = state0.values
     if schedule.kind == "lexicographic-greedy":
-        applied, states, stabilized = kernel.walk(current, max_steps)
+        applied, states, stabilized = kernel.walk(current.tolist(), max_steps)
     else:
         states, applied = [current], []
         # edges whose exchange is known to leave the current state as it is

@@ -405,7 +405,7 @@ def spherical_vertex_check(
     and normalized.  Raises :class:`DependentEdgesError` when the subset's
     directions are linearly dependent, :class:`NotTouchingError` when a
     subset or graph edge joins balls that do not touch, and ValueError for
-    a negative ``samples``.
+    a negative ``samples`` or a subset edge that is not an edge of ``graph``.
     """
     subset = _edge_list(edge_subset)
     if not subset:
@@ -418,6 +418,9 @@ def spherical_vertex_check(
     for i, j in subset + list(graph.edges):
         if not config.touches(i, j):
             raise NotTouchingError(i, j, config.distance(i, j))
+    for i, j in subset:
+        if not graph.has_edge(i, j):
+            raise ValueError(f"subset edge ({i + 1}, {j + 1}) is not an edge of the graph")
     zcols = _direction_matrix(config, subset)
     if np.linalg.matrix_rank(zcols, tol=RANK_TOLERANCE) < len(subset):
         raise DependentEdgesError("subset directions are linearly dependent")

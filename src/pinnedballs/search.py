@@ -115,7 +115,7 @@ def greedy_schedule(
     if policy == "random" and seed is None:
         raise ValueError("random policy needs a seed")
 
-    witness, _, _ = _PairKernel(config, graph, 0.0).walk(state0.values, max_steps, rng)
+    witness, _, _ = _PairKernel(config, graph, 0.0).walk(state0.values.tolist(), max_steps, rng)
     return SearchResult(
         method="greedy",
         collisions=len(witness),
@@ -124,8 +124,8 @@ def greedy_schedule(
     )
 
 
-def _state_key(values: np.ndarray) -> bytes:
-    return np.round(values, STATE_QUANTUM_DECIMALS).tobytes()
+def _state_key(vals: list) -> bytes:
+    return np.array(vals).round(STATE_QUANTUM_DECIMALS).tobytes()
 
 
 def exhaustive_max_collisions(
@@ -157,7 +157,7 @@ def exhaustive_max_collisions(
     truncated = False
     memo: dict[tuple[bytes, int], tuple[int, tuple[Edge, ...]]] = {}
 
-    def dfs(values: np.ndarray, depth: int) -> tuple[int, tuple[Edge, ...]]:
+    def dfs(values: list, depth: int) -> tuple[int, tuple[Edge, ...]]:
         nonlocal nodes, truncated
         nodes += 1
         if nodes > max_nodes:
@@ -168,17 +168,17 @@ def exhaustive_max_collisions(
             return memo[key]
         best: tuple[int, tuple[Edge, ...]] = (0, ())
         if depth < depth_cap:
-            for e, out in kernel.collisions(values):
+            for e, out in kernel.children(values):
                 extra, tail = dfs(out, depth + 1)
                 if 1 + extra > best[0]:
                     best = (1 + extra, (e,) + tail)
-        elif next(kernel.collisions(values), None) is not None:
+        elif kernel.children(values):
             truncated = True
         if key is not None:
             memo[key] = best
         return best
 
-    found, tail = dfs(state0.values, 0)
+    found, tail = dfs(state0.values.tolist(), 0)
 
     # replay makes the reported count authoritative for the witness
     trace = run_schedule(config, state0, Schedule.explicit(tail), graph=graph)
@@ -242,6 +242,8 @@ def velocity_sweep(
         raise ValueError("samples must be >= 1")
     if method not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown method {method!r}")
+    if graph is None:
+        graph = full_contact_graph(config)
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(samples):

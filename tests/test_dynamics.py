@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinnedballs import configs
 from pinnedballs.dynamics import (
     CHANGE_TOLERANCE,
     Schedule,
+    _PairKernel,
     collide,
     collide_as_folding,
     decompose_state,
@@ -25,6 +27,7 @@ from pinnedballs.geometry import (
     normalize_system,
     validate_configuration,
 )
+from pinnedballs.search import sample_unit_state
 from conftest import random_normalized_system
 
 
@@ -391,3 +394,45 @@ class TestKernelAgainstCollide:
             trace = run_schedule(config, state, schedule, graph=graph)
             assert trace.stabilized and trace.collisions == 1
             np.testing.assert_array_equal(trace.states[-1], [0.0, 1.0, -1.0])
+
+
+class TestKernelProperties:
+    """Every kernel path against collide, exactly, and against collide_as_folding."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 7),
+        d=st.integers(1, 3),
+        tolerance=st.sampled_from([0.0, 1e-9, 0.05]),
+    )
+    def test_step_and_children_match_collide(self, seed, n, d, tolerance):
+        rng = np.random.default_rng(seed)
+        config = configs.random_contact_configuration(
+            n, d, rng, style="mixed" if d >= 2 else "tree"
+        )
+        state = sample_unit_state(n, d, rng)
+        graph = full_contact_graph(config)
+        kernel = _PairKernel(config, graph, tolerance)
+        # follow random collisions, so later checks see states the loops reach
+        for _ in range(8):
+            children = dict(kernel.children(state.values.tolist()))
+            assert list(children) == [e for e in graph.edges if e in children]
+            for e in graph.edges:
+                expected = collide(config, state, e, tolerance).values
+                step = kernel.step(state.values, e)
+                if step is None:
+                    assert expected is state.values
+                else:
+                    assert np.array_equal(step, expected)
+                if _moved(state.values, expected):
+                    assert children[e] == expected.tolist()
+                else:
+                    assert e not in children
+                if tolerance == 0.0:
+                    folded = collide_as_folding(config, state, e).values
+                    assert float(np.max(np.abs(folded - expected))) <= 1e-12
+            if not children:
+                break
+            edges = list(children)
+            state = state.with_values(np.array(children[edges[int(rng.integers(len(edges)))]]))

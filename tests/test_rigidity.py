@@ -352,6 +352,12 @@ class TestSphericalVertexCheck:
             spherical_vertex_check(config, graph, [(0, 1)], alpha_value=0.5)
         assert exc.value.distance == pytest.approx(4.0)
 
+    def test_subset_edge_outside_graph_rejected(self):
+        config = configs.collinear_chain(3)
+        graph = ContactGraph(3, ((0, 1),))
+        with pytest.raises(ValueError, match=r"\(2, 3\) is not an edge"):
+            spherical_vertex_check(config, graph, [(1, 2)], alpha_value=0.5)
+
     def test_dependent_subset_rejected(self):
         config = configs.hexagonal_flower()
         graph = full_contact_graph(config)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinnedballs import configs
 from pinnedballs.bounds import max_collisions_bound, resolve_tau
@@ -19,6 +20,8 @@ from pinnedballs.geometry import (
 )
 from pinnedballs.rigidity import alpha
 from pinnedballs.search import (
+    STATE_QUANTUM_DECIMALS,
+    _state_key,
     compare_with_bound,
     exhaustive_max_collisions,
     greedy_schedule,
@@ -202,3 +205,21 @@ class TestVelocitySweep:
         sweep = velocity_sweep(config, 8, seed=3, method="greedy")
         single = greedy_schedule(config, sample_unit_state(3, 1, np.random.default_rng(3)))
         assert sweep.best >= single.collisions
+
+
+class TestStateKey:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-1e6, 1e6),
+                st.floats(-1e-11, 1e-11),
+                st.sampled_from([0.0, -0.0, 5e-13, -5e-13, 1.5e-12, -2.5e-12]),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_matches_numpy_round(self, values):
+        v = np.array(values)
+        assert _state_key(v.tolist()) == np.round(v, STATE_QUANTUM_DECIMALS).tobytes()
