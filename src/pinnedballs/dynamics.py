@@ -8,7 +8,9 @@ stacked state across the half-space of the pair's collision direction, and
 both implementations are exposed so they can be checked against each other.
 The exchange arithmetic is defined once, in ``_exchanges``, on Python floats
 with dot products summed in component order: :func:`collide` and every
-schedule loop share it, and no BLAS build can change their bits.
+schedule loop share it, and no BLAS build can change their bits.  A run
+records change points, the distinct states and the steps they appear at, so
+an explicit run stops stepping once every edge of its schedule is idle.
 
 Along any schedule the energy and total momentum are conserved and the
 functional F = sum_{i,j} (v_j - v_i) . (x_j - x_i) never decreases; it is
@@ -28,6 +30,7 @@ import numpy as np
 from .errors import NotNormalizedError, ScheduleError
 from .foldings import STABILITY_MARGIN, HalfSpace, fold
 from .geometry import (
+    CONTACT_DISTANCE,
     BallConfiguration,
     ContactGraph,
     Edge,
@@ -47,11 +50,15 @@ def _moved(before: np.ndarray, after: np.ndarray) -> np.ndarray:
     return np.max(np.abs(after - before), axis=-1) > CHANGE_TOLERANCE
 
 
-def _pair(config: BallConfiguration, i: int, j: int) -> tuple:
-    """(slice of block i, slice of block j, x_i - x_j, unit direction), as floats."""
+def _pair(config: BallConfiguration, i: int, j: int) -> tuple | None:
+    """(slice of block i, slice of block j, x_i - x_j, unit direction), as floats;
+    None when the balls do not touch, by the float test of ``config.touches``."""
     dx, d = config.centers[i] - config.centers[j], config.dimension
+    norm = np.linalg.norm(dx)
+    if abs(float(norm) - CONTACT_DISTANCE) > config.contact_tolerance:
+        return None
     si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
-    return si, sj, dx.tolist(), (dx / np.linalg.norm(dx)).tolist()
+    return si, sj, dx.tolist(), (dx / norm).tolist()
 
 
 def _exchanges(vals: list, pairs: Iterable[tuple], tolerance: float) -> list[tuple]:
@@ -73,12 +80,12 @@ def _exchanges(vals: list, pairs: Iterable[tuple], tolerance: float) -> list[tup
     return out
 
 
-def _apply(values: np.ndarray, pair: tuple, tolerance: float) -> np.ndarray | None:
-    """A fresh array after the exchange on ``pair``; None when it does not approach."""
-    found = _exchanges(values.tolist(), (pair,), tolerance)
+def _exchanged(vals: list, pair: tuple | None, tolerance: float) -> list | None:
+    """A new flat state after the exchange on ``pair``; None when it is None or not approaching."""
+    found = pair and _exchanges(vals, (pair,), tolerance)
     if not found:
         return None
-    out = values.copy()
+    out = vals.copy()
     out[pair[0]], out[pair[1]] = found[0][1:]
     return out
 
@@ -87,23 +94,15 @@ class _PairKernel:
     """The pair exchange on the edges of one graph, each edge's geometry computed once.
 
     Every method goes through :func:`_exchanges`, as :func:`collide` does, so
-    the states agree bit for bit.  :meth:`step` maps an array to a fresh array
-    for :func:`run_schedule`; :meth:`children` and :meth:`walk` carry states
-    as lists of floats.  No method mutates its input, so callers may keep
-    states by reference.
+    the states agree bit for bit.  States are lists of floats; no method
+    mutates its input, so callers may keep states by reference.
     """
 
     def __init__(self, config: BallConfiguration, graph: ContactGraph, tolerance: float):
         self.tolerance = tolerance
         #: :func:`_pair` per touching edge, in graph order.
-        self.pairs = {e: _pair(config, *e) for e in graph.edges if config.touches(*e)}
+        self.pairs = {e: p for e in graph.edges if (p := _pair(config, *e)) is not None}
         self._edges, self._pairs = list(self.pairs), list(self.pairs.values())
-
-    def step(self, values: np.ndarray, edge: Edge) -> np.ndarray | None:
-        """State after the exchange on ``edge``; None when the pair does not
-        touch or is not approaching."""
-        pair = self.pairs.get(edge)
-        return None if pair is None else _apply(values, pair, self.tolerance)
 
     def children(self, vals: list) -> list[tuple[Edge, list]]:
         """(edge, next state) for each graph edge, in order, whose exchange
@@ -153,9 +152,7 @@ def collide(
     i, j = edge
     if i == j:
         raise ValueError("a ball cannot collide with itself")
-    if not config.touches(i, j):
-        return state
-    out = _apply(state.values, _pair(config, i, j), approach_tolerance)
+    out = _exchanged(state.values.tolist(), _pair(config, i, j), approach_tolerance)
     return state if out is None else state.with_values(out)
 
 
@@ -245,8 +242,9 @@ class SimulationTrace:
     """States, per-step change flags, and functional values along a schedule.
 
     ``states`` has shape (T+1, nd); step t applied ``edges[t-1]`` to
-    ``states[t-1]``.  ``changed``, ``functional`` and ``energies`` are
-    derived once from the recorded states after the run.  ``collisions``
+    ``states[t-1]``.  ``states``, ``changed``, ``functional`` and
+    ``energies`` are derived once from the run's distinct states, then
+    repeated over the steps that leave the state as it is.  ``collisions``
     counts steps whose state changed.  ``stabilized`` is True when a policy
     run stopped because the state lies in every half-space of the governing
     graph, so all further pseudo-collisions would be identities.
@@ -310,7 +308,8 @@ def run_schedule(
     :data:`~pinnedballs.foldings.STABILITY_MARGIN`, the tolerance that also
     stops folding orbits; otherwise they run until max_steps (default 10^6
     for policies).  A negative max_steps raises ValueError.  Graph edges
-    whose balls do not touch never change the state.
+    whose balls do not touch never change the state.  An explicit run stops
+    stepping once every edge of its schedule leaves the state as it is.
     """
     if graph is None:
         graph = full_contact_graph(config)
@@ -322,12 +321,13 @@ def run_schedule(
 
     stable = None
     if schedule.kind == "explicit":
-        for e in dict.fromkeys(schedule.edges):
-            if not graph.has_edge(*e):
-                raise ScheduleError(
-                    f"edge ({e[0] + 1}, {e[1] + 1}) is not in the governing graph"
-                )
-        planned = schedule.edges[:max_steps]
+        used = set(schedule.edges)
+        if not used.issubset(graph.edges):
+            i, j = next(e for e in schedule.edges if not graph.has_edge(*e))
+            raise ScheduleError(f"edge ({i + 1}, {j + 1}) is not in the governing graph")
+        planned = applied = schedule.edges[:max_steps]
+        # once this many edges are idle, every later step is an identity
+        quiet = len(used if len(planned) == len(schedule.edges) else set(planned))
     else:
         if max_steps is None:
             max_steps = 1_000_000
@@ -339,41 +339,51 @@ def run_schedule(
                 graph.edges[int(rng.integers(len(graph.edges)))] for _ in range(max_steps)
             )
         zmat_t = _stability_matrix(config, kernel.pairs).T
+        applied, quiet = [], None
 
-        def stable(values: np.ndarray) -> bool:
+        def stable(values: list) -> bool:
             return bool(np.all(zmat_t @ values >= STABILITY_MARGIN))
 
-    current = state0.values
+    vals = state0.values.tolist()
     if schedule.kind == "lexicographic-greedy":
-        applied, states, stabilized = kernel.walk(current.tolist(), max_steps)
+        applied, rows, stabilized = kernel.walk(vals, max_steps)
+        starts = list(range(len(rows)))
     else:
-        states, applied = [current], []
+        # the distinct states, and the step at which each one appears
+        rows, starts = [vals], [0]
         # edges whose exchange is known to leave the current state as it is
         idle: set[Edge] = set()
-        stabilized = stable is not None and stable(current)
-        for e in () if stabilized else planned:
-            out = None if e in idle else kernel.step(current, e)
-            applied.append(e)
+        stabilized = stable is not None and stable(vals)
+        for t, e in enumerate(() if stabilized else planned, 1):
+            if stable is not None:
+                applied.append(e)
+            out = None if e in idle else _exchanged(vals, kernel.pairs.get(e), approach_tolerance)
             if out is None:
                 idle.add(e)
-            else:
-                current = out
-                idle.clear()
-            states.append(current)
+                if len(idle) == quiet:
+                    break
+                continue
+            vals = out
+            rows.append(vals)
+            starts.append(t)
+            idle.clear()
             # an unchanged state that was not stable stays not stable
-            if out is not None and stable is not None and stable(current):
+            if stable is not None and stable(vals):
                 stabilized = True
                 break
 
-    stacked = np.array(states)
+    distinct = np.array(rows)
+    counts = np.diff(starts + [len(applied) + 1])
+    changed = np.zeros(len(applied), dtype=bool)
+    changed[np.array(starts[1:], dtype=int) - 1] = _moved(distinct[:-1], distinct[1:])
     return SimulationTrace(
         n=config.n,
         d=config.dimension,
-        states=stacked,
+        states=np.repeat(distinct, counts, axis=0),
         edges=tuple(applied),
-        changed=_moved(stacked[:-1], stacked[1:]),
-        functional=functional_value(config, stacked),
-        energies=np.einsum("ti,ti->t", stacked, stacked),
+        changed=changed,
+        functional=np.repeat(functional_value(config, distinct), counts),
+        energies=np.repeat(np.einsum("ti,ti->t", distinct, distinct), counts),
         stabilized=stabilized,
     )
 

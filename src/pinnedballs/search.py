@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .dynamics import Schedule, _PairKernel, run_schedule
+from .dynamics import _exchanged, _moved, _PairKernel
 from .errors import BudgetExceededError, NotNormalizedError, TooManyEdgesError
 from .geometry import (
     BallConfiguration,
@@ -181,11 +181,13 @@ def exhaustive_max_collisions(
     found, tail = dfs(state0.values.tolist(), 0)
 
     # replay makes the reported count authoritative for the witness
-    trace = run_schedule(config, state0, Schedule.explicit(tail), graph=graph)
-    if trace.collisions != found:
-        raise RuntimeError(
-            "witness replay mismatch; quantized states collided in the memo"
-        )
+    states = [state0.values.tolist()]
+    for e in tail:
+        states.append(_exchanged(states[-1], kernel.pairs[e], 0.0) or states[-1])
+    replayed = np.array(states)
+    collisions = int(np.count_nonzero(_moved(replayed[:-1], replayed[1:])))
+    if collisions != found:
+        raise RuntimeError(f"witness replays to {collisions} collisions, {found} found")
     result = SearchResult(
         method="exhaustive",
         collisions=found,

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinnedballs import configs
+from pinnedballs import configs, dynamics
 from pinnedballs.dynamics import (
     CHANGE_TOLERANCE,
     Schedule,
     _PairKernel,
+    _exchanged,
     collide,
     collide_as_folding,
     decompose_state,
@@ -128,6 +129,10 @@ class TestRunSchedule:
         )
         with pytest.raises(ScheduleError):
             run_schedule(config, state, Schedule.explicit([(0, 2)]))
+        # the whole schedule is checked, past max_steps too; the first foreign edge is named
+        schedule = Schedule.explicit([(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ScheduleError, match=r"edge \(2, 3\)"):
+            run_schedule(config, state, schedule, max_steps=1, graph=ContactGraph(3, [(0, 1)]))
 
     def test_max_steps_truncates(self):
         config, state = normalize_system(
@@ -301,11 +306,11 @@ class TestDecomposeState:
             ) <= 1e-12
 
 
-def _collide_replay(config, state, edges):
+def _collide_replay(config, state, edges, tolerance=0.0):
     """Reference states: one dynamics.collide call per scheduled edge."""
     states = [state]
     for e in edges:
-        states.append(collide(config, states[-1], e))
+        states.append(collide(config, states[-1], e, tolerance))
     return np.array([s.values for s in states])
 
 
@@ -414,17 +419,19 @@ class TestKernelProperties:
         state = sample_unit_state(n, d, rng)
         graph = full_contact_graph(config)
         kernel = _PairKernel(config, graph, tolerance)
+        assert list(kernel.pairs) == [e for e in graph.edges if config.touches(*e)]
         # follow random collisions, so later checks see states the loops reach
         for _ in range(8):
-            children = dict(kernel.children(state.values.tolist()))
+            vals = state.values.tolist()
+            children = dict(kernel.children(vals))
             assert list(children) == [e for e in graph.edges if e in children]
             for e in graph.edges:
                 expected = collide(config, state, e, tolerance).values
-                step = kernel.step(state.values, e)
+                step = _exchanged(vals, kernel.pairs[e], tolerance)
                 if step is None:
                     assert expected is state.values
                 else:
-                    assert np.array_equal(step, expected)
+                    assert step == expected.tolist()
                 if _moved(state.values, expected):
                     assert children[e] == expected.tolist()
                 else:
@@ -436,3 +443,68 @@ class TestKernelProperties:
                 break
             edges = list(children)
             state = state.with_values(np.array(children[edges[int(rng.integers(len(edges)))]]))
+
+
+class TestChangePoints:
+    """Explicit runs keep only distinct states and stop once every edge is idle."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 7),
+        d=st.integers(1, 3),
+        tolerance=st.sampled_from([0.0, 1e-9, 0.05]),
+        length=st.integers(0, 3000),
+        cut=st.sampled_from(["none", "zero", "below", "above"]),
+        detached=st.booleans(),
+    )
+    def test_explicit_matches_collide_loop(self, seed, n, d, tolerance, length, cut, detached):
+        rng = np.random.default_rng(seed)
+        config = configs.random_contact_configuration(
+            n, d, rng, style="mixed" if d >= 2 else "tree"
+        )
+        state = sample_unit_state(n, d, rng)
+        edges = list(full_contact_graph(config).edges)
+        if detached:
+            # a graph edge whose balls do not touch, when the configuration has one
+            edges += [
+                (i, j) for i in range(n) for j in range(i + 1, n) if not config.touches(i, j)
+            ][:1]
+        graph = ContactGraph(n, edges)
+        # a short random prefix, then whole passes over the graph: once the
+        # state has settled, the rest of the schedule is an idle tail
+        picks = [edges[k] for k in rng.integers(len(edges), size=min(length, 40))]
+        schedule = Schedule.explicit((picks + edges * length)[:length])
+        max_steps = {
+            "none": None, "zero": 0, "below": length // 3, "above": length + 7
+        }[cut]
+        trace = run_schedule(
+            config, state, schedule, max_steps=max_steps, graph=graph,
+            approach_tolerance=tolerance,
+        )
+        assert trace.edges == schedule.edges[:max_steps] and not trace.stabilized
+        expected = _collide_replay(config, state, trace.edges, tolerance)
+        assert np.array_equal(trace.states, expected)
+        flags = [_moved(a, b) for a, b in zip(expected[:-1], expected[1:])]
+        assert list(trace.changed) == flags
+        assert np.array_equal(trace.energies, np.einsum("ti,ti->t", expected, expected))
+        f = functional_value(config, expected)
+        scale = max(1.0, float(np.max(np.abs(f))))
+        assert float(np.max(np.abs(trace.functional - f))) <= 1e-12 * scale
+
+    def test_idle_tail_costs_no_exchanges(self, rng, monkeypatch):
+        calls = 0
+        exchanges = dynamics._exchanges
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return exchanges(*args)
+
+        monkeypatch.setattr(dynamics, "_exchanges", counted)
+        config, state = random_normalized_system(rng, n_max=6, d_max=2)
+        graph = full_contact_graph(config)
+        edges = (graph.edges * 100_000)[:100_000]
+        trace = run_schedule(config, state, Schedule.explicit(edges))
+        assert trace.steps == 100_000 and trace.collisions > 0
+        assert calls <= (trace.collisions + 1) * len(graph.edges)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinnedballs import configs
+from pinnedballs import configs, search
 from pinnedballs.bounds import max_collisions_bound, resolve_tau
 from pinnedballs.dynamics import Schedule, run_schedule
 from pinnedballs.errors import (
@@ -28,6 +28,7 @@ from pinnedballs.search import (
     sample_unit_state,
     velocity_sweep,
 )
+from conftest import random_normalized_system
 
 
 def _chain3_system():
@@ -137,6 +138,24 @@ class TestExhaustive:
             result = exhaustive_max_collisions(config, state, depth_cap=16)
             trace = run_schedule(config, state, Schedule.explicit(result.witness))
             assert trace.collisions == result.collisions == len(result.witness)
+
+    def test_conflated_memo_keeps_the_witness(self, rng, monkeypatch):
+        # memo keys carry the depth and a later branch must beat the earlier
+        # ones strictly, so a memo that conflates every state at one depth
+        # returns the first (lexicographic greedy) path, never a false witness
+        monkeypatch.setattr(search, "_state_key", lambda vals: b"")
+        for _ in range(20):
+            config, state = random_normalized_system(rng, n_max=5, d_max=2)
+            result = exhaustive_max_collisions(config, state, max_branch_edges=10)
+            greedy = greedy_schedule(config, state)
+            assert (result.collisions, result.witness) == (greedy.collisions, greedy.witness)
+
+    def test_replay_mismatch_raises(self, monkeypatch):
+        # a replay that disagrees with the search is an error, not a result
+        monkeypatch.setattr(search, "_exchanged", lambda vals, pair, tolerance: None)
+        config, state = _chain3_system()
+        with pytest.raises(RuntimeError, match="3 found"):
+            exhaustive_max_collisions(config, state)
 
     def test_depth_cap_raises_with_best(self):
         config, state = _chain3_system()
