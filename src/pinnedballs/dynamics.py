@@ -286,11 +286,6 @@ class SimulationTrace:
             fh.write(json.dumps(record) + "\n")
 
 
-def _stability_matrix(config: BallConfiguration, edges: Iterable[Edge]) -> np.ndarray:
-    cols = [collision_direction(config, e).vector for e in edges]
-    return np.column_stack(cols) if cols else np.zeros((config.n * config.dimension, 0))
-
-
 def run_schedule(
     config: BallConfiguration,
     state0: StateVector,
@@ -338,7 +333,11 @@ def run_schedule(
             planned = (
                 graph.edges[int(rng.integers(len(graph.edges)))] for _ in range(max_steps)
             )
-        zmat_t = _stability_matrix(config, kernel.pairs).T
+        # collision_direction's bits, in the F order of a transposed column stack
+        zmat_t = np.zeros((len(kernel.pairs), config.n * config.dimension), order="F")
+        for row, (si, sj, dx, _) in zip(zmat_t, kernel.pairs.values()):
+            row[si], row[sj] = dx, [-c for c in dx]
+            row /= np.linalg.norm(row)
         applied, quiet = [], None
 
         def stable(values: list) -> bool:
@@ -400,11 +399,11 @@ def decompose_state(
     and every pseudo-collision on a graph edge leaves v_fixed untouched while
     preserving |v_span|.
     """
-    zmat = _stability_matrix(config, graph.edges)
-    if zmat.shape[1] == 0:
+    cols = [collision_direction(config, e).vector for e in graph.edges]
+    if not cols:
         zero = np.zeros_like(state.values)
         return state, state.with_values(zero)
-    u, s, _ = np.linalg.svd(zmat, full_matrices=False)
+    u, s, _ = np.linalg.svd(np.column_stack(cols), full_matrices=False)
     rank = int(np.count_nonzero(s > 1e-12 * s[0]))
     basis = u[:, :rank]
     v_span = basis @ (basis.T @ state.values)

@@ -60,20 +60,6 @@ class NoInteriorWitnessError(PinnedBallsError):
         super().__init__(f"witness margin {margin:.6g} is not strictly positive")
 
 
-class BudgetExhaustedError(PinnedBallsError):
-    """A folding orbit did not certify stabilization within its step budget.
-
-    Carries the partial orbit as ``partial``.
-    """
-
-    def __init__(self, partial):
-        self.partial = partial
-        super().__init__(
-            f"orbit budget exhausted after {partial.steps} folds "
-            f"({partial.size} distinct points so far)"
-        )
-
-
 class TooManyEdgesError(PinnedBallsError):
     """The contact graph exceeds the exhaustive-enumeration guard."""
 
@@ -122,13 +108,12 @@ class TooFewBallsError(PinnedBallsError):
 
 
 class BudgetExceededError(PinnedBallsError):
-    """An exhaustive search hit its depth or node budget.
+    """A search or a folding orbit ran out of its budget.
 
-    Carries the best result found so far as ``best``.
+    Carries the best result so far as ``best``: the search's best result, or
+    the partial orbit (with ``stabilization_index`` None).
     """
 
-    def __init__(self, best):
+    def __init__(self, message: str, best):
         self.best = best
-        super().__init__(
-            f"search budget exceeded; best so far: {best.collisions} collisions"
-        )
+        super().__init__(message)

@@ -7,24 +7,36 @@ family whose intersection has non-empty interior, every point's orbit under
 any infinite folding sequence is finite.  No bound on the orbit size in
 terms of the number of half-spaces exists, which
 :func:`adversarial_two_halfplanes` demonstrates constructively.
+One margin, ``_margin``, serves :meth:`HalfSpace.margin`, :func:`fold` and
+:func:`orbit`, whose float loop skips its checks after an identity fold.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, NoInteriorWitnessError
+from .errors import BudgetExceededError, NoInteriorWitnessError
 
 UNIT_TOLERANCE = 1e-12
 #: A point with margin at least this lies in a half-space.  Both stop rules
 #: use it: folding orbits and the policy runs of ``dynamics.run_schedule``.
 STABILITY_MARGIN = -1e-12
 POINT_QUANTUM_DECIMALS = 12
+_QUANTUM = 10.0**POINT_QUANTUM_DECIMALS
+
+
+def _margin(point: list, normal: list) -> float:
+    """v . h on floats summed in component order; callers check the lengths."""
+    m = 0.0
+    for a, b in zip(point, normal):
+        m += a * b
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +68,10 @@ class HalfSpace:
         return self.normal.size
 
     def margin(self, point: np.ndarray) -> float:
-        return float(np.asarray(point, dtype=float) @ self.normal)
+        vals = np.asarray(point, dtype=float).reshape(-1).tolist()
+        if len(vals) != self.dimension:
+            raise ValueError(f"point of dimension {len(vals)}, half-space of {self.dimension}")
+        return _margin(vals, self.normal.tolist())
 
     def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
         return self.margin(point) >= -tol
@@ -65,7 +80,7 @@ class HalfSpace:
 def fold(point: Sequence[float], halfspace: HalfSpace) -> np.ndarray:
     """Identity on the half-space, reflection in its boundary outside it."""
     v = np.array(point, dtype=float).reshape(-1)
-    m = float(v @ halfspace.normal)
+    m = halfspace.margin(v)
     if m >= 0.0:
         return v
     return v - 2.0 * m * halfspace.normal
@@ -160,12 +175,7 @@ class FoldingSchedule:
                     raise ValueError(f"word index {i} out of range")
             return itertools.cycle(self.word)
         rng = np.random.default_rng(self.seed)
-
-        def gen():
-            while True:
-                yield int(rng.integers(count))
-
-        return gen()
+        return (int(rng.integers(count)) for _ in itertools.count())
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +185,7 @@ class OrbitResult:
     ``stabilization_index`` is the number of folds applied when the current
     point was certified to lie in every half-space the schedule can still
     apply (all later folds are then identities); None means the budget ran
-    out first, which only occurs inside :class:`BudgetExhaustedError`.
+    out first, which only occurs inside :class:`BudgetExceededError`.
     """
 
     points: np.ndarray
@@ -197,8 +207,13 @@ class OrbitResult:
         }
 
 
-def _point_key(point: np.ndarray) -> bytes:
-    return np.round(point, POINT_QUANTUM_DECIMALS).tobytes()
+def _point_key(vals: list, pack) -> bytes:
+    """The bytes of ``np.round(point, 12)`` (``pack`` packs d doubles).  Signed zeros
+    stay apart, as in numpy: [-1e-13, 1] and [1e-13, 1] are distinct points."""
+    try:
+        return pack(*[math.copysign(round(x * _QUANTUM), x) / _QUANTUM for x in vals])
+    except OverflowError:  # x * 1e12 is infinite, which numpy's rint keeps
+        return np.round(np.array(vals), POINT_QUANTUM_DECIMALS).tobytes()
 
 
 def orbit(
@@ -215,9 +230,10 @@ def orbit(
     against every half-space; this is the hypothesis under which orbits are
     guaranteed finite.  The orbit stops when the current point lies (margin
     >= STABILITY_MARGIN) in every half-space the schedule can still apply,
-    and raises :class:`BudgetExhaustedError` carrying the partial orbit
-    otherwise.  Distinct points are counted at 1e-12 quantization.  The
-    start and the witness must be finite.
+    and raises :class:`BudgetExceededError` carrying the partial orbit
+    otherwise.  Points are told apart by ``_point_key``.  Start and witness
+    must be finite, of the normals' dimension.  An identity fold leaves the
+    point seen and not stable, so neither its key nor stability is rechecked.
     """
     if not halfspaces:
         raise ValueError("need at least one half-space")
@@ -225,35 +241,40 @@ def orbit(
     v = np.array(start, dtype=float).reshape(-1)
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
         raise ValueError("orbit start and witness must be finite")
+    if v.size != w.size:  # HalfSpace.margin compares the witness with each normal
+        raise ValueError(f"start of dimension {v.size}, witness of {w.size}")
     wmargin = min(h.margin(w) for h in halfspaces)
     if not wmargin > 0.0:
         raise NoInteriorWitnessError(wmargin)
 
     # indices() checks a periodic word's range, so it runs before any indexing
     order = schedule.indices(len(halfspaces))
-    recurring = [halfspaces[i] for i in schedule.recurring_indices(len(halfspaces))]
+    normals, v = [h.normal.tolist() for h in halfspaces], v.tolist()
+    recurring = [normals[i] for i in schedule.recurring_indices(len(normals))]
 
-    def stable(v: np.ndarray) -> bool:
-        return all(h.margin(v) >= STABILITY_MARGIN for h in recurring)
+    def stable(v: list) -> bool:
+        for h in recurring:
+            if _margin(v, h) < STABILITY_MARGIN:
+                return False
+        return True
 
-    points = [v.copy()]
-    seen = {_point_key(v)}
+    pack = struct.Struct(f"{len(v)}d").pack
+    points, seen = [v], {_point_key(v, pack)}
     if stable(v):
-        return OrbitResult(np.array(points), 0, v, 0)
-    steps = 0
-    for idx in order:
-        v = fold(v, halfspaces[idx])
-        steps += 1
-        key = _point_key(v)
-        if key not in seen:
-            seen.add(key)
-            points.append(v.copy())
-        if stable(v):
-            return OrbitResult(np.array(points), steps, v, steps)
+        return OrbitResult(np.array(points), 0, np.array(v), 0)
+    for steps, idx in enumerate(order, 1):
+        h = normals[idx]
+        m = _margin(v, h)
+        if m < 0.0:
+            v = [a - 2.0 * m * b for a, b in zip(v, h)]
+            if (key := _point_key(v, pack)) not in seen:
+                seen.add(key)
+                points.append(v)
+            if stable(v):
+                return OrbitResult(np.array(points), steps, np.array(v), steps)
         if steps >= budget:
-            raise BudgetExhaustedError(
-                OrbitResult(np.array(points), None, v, steps)
-            )
+            partial = OrbitResult(np.array(points), None, np.array(v), steps)
+            raise BudgetExceededError(f"orbit budget exhausted after {steps} folds", partial)
     raise AssertionError("unreachable: schedules are infinite")
 
 

@@ -196,7 +196,9 @@ def exhaustive_max_collisions(
         truncated=truncated,
     )
     if truncated:
-        raise BudgetExceededError(result)
+        raise BudgetExceededError(
+            f"search budget exceeded; best so far: {found} collisions", result
+        )
     return result
 
 

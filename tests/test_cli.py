@@ -4,6 +4,8 @@ import math
 import pytest
 
 from pinnedballs.cli import main
+from pinnedballs.foldings import adversarial_two_halfplanes
+from pinnedballs.io import save_halfspaces
 
 
 def _write(path, payload):
@@ -178,6 +180,37 @@ class TestOrbitCommand:
         assert code == 1
         assert out == ""
         assert "out of range" in err
+
+    def test_budget_exceeded(self, capsys, tmp_path):
+        halfspaces, start, _ = adversarial_two_halfplanes(50)
+        path = str(tmp_path / "wedge.json")
+        save_halfspaces(path, halfspaces)
+        witness = (halfspaces[0].normal + halfspaces[1].normal).tolist()
+        argv = [
+            "orbit", path,
+            "--start", json.dumps(start.tolist()),
+            "--witness", json.dumps(witness),
+            "--policy", "periodic",
+            "--word", "0,1",
+        ]
+        code, out, err = _run(capsys, argv + ["--budget", "10"])
+        assert code == 1
+        assert out == ""
+        assert "budget exhausted after 10 folds" in err
+        assert _run(capsys, argv)[0] == 0
+
+    def test_start_of_wrong_dimension(self, capsys, tmp_path):
+        path = _write(
+            tmp_path / "halfspaces.json",
+            {"dimension": 2, "normals": [[1.0, 0.0], [0.0, 1.0]]},
+        )
+        code, out, err = _run(
+            capsys,
+            ["orbit", path, "--start", "[-1.0, -1.0, 5.0]", "--witness", "[0.7, 0.7]"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "start of dimension 3, witness of 2" in err
 
 
 class TestNonFiniteInput:

@@ -1,12 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from pinnedballs.errors import BudgetExhaustedError, NoInteriorWitnessError
+from pinnedballs.errors import BudgetExceededError, NoInteriorWitnessError
 from pinnedballs.foldings import (
     FoldingSchedule,
     HalfSpace,
+    _point_key,
     adversarial_two_halfplanes,
     fold,
     fold_into_cone,
@@ -46,6 +48,13 @@ class TestFold:
     def test_mirror_across_axis(self):
         h = HalfSpace(np.array([0.0, 1.0]))
         np.testing.assert_allclose(fold([3.0, -2.0], h), [3.0, 2.0], atol=1e-15)
+
+    def test_dimension_mismatch_rejected(self):
+        h = HalfSpace(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="point of dimension 3, half-space of 2"):
+            fold([1.0, -1.0, 0.0], h)
+        with pytest.raises(ValueError, match="dimension 1"):
+            h.margin([-1.0])
 
     def test_non_unit_normal_rejected(self):
         with pytest.raises(ValueError):
@@ -118,11 +127,11 @@ class TestOrbit:
         halfspaces, start, schedule = adversarial_two_halfplanes(50)
         witness = halfspaces[0].normal + halfspaces[1].normal
         witness /= np.linalg.norm(witness)
-        with pytest.raises(BudgetExhaustedError) as exc:
+        with pytest.raises(BudgetExceededError, match="after 10 folds") as exc:
             orbit(start, halfspaces, schedule, budget=10, witness=witness)
-        assert exc.value.partial.steps == 10
-        assert exc.value.partial.stabilization_index is None
-        assert exc.value.partial.size >= 2
+        assert exc.value.best.steps == 10
+        assert exc.value.best.stabilization_index is None
+        assert exc.value.best.size >= 2
 
     def test_distance_to_witness_never_increases(self, rng):
         for _ in range(100):
@@ -150,6 +159,48 @@ class TestOrbit:
                 assert result.stabilization_index is not None
                 for h in halfspaces:
                     assert h.margin(result.final) >= -1e-12
+
+    @pytest.mark.parametrize(
+        "start, witness, normal, sizes",
+        [
+            ([1.0, 0.0, 0.0], [0.7, 0.7], [0.0, 1.0], "start of dimension 3, witness of 2"),
+            ([1.0, 0.0], [0.7, 0.7, 0.1], [0.0, 1.0], "start of dimension 2, witness of 3"),
+            ([1.0, 0.0], [0.7, 0.7], [0.0, 1.0, 0.0], "point of dimension 2, half-space of 3"),
+        ],
+    )
+    def test_dimension_mismatch_rejected(self, start, witness, normal, sizes):
+        halfspaces = [HalfSpace(np.array([1.0, 0.0])), HalfSpace(np.array(normal))]
+        with pytest.raises(ValueError, match=sizes):
+            orbit(start, halfspaces, FoldingSchedule.round_robin(), witness=witness)
+
+    def test_sub_quantum_sign_splits_a_point(self):
+        # [-1e-13, -1] and [1e-13, -1] have different signed-zero keys, so the
+        # first fold counts a new point although it moves by 2e-13 only
+        halfspaces = [HalfSpace(np.array([1.0, 0.0])), HalfSpace(np.array([0.0, 1.0]))]
+        result = orbit(
+            [-1e-13, -1.0], halfspaces, FoldingSchedule.round_robin(), witness=[0.7, 0.7]
+        )
+        assert (result.size, result.steps, result.stabilization_index) == (3, 2, 2)
+        np.testing.assert_array_equal(result.points[1], [1e-13, -1.0])
+
+
+class TestPointKey:
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, -0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1.5e-12, 2.5e-12, -2.5e-12, 5e-324,
+         0.1, 1.0 / 3.0, 8192.000000000123, -12345.678901234567, 1e15, 1e300, -1.7e308],
+    )
+    def test_numpy_round_classes(self, x):
+        pack = struct.Struct("2d").pack
+        with np.errstate(over="ignore"):  # 1e300 * 1e12 is infinite on both sides
+            expected = np.round(np.array([x, 1.0]), 12).tobytes()
+            assert _point_key([x, 1.0], pack) == expected
+
+    def test_signed_zeros_are_distinct(self):
+        pack = struct.Struct("2d").pack
+        assert _point_key([-0.0, 1.0], pack) != _point_key([0.0, 1.0], pack)
+        assert _point_key([-1e-13, 1.0], pack) == _point_key([-0.0, 1.0], pack)
+        assert _point_key([1e-13, 1.0], pack) == _point_key([0.0, 1.0], pack)
 
 
 class TestAdversarial:
