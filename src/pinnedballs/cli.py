@@ -96,7 +96,7 @@ def _cmd_alpha(args) -> int:
     report_obj = rigidity.alpha(
         config,
         zero_tolerance=args.zero_tolerance,
-        max_edges=args.max_edges,
+        budget=args.budget,
         collect_table=args.verbose,
     )
     report = report_obj.as_dict(verbose=args.verbose)
@@ -273,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="approximate-rigidity index alpha")
     p.add_argument("config")
     p.add_argument("--zero-tolerance", type=float, default=rigidity.DEFAULT_ZERO_TOLERANCE)
-    p.add_argument("--max-edges", type=int, default=rigidity.DEFAULT_MAX_EDGES)
+    p.add_argument(
+        "--budget", type=int, default=rigidity.DEFAULT_BUDGET,
+        help="most search nodes and cocircuits (or table solves with --verbose)",
+    )
     p.add_argument(
         "--verbose", action="store_true",
         help="include the candidate table (runs the subset enumeration)",

@@ -108,10 +108,11 @@ class TooFewBallsError(PinnedBallsError):
 
 
 class BudgetExceededError(PinnedBallsError):
-    """A search or a folding orbit ran out of its budget.
+    """A search, a folding orbit or an ``alpha`` computation ran out of its budget.
 
-    Carries the best result so far as ``best``: the search's best result, or
-    the partial orbit (with ``stabilization_index`` None).
+    Carries the best result so far as ``best``: the search's best result,
+    the partial orbit (with ``stabilization_index`` None), or None from
+    ``alpha``.
     """
 
     def __init__(self, message: str, best):

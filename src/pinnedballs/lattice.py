@@ -215,40 +215,41 @@ def _coerce_matrix(matrix) -> list[list[QuadraticInteger]]:
     return rows
 
 
-def _cofactor_determinant(rows: list[list[QuadraticInteger]]) -> QuadraticInteger:
-    m = len(rows)
-    cache: dict[int, QuadraticInteger] = {}
-
-    def rec(mask: int) -> QuadraticInteger:
-        if mask == 0:
-            return QI_ONE
-        hit = cache.get(mask)
-        if hit is not None:
-            return hit
-        r = m - bin(mask).count("1")
-        total = QI_ZERO
-        sign = 1
-        mbits = mask
-        while mbits:
-            low = mbits & -mbits
-            j = low.bit_length() - 1
-            entry = rows[r][j]
-            if entry:
-                sub = rec(mask ^ low)
-                term = entry * sub
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-            mbits ^= low
-        cache[mask] = total
-        return total
-
-    return rec((1 << m) - 1)
-
-
 #: An element r1 + r2*sqrt(3) as a plain integer pair, for the inner loops.
 Pair = tuple[int, int]
 _ZERO: Pair = (0, 0)
 _ONE: Pair = (1, 0)
+
+
+def _cofactor_determinant(rows: list[list[QuadraticInteger]]) -> QuadraticInteger:
+    """Laplace expansion along the rows on int pairs, one minor per column mask."""
+    m = len(rows)
+    mat = [[(x.r1, x.r2) for x in row] for row in rows]
+    cache: dict[int, Pair] = {0: _ONE}
+
+    def rec(mask: int) -> Pair:
+        hit = cache.get(mask)
+        if hit is not None:
+            return hit
+        row = mat[m - mask.bit_count()]
+        t1 = t2 = 0
+        negate = False
+        mbits = mask
+        while mbits:
+            low = mbits & -mbits
+            a1, a2 = row[low.bit_length() - 1]
+            if a1 or a2:
+                s1, s2 = rec(mask ^ low)
+                if negate:
+                    a1, a2 = -a1, -a2
+                t1 += a1 * s1 + 3 * a2 * s2
+                t2 += a1 * s2 + a2 * s1
+            negate = not negate
+            mbits ^= low
+        cache[mask] = (t1, t2)
+        return t1, t2
+
+    return QuadraticInteger(*rec((1 << m) - 1))
 
 
 def _echelon(mat: list[list[Pair]]) -> tuple[list[int], int]:

@@ -7,6 +7,12 @@ the minimum of the strictly positive alpha_star values over all subgraphs of
 the full contact graph and all chosen edges; zero values correspond to
 self-stressed (infinitesimally rigid) subgraphs and are excluded.
 
+The distance shrinks as the span grows, so the minimum lies on a hyperplane H
+of the matroid of collision directions, at an edge of the cocircuit C* = E - H
+(a circuit of the dual).  With Z = U S V^T of rank r, the last m - r columns K
+of V represent the dual, and a cocircuit vector x (support C*, orthogonal to
+K) puts each e in C* at distance |x_e| / ||S_r^-1 V_r^T x|| from span(H).
+
 alpha_star = 0 exactly when symmetric edge coefficients a_jk with a_e = 1
 exist whose force sums a_jk (x_j - x_k) cancel at every vertex; the least
 squares residual of that linear system is 2^{3/2} alpha_star, which
@@ -24,10 +30,10 @@ import numpy as np
 
 from .errors import (
     AllZeroError,
+    BudgetExceededError,
     DependentEdgesError,
     DependentInputError,
     NotTouchingError,
-    TooManyEdgesError,
 )
 from .foldings import fold_into_cone
 from .geometry import (
@@ -41,7 +47,7 @@ from .geometry import (
 )
 
 DEFAULT_ZERO_TOLERANCE = 1e-8
-DEFAULT_MAX_EDGES = 22
+DEFAULT_BUDGET = 1 << 15
 RANK_TOLERANCE = 1e-10
 
 
@@ -51,12 +57,13 @@ def _edge_list(edges: Iterable[Edge] | ContactGraph) -> list[Edge]:
     return sorted({canonical_edge(*e) for e in edges})
 
 
-def _distance_to_span(target: np.ndarray, columns: np.ndarray | None) -> float:
-    if columns is None or columns.shape[1] == 0:
+def _distance_to_span(target: np.ndarray, columns: list[np.ndarray]) -> float:
+    if not columns:
         # distance from a unit vector to the zero subspace
         return 1.0
-    coef, *_ = np.linalg.lstsq(columns, target, rcond=None)
-    return float(np.linalg.norm(target - columns @ coef))
+    cols = np.column_stack(columns)
+    coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
+    return float(np.linalg.norm(target - cols @ coef))
 
 
 def alpha_star(
@@ -69,12 +76,8 @@ def alpha_star(
     chosen = canonical_edge(*edge)
     if chosen not in edges:
         raise ValueError(f"edge {chosen} is not in the edge set")
-    others = [e for e in edges if e != chosen]
-    z = collision_direction(config, chosen).vector
-    if not others:
-        return 1.0
-    cols = np.column_stack([collision_direction(config, e).vector for e in others])
-    return _distance_to_span(z, cols)
+    others = [collision_direction(config, e).vector for e in edges if e != chosen]
+    return _distance_to_span(collision_direction(config, chosen).vector, others)
 
 
 @dataclass(frozen=True)
@@ -122,41 +125,44 @@ class AlphaReport:
 def alpha(
     config: BallConfiguration,
     zero_tolerance: float = DEFAULT_ZERO_TOLERANCE,
-    max_edges: int = DEFAULT_MAX_EDGES,
+    budget: int = DEFAULT_BUDGET,
     collect_table: bool = False,
 ) -> AlphaReport:
-    """Minimum of the strictly positive alpha_star values over all subgraphs.
+    """Minimum of the alpha_star values above zero_tolerance over all subgraphs.
 
-    alpha_star(S + e, e) is the distance from z_e to span{z_f : f in S}; values
-    at or below zero_tolerance are classified as zero and excluded from the
-    minimum.  The distance only shrinks as the span grows, so the minimum is
-    attained on the hyperplanes (maximal flats) H of the linear matroid of
-    collision directions: alpha = min over H and e outside H of the distance
-    from z_e to span(H).  By default this is how it is computed: every
-    independent subset of rank(E) - 1 edges is completed to its closure H (the
-    edges within zero_tolerance of its span), and each H is visited once.
-    ``n_candidates`` then counts the (H, e) pairs examined, ``n_zero`` the
-    edges in the span of the other edges, and ``argmin_edges`` is H + e.
+    Values at or below zero_tolerance count as zero and are never the answer.
+    By default the minimum runs over the cocircuits (module docstring), from
+    one SVD whose rank counts singular values above RANK_TOLERANCE: coloops
+    (zero rows of K; every edge when m = r) alone, each pair in a series class
+    (parallel rows of K), and the larger circuits of the dual found by a
+    depth-first search over independent sets of class representatives, with
+    one edge per class.  ``n_candidates`` counts the (C*, e) pairs above
+    zero_tolerance, ``n_zero`` the edges in the span of the others (all but
+    the coloops above it), ``argmin_edges`` is H + e, and equal values go to
+    the smaller cocircuit, then to the one found first.
 
-    With ``collect_table`` the subsets are enumerated instead, the reference
-    the hyperplane path is tested against: for every edge e and every subset
-    S of the remaining edges, the table records alpha_star(S + e, e), and
-    ``n_candidates``/``n_zero`` count its rows and its zero rows.  That takes
-    m 2^(m-1) least-squares solves for m edges.
-
-    Graphs with more than max_edges edges are rejected with
-    :class:`TooManyEdgesError` on both paths.
+    ``collect_table`` runs the oracle instead, with a row alpha_star(S + e, e)
+    for every edge e and subset S of the others (m 2^(m-1) least-squares
+    solves); ``n_candidates``/``n_zero`` then count rows and zero rows.
+    ``budget`` caps the search's tested sets plus the cocircuits other than
+    coloops, or the table's solves up front; past it
+    :class:`BudgetExceededError` names the budget.  A negative or non-finite
+    ``zero_tolerance`` or a budget below 1 raises ValueError.
     """
-    graph = full_contact_graph(config)
-    edges = list(graph.edges)
-    if len(edges) > max_edges:
-        raise TooManyEdgesError(len(edges), max_edges)
+    if not (math.isfinite(zero_tolerance) and zero_tolerance >= 0.0):
+        raise ValueError(f"zero_tolerance must be finite and >= 0, got {zero_tolerance!r}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget!r}")
+    edges = list(full_contact_graph(config).edges)
     if not edges:
         raise AllZeroError("the configuration has no touching pairs")
     zmat = _direction_matrix(config, edges)
-    if collect_table:
-        return _alpha_by_subsets(edges, zmat, zero_tolerance)
-    return _alpha_by_hyperplanes(edges, zmat, zero_tolerance)
+    if not collect_table:
+        return _alpha_by_cocircuits(edges, zmat, zero_tolerance, budget)
+    solves = len(edges) << (len(edges) - 1)
+    if solves > budget:
+        raise BudgetExceededError(f"the table's {solves} solves exceed the budget {budget}", None)
+    return _alpha_by_subsets(edges, zmat, zero_tolerance)
 
 
 def _direction_matrix(config: BallConfiguration, edges: list[Edge]) -> np.ndarray:
@@ -180,52 +186,77 @@ def _direction_matrix(config: BallConfiguration, edges: list[Edge]) -> np.ndarra
     return np.ascontiguousarray((raw / norms[:, None]).T)
 
 
-def _alpha_by_hyperplanes(
-    edges: list[Edge], zmat: np.ndarray, zero_tolerance: float
+def _alpha_by_cocircuits(
+    edges: list[Edge], zmat: np.ndarray, zero_tolerance: float, budget: int
 ) -> AlphaReport:
     m = len(edges)
-    rank = int(np.linalg.matrix_rank(zmat, tol=RANK_TOLERANCE))
-    seen: set[bytes] = set()
-    best = math.inf
-    best_edge: Edge | None = None
-    best_set: tuple[Edge, ...] = ()
-    n_candidates = 0
-    n_zero = m
-    for basis in itertools.combinations(range(m), rank - 1):
-        if basis:
-            q, r = np.linalg.qr(zmat[:, basis])
-            if np.min(np.abs(np.diag(r))) <= RANK_TOLERANCE:
-                continue
-            residual = np.linalg.norm(zmat - q @ (q.T @ zmat), axis=0)
-        else:
-            # distance from a unit vector to the zero subspace
-            residual = np.ones(m)
-        closed = residual <= zero_tolerance
-        key = closed.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        outside = np.flatnonzero(~closed)
-        if outside.size == 0:
-            continue
-        n_candidates += outside.size
-        # a hyperplane E - e exists exactly when e is outside the span of the rest
-        n_zero -= outside.size == 1
-        k = outside[np.argmin(residual[outside])]
-        if residual[k] < best:
-            best = float(residual[k])
-            best_edge = edges[k]
-            best_set = tuple(edges[i] for i in np.flatnonzero(closed)) + (best_edge,)
-    if best_edge is None:
+    _, s, vt = np.linalg.svd(zmat)
+    rank = int(np.count_nonzero(s > RANK_TOLERANCE))
+    knorm = np.linalg.norm(vt[rank:], axis=0)  # norms of the rows of K
+    unit = vt[rank:].T / np.maximum(knorm, RANK_TOLERANCE)[:, None]
+    coloops = np.flatnonzero(knorm <= RANK_TOLERANCE)
+    # scale[f] turns a relation coefficient on the unit row of f's class into x_f
+    scale, classes, free = np.ones(m), [], np.flatnonzero(knorm > RANK_TOLERANCE)
+    while free.size:
+        head, rest = free[0], free[1:]
+        dots = unit[rest] @ unit[head]
+        par = np.linalg.norm(unit[rest] - dots[:, None] * unit[head], axis=1) <= RANK_TOLERANCE
+        classes.append(np.append(head, rest[par]))
+        scale[classes[-1]] = np.append(1.0, np.sign(dots[par])) / knorm[classes[-1]]
+        free = rest[~par]
+    spent = [0]
+
+    def charge(count: int) -> None:
+        spent[0] += count
+        if spent[0] > budget:
+            counts = f"{m} edges, rank {rank}, {len(classes)} series classes"
+            raise BudgetExceededError(
+                f"alpha ({counts}) exceeds its budget of {budget} search nodes and cocircuits", None
+            )
+
+    pairs = np.array([p for c in classes for p in itertools.combinations(c, 2)], int).reshape(-1, 2)
+    charge(len(pairs))
+    # cocircuit vectors, one per row: a relation's coefficient times scale[f] at each pick f
+    found = [np.eye(m)[coloops], np.zeros((len(pairs), m))]
+    np.put_along_axis(found[1], pairs, [1.0, -1.0] * scale[pairs], axis=1)
+    reps, k = unit[[c[0] for c in classes]], m - rank
+    basis, dependent = np.zeros((k, k)), []  # basis[:d] spans reps[chosen]
+
+    def visit(chosen: tuple[int, ...]) -> None:
+        d = len(chosen)
+        cand = np.arange(chosen[-1] + 1 if d else 0, len(reps))
+        charge(cand.size)
+        resid = reps[cand] - (reps[cand] @ basis[:d].T) @ basis[:d]
+        norms = np.linalg.norm(resid, axis=1)
+        dependent.extend(chosen + (j,) for j in cand[norms <= RANK_TOLERANCE].tolist())
+        for i in np.flatnonzero(norms > RANK_TOLERANCE) if d < k else ():
+            basis[d] = resid[i] / norms[i]
+            visit(chosen + (int(cand[i]),))
+
+    if classes:
+        visit(())
+    for size in sorted({len(c) for c in dependent}):
+        group = np.array([c for c in dependent if len(c) == size])
+        null = np.linalg.svd(reps[group].transpose(0, 2, 1))[2][:, -1]
+        # of the dependent sets, the circuits are those whose null vector has full support
+        full = np.all(np.abs(null) > RANK_TOLERANCE, axis=1)
+        charge(sum(math.prod(classes[i].size for i in c) for c in group[full]))
+        for coefs, c in zip(null[full], group[full]):
+            picks = np.array([*itertools.product(*(classes[i] for i in c))])
+            found.append(np.zeros((len(picks), m)))
+            np.put_along_axis(found[-1], picks, coefs * scale[picks], axis=1)
+
+    x = np.concatenate(found)
+    values = np.abs(x) / np.linalg.norm(x @ (vt[:rank].T / s[:rank]), axis=1)[:, None]
+    values[values <= zero_tolerance] = math.inf  # and every edge outside the cocircuit
+    positive = np.isfinite(values)
+    if not positive.any():
         raise AllZeroError("no strictly positive candidate values")
+    row, col = divmod(int(values.argmin()), m)
+    hyperplane = [e for i, e in enumerate(edges) if i == col or x[row, i] == 0.0]
     return AlphaReport(
-        alpha=best,
-        argmin_edge=best_edge,
-        argmin_edges=tuple(sorted(best_set)),
-        zero_tolerance=zero_tolerance,
-        n_candidates=n_candidates,
-        n_zero=n_zero,
-        candidates=None,
+        float(values[row, col]), edges[col], tuple(sorted(hyperplane)), zero_tolerance,
+        int(positive.sum()), m - int(positive[: coloops.size].sum()), None,
     )
 
 
@@ -233,41 +264,20 @@ def _alpha_by_subsets(
     edges: list[Edge], zmat: np.ndarray, zero_tolerance: float
 ) -> AlphaReport:
     zcols = dict(zip(edges, zmat.T))
-    best = math.inf
-    best_edge: Edge | None = None
-    best_set: tuple[Edge, ...] = ()
-    table: list[AlphaCandidate] = []
-    n_candidates = 0
-    n_zero = 0
-
-    for chosen in edges:
-        rest = [e for e in edges if e != chosen]
-        z = zcols[chosen]
-        for size in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, size):
-                if size == 0:
-                    value = 1.0
-                else:
-                    cols = np.column_stack([zcols[e] for e in combo])
-                    value = _distance_to_span(z, cols)
-                is_zero = value <= zero_tolerance
-                n_candidates += 1
-                n_zero += is_zero
-                table.append(AlphaCandidate(chosen, combo, value, is_zero))
-                if not is_zero and value < best:
-                    best = value
-                    best_edge = chosen
-                    best_set = (chosen,) + combo
-    if best_edge is None:
+    table = [
+        AlphaCandidate(e, combo, value, value <= zero_tolerance)
+        for e in edges
+        for size in range(len(edges))
+        for combo in itertools.combinations([f for f in edges if f != e], size)
+        for value in [_distance_to_span(zcols[e], [zcols[f] for f in combo])]
+    ]
+    positive = [c for c in table if not c.is_zero]
+    if not positive:
         raise AllZeroError("no strictly positive candidate values")
+    best = min(positive, key=lambda c: c.value)  # the first of equal values
     return AlphaReport(
-        alpha=best,
-        argmin_edge=best_edge,
-        argmin_edges=tuple(sorted(best_set)),
-        zero_tolerance=zero_tolerance,
-        n_candidates=n_candidates,
-        n_zero=n_zero,
-        candidates=tuple(table),
+        best.value, best.edge, tuple(sorted((best.edge,) + best.others)),
+        zero_tolerance, len(table), len(table) - len(positive), tuple(table),
     )
 
 

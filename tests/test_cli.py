@@ -3,9 +3,10 @@ import math
 
 import pytest
 
+from pinnedballs import configs
 from pinnedballs.cli import main
 from pinnedballs.foldings import adversarial_two_halfplanes
-from pinnedballs.io import save_halfspaces
+from pinnedballs.io import save_configuration, save_halfspaces
 
 
 def _write(path, payload):
@@ -23,6 +24,13 @@ def chain_config(tmp_path):
             "velocities": [[0.7071067811865475], [0.0], [-0.7071067811865475]],
         },
     )
+
+
+@pytest.fixture
+def flower_config(tmp_path):
+    path = tmp_path / "flower.json"
+    save_configuration(str(path), configs.hexagonal_flower())
+    return str(path)
 
 
 def _run(capsys, argv):
@@ -100,6 +108,26 @@ class TestAlpha:
         code, out, _ = _run(capsys, ["alpha", chain_config, "--verbose"])
         report = json.loads(out)
         assert len(report["candidates"]) == report["n_candidates"] == 4
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-9"])
+    def test_malformed_zero_tolerance_fails(self, capsys, flower_config, tolerance):
+        code, out, err = _run(capsys, ["alpha", flower_config, f"--zero-tolerance={tolerance}"])
+        assert code == 1
+        assert out == ""
+        assert "zero_tolerance" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["--budget", "0"], ["--budget", "66"], ["--budget", "9", "--verbose"]]
+    )
+    def test_budget(self, capsys, flower_config, argv):
+        # the flower takes 66 cocircuits and one search node, its table 24576 solves
+        code, out, err = _run(capsys, ["alpha", flower_config, *argv])
+        assert code == 1
+        assert out == ""
+        assert "budget" in err
+        code, out, _ = _run(capsys, ["alpha", flower_config, "--budget", "67"])
+        assert code == 0
+        assert json.loads(out)["n_zero"] == 12
 
 
 class TestBound:

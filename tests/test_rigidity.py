@@ -1,18 +1,19 @@
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from pinnedballs import configs
+from pinnedballs import configs, lattice
 from pinnedballs.dynamics import decompose_state
 from pinnedballs.errors import (
     AllZeroError,
+    BudgetExceededError,
     DependentEdgesError,
     DependentInputError,
     NotTouchingError,
-    TooManyEdgesError,
 )
 from pinnedballs.foldings import HalfSpace, fold
 from pinnedballs.geometry import (
@@ -24,7 +25,13 @@ from pinnedballs.geometry import (
     validate_configuration,
 )
 from pinnedballs.rigidity import (
+    DEFAULT_ZERO_TOLERANCE,
+    RANK_TOLERANCE,
+    AlphaReport,
+    _alpha_by_cocircuits,
+    _alpha_by_subsets,
     _direction_matrix,
+    _distance_to_span,
     alpha,
     alpha_star,
     extend_basis,
@@ -131,9 +138,33 @@ class TestAlpha:
         assert report.n_zero > 0
         assert report.alpha > 0.0
 
-    def test_guard_on_edge_count(self):
-        with pytest.raises(TooManyEdgesError):
-            alpha(configs.hexagonal_flower(), max_edges=5)
+    def test_budget_counts_search_nodes_and_cocircuits(self):
+        # the flower is one series class of 12 edges: its 66 pairs are the
+        # cocircuits, and the search tests the one representative
+        flower = configs.hexagonal_flower()
+        assert alpha(flower, budget=67).n_candidates == 132
+        with pytest.raises(BudgetExceededError, match="budget of 66 ") as exc:
+            alpha(flower, budget=66)
+        assert exc.value.best is None
+        # the table's 12 * 2^11 solves are counted before the first one
+        with pytest.raises(BudgetExceededError, match="24576 solves exceed"):
+            alpha(flower, budget=24575, collect_table=True)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_malformed_zero_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError, match="zero_tolerance"):
+            alpha(configs.hexagonal_flower(), zero_tolerance=tolerance)
+        with pytest.raises(ValueError, match="zero_tolerance"):
+            alpha(configs.triangle(), zero_tolerance=tolerance, collect_table=True)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            alpha(configs.triangle(), budget=budget)
+
+    def test_zero_tolerance_zero_accepted(self):
+        flower = configs.hexagonal_flower()
+        assert alpha(flower, zero_tolerance=0.0).alpha == alpha(flower).alpha
 
     def test_no_edges_rejected(self):
         config = validate_configuration([[0.0], [5.0]])
@@ -164,8 +195,67 @@ NAMED = {
 }
 
 
+def _alpha_by_hyperplanes(edges, zmat, zero_tolerance):
+    """Reference: close every independent (r-1)-subset of columns to its hyperplane.
+
+    The production path before cocircuits; each hyperplane H is visited once
+    and scored at every edge outside it, so ``n_candidates`` and ``n_zero``
+    count the same pairs and edges as the cocircuit path does.
+    """
+    m = len(edges)
+    rank = int(np.linalg.matrix_rank(zmat, tol=RANK_TOLERANCE))
+    seen = set()
+    best, best_edge, best_set = math.inf, None, ()
+    n_candidates, n_zero = 0, m
+    for basis in itertools.combinations(range(m), rank - 1):
+        if basis:
+            q, r = np.linalg.qr(zmat[:, basis])
+            if np.min(np.abs(np.diag(r))) <= RANK_TOLERANCE:
+                continue
+            residual = np.linalg.norm(zmat - q @ (q.T @ zmat), axis=0)
+        else:
+            residual = np.ones(m)
+        closed = residual <= zero_tolerance
+        if closed.tobytes() in seen:
+            continue
+        seen.add(closed.tobytes())
+        outside = np.flatnonzero(~closed)
+        if outside.size == 0:
+            continue
+        n_candidates += outside.size
+        n_zero -= outside.size == 1
+        k = outside[np.argmin(residual[outside])]
+        if residual[k] < best:
+            best, best_edge = float(residual[k]), edges[k]
+            best_set = tuple(edges[i] for i in np.flatnonzero(closed)) + (best_edge,)
+    if best_edge is None:
+        raise AllZeroError("no strictly positive candidate values")
+    return AlphaReport(
+        best, best_edge, tuple(sorted(best_set)), zero_tolerance, n_candidates, n_zero, None
+    )
+
+
+def _cocircuits_against_references(edges, zmat, with_oracle=True):
+    """The cocircuit path against the subset oracle and the hyperplane reference."""
+    fast = _alpha_by_cocircuits(edges, zmat, DEFAULT_ZERO_TOLERANCE, 1 << 15)
+    reference = _alpha_by_hyperplanes(edges, zmat, DEFAULT_ZERO_TOLERANCE)
+    assert abs(fast.alpha - reference.alpha) <= 1e-12
+    oracle = None
+    if with_oracle:
+        oracle = _alpha_by_subsets(edges, zmat, DEFAULT_ZERO_TOLERANCE)
+        assert abs(fast.alpha - oracle.alpha) <= 1e-12
+        assert (fast.n_zero > 0) == (oracle.n_zero > 0)
+    assert (fast.n_candidates, fast.n_zero) == (reference.n_candidates, reference.n_zero)
+    # the argmin is a hyperplane plus one edge, scored at that edge
+    columns = dict(zip(edges, zmat.T))
+    others = [columns[e] for e in fast.argmin_edges if e != fast.argmin_edge]
+    direct = _distance_to_span(columns[fast.argmin_edge], others)
+    assert abs(direct - fast.alpha) <= 1e-12
+    return fast, oracle
+
+
 def _hyperplanes_against_subsets(config):
-    """The hyperplane path against the subset enumeration it replaces."""
+    """alpha (cocircuits) against the subset oracle, on the full contact graph."""
     fast = alpha(config, collect_table=False)
     oracle = alpha(config, collect_table=True)
     assert abs(fast.alpha - oracle.alpha) <= 1e-12
@@ -175,7 +265,20 @@ def _hyperplanes_against_subsets(config):
     edges = list(full_contact_graph(config).edges)
     per_edge = np.column_stack([collision_direction(config, e).vector for e in edges])
     assert np.array_equal(_direction_matrix(config, edges), per_edge)
+    reference = _alpha_by_hyperplanes(edges, per_edge, DEFAULT_ZERO_TOLERANCE)
+    assert (fast.n_candidates, fast.n_zero) == (reference.n_candidates, reference.n_zero)
     return fast, oracle
+
+
+def _patch(radius):
+    points = lattice.lattice_points_in_radius(radius)
+    return lattice.lattice_configuration(points), list(lattice.contact_edges(points))
+
+
+#: 7, 13, 31 and 37 discs of the triangular lattice.
+P7, P13, P31, P37 = 2.0, 3.5, 5.3, 6.0
+#: alpha of the 13-disc patch as the (r-1)-subset hyperplane path gives it
+P13_ALPHA = 0.3944427796055831
 
 
 class TestHyperplanesAgainstSubsets:
@@ -201,6 +304,120 @@ class TestHyperplanesAgainstSubsets:
         )
         assert len(full_contact_graph(config).edges) <= 12
         _hyperplanes_against_subsets(config)
+
+
+class TestCocircuitsAgainstSubsets:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), d=st.integers(2, 3))
+    def test_random_configurations(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        config = configs.random_contact_configuration(n, d, rng, style="mixed")
+        edges = list(full_contact_graph(config).edges)
+        assume(len(edges) <= 12)
+        _cocircuits_against_references(edges, _direction_matrix(config, edges))
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10))
+    def test_chains_1d(self, seed, n):
+        # a 1-d contact graph is a path; every edge is a coloop
+        rng = np.random.default_rng(seed)
+        for config in (configs.collinear_chain(n), configs.random_contact_configuration(n, 1, rng)):
+            edges = list(full_contact_graph(config).edges)
+            fast, oracle = _cocircuits_against_references(edges, _direction_matrix(config, edges))
+            assert fast.n_zero == oracle.n_zero == 0
+
+    @settings(max_examples=1, derandomize=True, deadline=None, database=None)
+    @given(extra=st.integers(0, 11))
+    @example(extra=-1)
+    def test_dependent_lattice_subsets(self, extra):
+        # the flower's 12 edges are the one circuit of p7 and of p13, so a
+        # subset has at least rank + 1 edges exactly when it holds all 12: the
+        # p7 flower, or (within the oracle's reach) the p13 flower plus one edge
+        config, edges = _patch(P7 if extra < 0 else P13)
+        subset = [e for e in edges if max(e) < 7]
+        subset += [] if extra < 0 else [[e for e in edges if max(e) >= 7][extra]]
+        zmat = _direction_matrix(config, sorted(subset))
+        assert np.linalg.matrix_rank(zmat, tol=RANK_TOLERANCE) + 1 == len(subset)
+        fast, oracle = _cocircuits_against_references(sorted(subset), zmat)
+        assert fast.n_zero == 12 and oracle.n_zero > 0
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(extras=st.sets(st.integers(0, 11)))
+    def test_dependent_p13_subsets_against_hyperplanes(self, extras):
+        config, edges = _patch(P13)
+        rest = [e for e in edges if max(e) >= 7]
+        subset = sorted([e for e in edges if max(e) < 7] + [rest[k] for k in extras])
+        zmat = _direction_matrix(config, subset)
+        fast, _ = _cocircuits_against_references(subset, zmat, with_oracle=False)
+        assert (fast.n_zero, fast.n_candidates) == (12, len(extras) + 2 * 66)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 6),
+        m=st.integers(1, 10),
+        density=st.floats(0.2, 1.0),
+        repeats=st.integers(0, 2),
+    )
+    def test_sparse_direction_matrices(self, seed, rows, m, density, repeats):
+        # sparse supports give coloops, series classes and dependent sets
+        # without full support; repeated columns give parallel edges
+        rng = np.random.default_rng(seed)
+        zmat = rng.standard_normal((rows, m)) * (rng.random((rows, m)) < density)
+        zmat[rng.integers(rows, size=m), np.arange(m)] = rng.choice([-1.0, 1.0], size=m)
+        zmat = np.column_stack([zmat] + [-zmat[:, :1]] * min(repeats, 10 - m))
+        zmat /= np.linalg.norm(zmat, axis=0)
+        edges = [(0, k + 1) for k in range(zmat.shape[1])]
+        _cocircuits_against_references(edges, zmat)
+
+    def test_dual_rank_two_lattice_patch(self):
+        # two overlapping flowers of the 19-disc patch: dual rank 2 and a
+        # search that finds larger cocircuits, against the hyperplane reference
+        points = lattice.lattice_points_in_radius(4.0)
+        config = lattice.lattice_configuration(points)
+        centers = (lattice.LatticePoint(0, 0), lattice.LatticePoint(2, 0))
+        near = [
+            k for k, p in enumerate(points)
+            if min(lattice.squared_distance(p, c) for c in centers) <= 4
+        ]
+        edges = [e for e in lattice.contact_edges(points) if e[0] in near and e[1] in near]
+        zmat = _direction_matrix(config, edges)
+        assert len(edges) - np.linalg.matrix_rank(zmat, tol=RANK_TOLERANCE) == 2
+        fast = _alpha_by_cocircuits(edges, zmat, DEFAULT_ZERO_TOLERANCE, 1 << 15)
+        reference = _alpha_by_hyperplanes(edges, zmat, DEFAULT_ZERO_TOLERANCE)
+        assert abs(fast.alpha - reference.alpha) <= 1e-12
+        assert (fast.n_candidates, fast.n_zero) == (reference.n_candidates, reference.n_zero)
+
+
+class TestCocircuitPath:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_coloops_against_inverse_gram(self, seed):
+        # with independent edges every edge is a coloop, at distance
+        # 1 / sqrt((Z^T Z)^-1_ee) from the span of the others
+        rng = np.random.default_rng(seed)
+        config = configs.random_contact_configuration(6, 2 + seed % 2, rng, style="mixed")
+        edges = list(full_contact_graph(config).edges)
+        zmat = _direction_matrix(config, edges)
+        assert np.linalg.matrix_rank(zmat, tol=RANK_TOLERANCE) == len(edges)
+        expected = 1.0 / np.sqrt(np.diag(np.linalg.inv(zmat.T @ zmat)))
+        report = alpha(config)
+        assert report.alpha == pytest.approx(expected.min(), abs=1e-12)
+        assert (report.n_candidates, report.n_zero) == (len(edges), 0)
+        assert report.argmin_edges == tuple(edges)
+
+    def test_p13_under_default_settings(self):
+        config, edges = _patch(P13)
+        assert len(edges) == 24
+        report = alpha(config)
+        assert report.alpha == pytest.approx(P13_ALPHA, abs=1e-12)
+        # 12 coloops, and 66 pairs in the flower's series class
+        assert (report.n_candidates, report.n_zero) == (12 + 2 * 66, 12)
+
+    @pytest.mark.parametrize("radius", [P31, P37])
+    def test_large_patches_refused_within_the_budget(self, radius):
+        config, edges = _patch(radius)
+        with pytest.raises(BudgetExceededError, match=f"{len(edges)} edges.* budget of 32768 "):
+            alpha(config)
 
 
 class TestStressCertificate:
