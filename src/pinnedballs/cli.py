@@ -192,6 +192,8 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_search(args) -> int:
     started = time.monotonic()
+    if args.depth_cap < 0:
+        raise ValueError(f"--depth-cap must be non-negative, got {args.depth_cap}")
     config, state = io.load_configuration(args.config)
     # only a sweep, or a start state drawn for a file without velocities, is random
     seed = _resolve_seed(args.seed) if args.method == "sweep" or state is None else None

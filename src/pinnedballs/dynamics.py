@@ -8,7 +8,9 @@ stacked state across the half-space of the pair's collision direction, and
 both implementations are exposed so they can be checked against each other.
 The exchange arithmetic is defined once, in ``_exchanges``, on Python floats
 with dot products summed in component order: :func:`collide` and every
-schedule loop share it, and no BLAS build can change their bits.  A run
+schedule loop share it, and no BLAS build can change their bits.  It reads a
+state as one list of floats per ball, and each touching pair by ball index,
+so an exchange replaces two blocks and shares the rest with its input.  A run
 records change points, the distinct states and the steps they appear at, so
 an explicit run stops stepping once every edge of its schedule is idle.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +44,8 @@ from .geometry import (
 
 #: Max-norm threshold below which two consecutive states count as equal.
 CHANGE_TOLERANCE = 1e-14
+#: Seeded-random schedule indices drawn per call to the generator.
+_DRAW_BLOCK = 256
 
 
 def _moved(before: np.ndarray, after: np.ndarray) -> np.ndarray:
@@ -50,25 +54,24 @@ def _moved(before: np.ndarray, after: np.ndarray) -> np.ndarray:
     return np.max(np.abs(after - before), axis=-1) > CHANGE_TOLERANCE
 
 
-def _pair(config: BallConfiguration, i: int, j: int) -> tuple | None:
-    """(slice of block i, slice of block j, x_i - x_j, unit direction), as floats;
-    None when the balls do not touch, by the float test of ``config.touches``."""
-    dx, d = config.centers[i] - config.centers[j], config.dimension
-    norm = np.linalg.norm(dx)
-    if abs(float(norm) - CONTACT_DISTANCE) > config.contact_tolerance:
-        return None
-    si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
-    return si, sj, dx.tolist(), (dx / norm).tolist()
+def _pairs(config: BallConfiguration, edges: Sequence[Edge]) -> list[tuple | None]:
+    """(i, j, x_i - x_j, unit direction) as floats per edge (i, j), None when the
+    balls do not touch by the float test of ``config.touches``.  One subtraction
+    serves all edges; each norm is sqrt(dx @ dx), the bits of ``np.linalg.norm``."""
+    ends = np.array(edges, dtype=int).reshape(-1, 2).T
+    dxs = config.centers[ends[0]] - config.centers[ends[1]]
+    norms = np.sqrt([dx @ dx for dx in dxs])
+    touching = np.abs(norms - CONTACT_DISTANCE) <= config.contact_tolerance
+    units = (dxs / norms[:, None]).tolist()
+    return [(*e, dx, u) if t else None for e, dx, u, t in zip(edges, dxs.tolist(), units, touching)]
 
 
-def _exchanges(vals: list, pairs: Iterable[tuple], tolerance: float) -> list[tuple]:
+def _exchanges(blocks: list, pairs: Iterable[tuple], tolerance: float) -> Iterator[tuple]:
     """The pair exchange, defined once: (index, new v_i, new v_j) for each of
-    ``pairs`` (see :func:`_pair`) that approaches in the flat state ``vals``,
-    i.e. (v_i - v_j) . (x_i - x_j) < -tolerance.  Dot products are summed in
-    component order on Python floats, so no BLAS build can change a bit."""
-    out = []
-    for k, (si, sj, dx, u) in enumerate(pairs):
-        vi, vj = vals[si], vals[sj]
+    ``pairs`` (see :func:`_pairs`), in order, that approaches in ``blocks``:
+    (v_i - v_j) . (x_i - x_j) < -tolerance, dot products summed in component order."""
+    for k, (i, j, dx, u) in enumerate(pairs):
+        vi, vj = blocks[i], blocks[j]
         approach = t = 0.0
         for a, b, c in zip(vi, vj, dx):
             approach += (a - b) * c
@@ -76,17 +79,16 @@ def _exchanges(vals: list, pairs: Iterable[tuple], tolerance: float) -> list[tup
             continue
         for a, b, c in zip(vi, vj, u):
             t += (b - a) * c
-        out.append((k, [a + t * c for a, c in zip(vi, u)], [b - t * c for b, c in zip(vj, u)]))
-    return out
+        yield k, [a + t * c for a, c in zip(vi, u)], [b - t * c for b, c in zip(vj, u)]
 
 
-def _exchanged(vals: list, pair: tuple | None, tolerance: float) -> list | None:
-    """A new flat state after the exchange on ``pair``; None when it is None or not approaching."""
-    found = pair and _exchanges(vals, (pair,), tolerance)
+def _exchanged(blocks: list, pair: tuple | None, tolerance: float) -> list | None:
+    """A new state after the exchange on ``pair``; None when it is None or not approaching."""
+    found = pair and next(_exchanges(blocks, (pair,), tolerance), None)
     if not found:
         return None
-    out = vals.copy()
-    out[pair[0]], out[pair[1]] = found[0][1:]
+    out = blocks.copy()
+    out[pair[0]], out[pair[1]] = found[1:]
     return out
 
 
@@ -94,44 +96,43 @@ class _PairKernel:
     """The pair exchange on the edges of one graph, each edge's geometry computed once.
 
     Every method goes through :func:`_exchanges`, as :func:`collide` does, so
-    the states agree bit for bit.  States are lists of floats; no method
-    mutates its input, so callers may keep states by reference.
+    the states agree bit for bit.  A state is a list of per-ball lists of floats;
+    no method mutates one, so a child shares the blocks its exchange left alone.
     """
 
     def __init__(self, config: BallConfiguration, graph: ContactGraph, tolerance: float):
         self.tolerance = tolerance
-        #: :func:`_pair` per touching edge, in graph order.
-        self.pairs = {e: p for e in graph.edges if (p := _pair(config, *e)) is not None}
+        #: :func:`_pairs` of the graph's touching edges, in graph order.
+        self.pairs = {e: p for e, p in zip(graph.edges, _pairs(config, graph.edges)) if p}
         self._edges, self._pairs = list(self.pairs), list(self.pairs.values())
 
-    def children(self, vals: list) -> list[tuple[Edge, list]]:
+    def children(self, blocks: list) -> Iterator[tuple[Edge, list]]:
         """(edge, next state) for each graph edge, in order, whose exchange
-        moves ``vals`` by the collision predicate of :func:`_moved`; only the
+        moves ``blocks`` by the collision predicate of :func:`_moved`; only the
         2d changed components can differ, so only they are compared."""
-        out = []
-        for k, new_i, new_j in _exchanges(vals, self._pairs, self.tolerance):
-            si, sj = self._pairs[k][:2]
-            diffs = map(float.__sub__, new_i + new_j, vals[si] + vals[sj])
+        for k, new_i, new_j in _exchanges(blocks, self._pairs, self.tolerance):
+            i, j = edge = self._edges[k]
+            diffs = map(float.__sub__, new_i + new_j, blocks[i] + blocks[j])
             if max(map(abs, diffs)) > CHANGE_TOLERANCE:
-                nxt = vals.copy()
-                nxt[si], nxt[sj] = new_i, new_j
-                out.append((self._edges[k], nxt))
-        return out
+                nxt = blocks.copy()
+                nxt[i], nxt[j] = new_i, new_j
+                yield edge, nxt
 
     def walk(
-        self, vals: list, max_steps: int, rng: np.random.Generator | None = None
+        self, blocks: list, max_steps: int, rng: np.random.Generator | None = None
     ) -> tuple[list[Edge], list[list], bool]:
         """Collide the first colliding edge, or with ``rng`` a uniform draw among
         them, until none is left (third result True) or after max_steps; returns
         the edges and the states, the start included."""
-        edges, states = [], [vals]
+        edges, states = [], [blocks]
         while len(edges) < max_steps:
             options = self.children(states[-1])
-            if not options:
+            if rng is not None and (drawn := list(options)):
+                options = iter(drawn[int(rng.integers(len(drawn))) :])
+            if (step := next(options, None)) is None:
                 return edges, states, True
-            edge, nxt = options[0 if rng is None else int(rng.integers(len(options)))]
-            edges.append(edge)
-            states.append(nxt)
+            edges.append(step[0])
+            states.append(step[1])
         return edges, states, False
 
 
@@ -152,7 +153,7 @@ def collide(
     i, j = edge
     if i == j:
         raise ValueError("a ball cannot collide with itself")
-    out = _exchanged(state.values.tolist(), _pair(config, i, j), approach_tolerance)
+    out = _exchanged(state.blocks().tolist(), _pairs(config, [edge])[0], approach_tolerance)
     return state if out is None else state.with_values(out)
 
 
@@ -329,30 +330,35 @@ def run_schedule(
         if schedule.kind == "round-robin":
             planned = itertools.islice(itertools.cycle(graph.edges), max_steps)
         elif schedule.kind == "seeded-random":
-            rng = np.random.default_rng(schedule.seed)
+            rng, count = np.random.default_rng(schedule.seed), len(graph.edges)
+            # drawn in blocks capped at the steps left, which gives the indices of
+            # one draw per step (tests/test_dynamics.py pins this)
             planned = (
-                graph.edges[int(rng.integers(len(graph.edges)))] for _ in range(max_steps)
+                graph.edges[k]
+                for done in range(0, max_steps, _DRAW_BLOCK)
+                for k in rng.integers(count, size=min(_DRAW_BLOCK, max_steps - done)).tolist()
             )
         # collision_direction's bits, in the F order of a transposed column stack
         zmat_t = np.zeros((len(kernel.pairs), config.n * config.dimension), order="F")
-        for row, (si, sj, dx, _) in zip(zmat_t, kernel.pairs.values()):
-            row[si], row[sj] = dx, [-c for c in dx]
+        d = config.dimension
+        for row, (i, j, dx, _) in zip(zmat_t, kernel.pairs.values()):
+            row[i * d : i * d + d], row[j * d : j * d + d] = dx, [-c for c in dx]
             row /= np.linalg.norm(row)
         applied, quiet = [], None
 
         def stable(values: list) -> bool:
             return bool(np.all(zmat_t @ values >= STABILITY_MARGIN))
 
-    vals = state0.values.tolist()
+    vals = state0.blocks().tolist()
     if schedule.kind == "lexicographic-greedy":
         applied, rows, stabilized = kernel.walk(vals, max_steps)
         starts = list(range(len(rows)))
     else:
-        # the distinct states, and the step at which each one appears
-        rows, starts = [vals], [0]
+        # the distinct states, flat, and the step at which each one appears
+        rows, starts = [state0.values.tolist()], [0]
         # edges whose exchange is known to leave the current state as it is
         idle: set[Edge] = set()
-        stabilized = stable is not None and stable(vals)
+        stabilized = stable is not None and stable(rows[0])
         for t, e in enumerate(() if stabilized else planned, 1):
             if stable is not None:
                 applied.append(e)
@@ -363,15 +369,15 @@ def run_schedule(
                     break
                 continue
             vals = out
-            rows.append(vals)
+            rows.append([x for block in vals for x in block])
             starts.append(t)
             idle.clear()
             # an unchanged state that was not stable stays not stable
-            if stable is not None and stable(vals):
+            if stable is not None and stable(rows[-1]):
                 stabilized = True
                 break
 
-    distinct = np.array(rows)
+    distinct = np.array(rows).reshape(len(rows), -1)
     counts = np.diff(starts + [len(applied) + 1])
     changed = np.zeros(len(applied), dtype=bool)
     changed[np.array(starts[1:], dtype=int) - 1] = _moved(distinct[:-1], distinct[1:])

@@ -287,7 +287,8 @@ def adversarial_two_halfplanes(
     the small angle eps, so each double fold advances the point by a rotation
     of 2 eps and the orbit needs on the order of pi/eps points to enter the
     thin feasible wedge.  eps starts at pi/(2m) and is halved until the orbit
-    measured by :func:`orbit` actually exceeds m points.
+    measured by :func:`orbit` actually exceeds m points; the check stops
+    after m + 1 folds when the orbit already has more than m points.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -301,7 +302,13 @@ def adversarial_two_halfplanes(
         ]
         witness_angle = math.pi / 2 - eps / 2
         witness = np.array([math.cos(witness_angle), math.sin(witness_angle)])
-        result = orbit(start, halfspaces, schedule, budget=10_000_000, witness=witness)
-        if result.size > m:
+        try:
+            size = orbit(start, halfspaces, schedule, budget=m + 1, witness=witness).size
+        except BudgetExceededError as exc:
+            # a partial orbit with more than m points settles it; else the full one does
+            size = exc.best.size
+            if size <= m:
+                size = orbit(start, halfspaces, schedule, budget=10_000_000, witness=witness).size
+        if size > m:
             return halfspaces, start, schedule
         eps /= 2.0

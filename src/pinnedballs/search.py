@@ -6,12 +6,18 @@ every collision strictly increases the monotone pair functional, no chain of
 collisions can revisit a state, so the search tree is finite even without
 the depth cap.  Results are lower envelopes of the true supremum: sampling
 initial states can never certify it.
+
+A node is a list of per-ball velocity blocks, and its memo key joins one
+key per block, each the bytes of the block rounded to 12 decimals by
+``foldings._point_key``; the joined key equals ``np.round(state, 12).tobytes()``
+byte for byte.  A child re-keys only the two blocks its collision replaced.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +25,7 @@ import numpy as np
 from .bounds import BoundReport
 from .dynamics import _exchanged, _moved, _PairKernel
 from .errors import BudgetExceededError, NotNormalizedError, TooManyEdgesError
+from .foldings import _point_key
 from .geometry import (
     BallConfiguration,
     ContactGraph,
@@ -26,8 +33,6 @@ from .geometry import (
     StateVector,
     full_contact_graph,
 )
-
-STATE_QUANTUM_DECIMALS = 12
 
 
 @dataclass(frozen=True)
@@ -104,9 +109,11 @@ def greedy_schedule(
     policy "lexicographic" always takes the first approaching pair;
     "random" draws uniformly among them (requires a seed).  Pairs whose
     collision would not change the state beyond the change tolerance are
-    treated as not approaching.
+    treated as not approaching.  A negative ``max_steps`` raises ValueError.
     """
     _require_normalized(config, state0)
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     if graph is None:
         graph = full_contact_graph(config)
     if policy not in ("lexicographic", "random"):
@@ -115,17 +122,13 @@ def greedy_schedule(
     if policy == "random" and seed is None:
         raise ValueError("random policy needs a seed")
 
-    witness, _, _ = _PairKernel(config, graph, 0.0).walk(state0.values.tolist(), max_steps, rng)
+    witness, _, _ = _PairKernel(config, graph, 0.0).walk(state0.blocks().tolist(), max_steps, rng)
     return SearchResult(
         method="greedy",
         collisions=len(witness),
         witness=tuple(witness),
         nodes_explored=len(witness),
     )
-
-
-def _state_key(vals: list) -> bytes:
-    return np.array(vals).round(STATE_QUANTUM_DECIMALS).tobytes()
 
 
 def exhaustive_max_collisions(
@@ -145,46 +148,60 @@ def exhaustive_max_collisions(
     is sound because the dynamics are deterministic.  Raises
     :class:`BudgetExceededError` carrying the best result found when the
     depth cap truncates a branch or the node budget runs out; the carried
-    result is then a lower envelope.
+    result is then a lower envelope.  ``nodes_explored`` counts the calls of
+    the search, memo hits included; once the budget is spent, each call left
+    is counted as one node that finds nothing, without being made.  A later
+    branch replaces the best one only with a strictly higher count.  A
+    negative ``depth_cap`` or a ``max_nodes`` below 1 raises ValueError.
     """
+    if depth_cap < 0:
+        raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     if graph is None:
         graph = full_contact_graph(config)
     if len(graph.edges) > max_branch_edges:
         raise TooManyEdgesError(len(graph.edges), max_branch_edges)
 
     kernel = _PairKernel(config, graph, 0.0)
-    nodes = 0
-    truncated = False
+    pack = struct.Struct(f"{config.dimension}d").pack
+    nodes, truncated = 0, False
     memo: dict[tuple[bytes, int], tuple[int, tuple[Edge, ...]]] = {}
 
-    def dfs(values: list, depth: int) -> tuple[int, tuple[Edge, ...]]:
+    def dfs(blocks: list, keys: list[bytes], depth: int) -> tuple[int, tuple[Edge, ...]]:
         nonlocal nodes, truncated
         nodes += 1
-        if nodes > max_nodes:
-            truncated = True
-            return 0, ()
-        key = (_state_key(values), depth) if memoize else None
-        if key is not None and key in memo:
+        key = (b"".join(keys), depth)
+        if key in memo:
             return memo[key]
         best: tuple[int, tuple[Edge, ...]] = (0, ())
-        if depth < depth_cap:
-            for e, out in kernel.children(values):
-                extra, tail = dfs(out, depth + 1)
-                if 1 + extra > best[0]:
-                    best = (1 + extra, (e,) + tail)
-        elif kernel.children(values):
-            truncated = True
-        if key is not None:
+        children = kernel.children(blocks)
+        if depth == depth_cap:
+            truncated = truncated or next(children, None) is not None
+            children = ()
+        for e, out in children:
+            if nodes >= max_nodes:
+                # each call left would count one node and find nothing
+                nodes += 1 + sum(1 for _ in children)
+                truncated = True
+                return best if best[0] else (1, (e,))
+            (i, j), sub = e, keys.copy()
+            sub[i], sub[j] = _point_key(out[i], pack), _point_key(out[j], pack)
+            extra, tail = dfs(out, sub, depth + 1)
+            if 1 + extra > best[0]:
+                best = (1 + extra, (e,) + tail)
+        if memoize:
             memo[key] = best
         return best
 
-    found, tail = dfs(state0.values.tolist(), 0)
+    start = state0.blocks().tolist()
+    found, tail = dfs(start, [_point_key(block, pack) for block in start], 0)
 
     # replay makes the reported count authoritative for the witness
-    states = [state0.values.tolist()]
+    states = [start]
     for e in tail:
         states.append(_exchanged(states[-1], kernel.pairs[e], 0.0) or states[-1])
-    replayed = np.array(states)
+    replayed = np.array(states).reshape(len(states), -1)
     collisions = int(np.count_nonzero(_moved(replayed[:-1], replayed[1:])))
     if collisions != found:
         raise RuntimeError(f"witness replays to {collisions} collisions, {found} found")

@@ -352,6 +352,13 @@ class TestSearchCommand:
         report = json.loads(out)
         assert isinstance(report["manifest"]["seed"], int)
 
+    @pytest.mark.parametrize("method", ["exhaustive", "greedy", "sweep"])
+    def test_negative_depth_cap_rejected(self, capsys, chain_config, method):
+        argv = ["search", chain_config, "--method", method, "--depth-cap", "-3", "--seed", "1"]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "--depth-cap" in err and "-3" in err
+
     def test_reproducible_with_seed(self, capsys, chain_config):
         _, out1, _ = _run(
             capsys,

@@ -192,6 +192,41 @@ class TestRunSchedule:
         ]
 
 
+class TestSeededRandomDraws:
+    """run_schedule draws seeded-random indices in blocks of _DRAW_BLOCK."""
+
+    @pytest.mark.parametrize("count", [2, 7, 100, 2**40])
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2**31 - 1])
+    def test_block_draws_equal_per_call_draws(self, count, seed):
+        # numpy does not document this equality, so it is pinned here, across
+        # block boundaries and with a last block capped at the draws left
+        steps = 3 * dynamics._DRAW_BLOCK + 17
+        per_call = np.random.default_rng(seed)
+        expected = [int(per_call.integers(count)) for _ in range(steps)]
+        blocked = np.random.default_rng(seed)
+        drawn = []
+        for start in range(0, steps, dynamics._DRAW_BLOCK):
+            size = min(dynamics._DRAW_BLOCK, steps - start)
+            drawn += blocked.integers(count, size=size).tolist()
+        assert drawn == expected
+
+    def test_long_run_follows_per_call_draws(self):
+        # pairs approach by less than the tolerance, so no step collides and the
+        # run never stabilizes: all max_steps indices are drawn
+        config = configs.collinear_chain(3)
+        state = _state([[0.01], [0.0], [-0.01]])
+        graph = full_contact_graph(config)
+        steps = 2 * dynamics._DRAW_BLOCK + 99
+        trace = run_schedule(
+            config, state, Schedule.seeded_random(9), max_steps=steps, approach_tolerance=0.05
+        )
+        draws = np.random.default_rng(9)
+        assert trace.edges == tuple(
+            graph.edges[int(draws.integers(len(graph.edges)))] for _ in range(steps)
+        )
+        assert trace.collisions == 0 and not trace.stabilized
+
+
 class TestMonotoneFunctional:
     def test_two_ball_value_matches_pair_sum(self):
         config = BallConfiguration(1, np.array([[-1.0], [1.0]]))
@@ -420,29 +455,38 @@ class TestKernelProperties:
         graph = full_contact_graph(config)
         kernel = _PairKernel(config, graph, tolerance)
         assert list(kernel.pairs) == [e for e in graph.edges if config.touches(*e)]
+        for (i, j), pair in kernel.pairs.items():
+            dx = config.centers[i] - config.centers[j]
+            assert pair == (i, j, dx.tolist(), (dx / np.linalg.norm(dx)).tolist())
         # follow random collisions, so later checks see states the loops reach
         for _ in range(8):
-            vals = state.values.tolist()
-            children = dict(kernel.children(vals))
+            blocks = state.blocks().tolist()
+            children = dict(kernel.children(blocks))
             assert list(children) == [e for e in graph.edges if e in children]
+            first = next(kernel.children(blocks), None)
+            assert first == (next(iter(children.items())) if children else None)
             for e in graph.edges:
-                expected = collide(config, state, e, tolerance).values
-                step = _exchanged(vals, kernel.pairs[e], tolerance)
+                collided = collide(config, state, e, tolerance)
+                expected = collided.blocks().tolist()
+                step = _exchanged(blocks, kernel.pairs[e], tolerance)
                 if step is None:
-                    assert expected is state.values
+                    assert collided.values is state.values
                 else:
-                    assert step == expected.tolist()
-                if _moved(state.values, expected):
-                    assert children[e] == expected.tolist()
+                    assert step == expected
+                    # a child shares every block its exchange left alone
+                    assert [k for k, b in enumerate(step) if b is not blocks[k]] == list(e)
+                if _moved(state.values, np.ravel(expected)):
+                    assert children[e] == expected
                 else:
                     assert e not in children
                 if tolerance == 0.0:
                     folded = collide_as_folding(config, state, e).values
-                    assert float(np.max(np.abs(folded - expected))) <= 1e-12
+                    assert float(np.max(np.abs(folded - np.ravel(expected)))) <= 1e-12
+            assert blocks == state.blocks().tolist()
             if not children:
                 break
             edges = list(children)
-            state = state.with_values(np.array(children[edges[int(rng.integers(len(edges)))]]))
+            state = state.with_values(np.ravel(children[edges[int(rng.integers(len(edges)))]]))
 
 
 class TestChangePoints:

@@ -203,7 +203,34 @@ class TestPointKey:
         assert _point_key([1e-13, 1.0], pack) == _point_key([0.0, 1.0], pack)
 
 
+def _adversarial_by_full_orbits(m):
+    """The construction measuring every candidate's whole orbit."""
+    eps = math.pi / (2 * m)
+    schedule = FoldingSchedule.periodic((0, 1))
+    start = np.array([0.0, -1.0])
+    while True:
+        halfspaces = [
+            HalfSpace(np.array([1.0, 0.0])),
+            HalfSpace(np.array([math.cos(math.pi - eps), math.sin(math.pi - eps)])),
+        ]
+        witness_angle = math.pi / 2 - eps / 2
+        witness = np.array([math.cos(witness_angle), math.sin(witness_angle)])
+        if orbit(start, halfspaces, schedule, budget=10_000_000, witness=witness).size > m:
+            return halfspaces, start, schedule
+        eps /= 2.0
+
+
 class TestAdversarial:
+    def test_same_construction_as_full_orbits(self):
+        # the check stops after m + 1 folds when that already shows more than m points
+        for m in range(1, 300):
+            halfspaces, start, schedule = adversarial_two_halfplanes(m)
+            ref_halfspaces, ref_start, ref_schedule = _adversarial_by_full_orbits(m)
+            assert [h.normal.tobytes() for h in halfspaces] == [
+                h.normal.tobytes() for h in ref_halfspaces
+            ]
+            assert start.tobytes() == ref_start.tobytes() and schedule == ref_schedule
+
     def test_orbit_exceeds_one(self):
         halfspaces, start, schedule = adversarial_two_halfplanes(1)
         witness = halfspaces[0].normal + halfspaces[1].normal

@@ -1,4 +1,6 @@
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,22 +8,23 @@ from hypothesis import given, settings, strategies as st
 
 from pinnedballs import configs, search
 from pinnedballs.bounds import max_collisions_bound, resolve_tau
-from pinnedballs.dynamics import Schedule, run_schedule
+from pinnedballs.dynamics import CHANGE_TOLERANCE, Schedule, run_schedule
 from pinnedballs.errors import (
     BudgetExceededError,
     NotNormalizedError,
     TooManyEdgesError,
 )
+from pinnedballs.foldings import _point_key
 from pinnedballs.geometry import (
+    CONTACT_DISTANCE,
     ContactGraph,
     StateVector,
+    full_contact_graph,
     normalize_system,
     validate_configuration,
 )
 from pinnedballs.rigidity import alpha
 from pinnedballs.search import (
-    STATE_QUANTUM_DECIMALS,
-    _state_key,
     compare_with_bound,
     exhaustive_max_collisions,
     greedy_schedule,
@@ -57,6 +60,11 @@ class TestGreedy:
         greedy = greedy_schedule(config, state)
         exhaustive = exhaustive_max_collisions(config, state)
         assert greedy.collisions == exhaustive.collisions == 3
+
+    def test_negative_max_steps_rejected(self):
+        config, state = _chain3_system()
+        with pytest.raises(ValueError, match="max_steps.*-5"):
+            greedy_schedule(config, state, max_steps=-5)
 
     def test_unnormalized_rejected(self):
         config = configs.touching_pair()
@@ -143,7 +151,7 @@ class TestExhaustive:
         # memo keys carry the depth and a later branch must beat the earlier
         # ones strictly, so a memo that conflates every state at one depth
         # returns the first (lexicographic greedy) path, never a false witness
-        monkeypatch.setattr(search, "_state_key", lambda vals: b"")
+        monkeypatch.setattr(search, "_point_key", lambda vals, pack: b"")
         for _ in range(20):
             config, state = random_normalized_system(rng, n_max=5, d_max=2)
             result = exhaustive_max_collisions(config, state, max_branch_edges=10)
@@ -163,6 +171,18 @@ class TestExhaustive:
             exhaustive_max_collisions(config, state, depth_cap=1)
         assert exc.value.best.collisions == 1
         assert exc.value.best.truncated
+
+    @pytest.mark.parametrize("kwargs", [{"depth_cap": -3}, {"max_nodes": 0}])
+    def test_malformed_budget_rejected(self, kwargs):
+        config, state = _chain3_system()
+        ((name, value),) = kwargs.items()
+        with pytest.raises(ValueError, match=f"{name}.*{value}"):
+            exhaustive_max_collisions(config, state, **kwargs)
+
+    def test_sweep_rejects_negative_depth_cap(self):
+        config, _ = _chain3_system()
+        with pytest.raises(ValueError, match="depth_cap.*-3"):
+            velocity_sweep(config, 2, seed=1, depth_cap=-3)
 
     def test_edge_guard(self):
         config = configs.hexagonal_flower()
@@ -235,10 +255,110 @@ class TestStateKey:
                 st.floats(-1e-11, 1e-11),
                 st.sampled_from([0.0, -0.0, 5e-13, -5e-13, 1.5e-12, -2.5e-12]),
             ),
-            min_size=1,
+            min_size=3,
             max_size=30,
-        )
+        ),
+        st.integers(1, 3),
     )
-    def test_matches_numpy_round(self, values):
-        v = np.array(values)
-        assert _state_key(v.tolist()) == np.round(v, STATE_QUANTUM_DECIMALS).tobytes()
+    def test_matches_numpy_round(self, values, d):
+        # the search's memo key joins one key per ball block
+        v = np.array(values[: len(values) - len(values) % d])
+        pack = struct.Struct(f"{d}d").pack
+        key = b"".join(_point_key(block, pack) for block in v.reshape(-1, d).tolist())
+        assert key == np.round(v, 12).tobytes()
+
+
+def _flat_search(config, state0, depth_cap, graph, max_nodes, memoize):
+    """The exhaustive search on one flat list of floats per state, with a
+    whole-state numpy memo key and the node budget checked on entry to each
+    call; returns (collisions, witness, nodes explored, truncated)."""
+    d = config.dimension
+    pairs = []
+    for e in graph.edges:
+        dx = config.centers[e[0]] - config.centers[e[1]]
+        norm = np.linalg.norm(dx)
+        if abs(float(norm) - CONTACT_DISTANCE) <= config.contact_tolerance:
+            si, sj = (slice(k * d, (k + 1) * d) for k in e)
+            pairs.append((e, si, sj, dx.tolist(), (dx / norm).tolist()))
+
+    def children(vals):
+        out = []
+        for e, si, sj, dx, u in pairs:
+            vi, vj = vals[si], vals[sj]
+            approach = t = 0.0
+            for a, b, c in zip(vi, vj, dx):
+                approach += (a - b) * c
+            if approach >= 0.0:
+                continue
+            for a, b, c in zip(vi, vj, u):
+                t += (b - a) * c
+            new_i, new_j = [a + t * c for a, c in zip(vi, u)], [b - t * c for b, c in zip(vj, u)]
+            if max(abs(x - y) for x, y in zip(new_i + new_j, vi + vj)) > CHANGE_TOLERANCE:
+                nxt = vals.copy()
+                nxt[si], nxt[sj] = new_i, new_j
+                out.append((e, nxt))
+        return out
+
+    nodes, truncated, memo = 0, False, {}
+
+    def dfs(vals, depth):
+        nonlocal nodes, truncated
+        nodes += 1
+        if nodes > max_nodes:
+            truncated = True
+            return 0, ()
+        key = (np.round(np.array(vals), 12).tobytes(), depth) if memoize else None
+        if key is not None and key in memo:
+            return memo[key]
+        best = (0, ())
+        if depth < depth_cap:
+            for e, out in children(vals):
+                extra, tail = dfs(out, depth + 1)
+                if 1 + extra > best[0]:
+                    best = (1 + extra, (e,) + tail)
+        elif children(vals):
+            truncated = True
+        if key is not None:
+            memo[key] = best
+        return best
+
+    found, witness = dfs(state0.values.tolist(), 0)
+    return found, witness, nodes, truncated
+
+
+class TestAgainstFlatSearch:
+    """The per-ball search against the flat-list search it replaced."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 8),
+        d=st.integers(1, 3),
+        memoize=st.booleans(),
+        depth_cap=st.sampled_from([0, 2, 5, 20]),
+        detached=st.booleans(),
+    )
+    def test_same_outcome(self, seed, n, d, memoize, depth_cap, detached):
+        rng = np.random.default_rng(seed)
+        config = configs.random_contact_configuration(
+            n, d, rng, style="mixed" if d >= 2 else "tree"
+        )
+        edges = list(full_contact_graph(config).edges)
+        if detached:
+            # a graph edge whose balls do not touch, when the configuration has one
+            edges += [
+                (i, j) for i in range(n) for j in range(i + 1, n) if not config.touches(i, j)
+            ][:1]
+        graph = ContactGraph(n, edges)
+        states = [sample_unit_state(n, d, rng) for _ in range(4)]
+        for state, max_nodes in itertools.product(states, (10, 150, 2000)):
+            try:
+                result = exhaustive_max_collisions(
+                    config, state, depth_cap, graph=graph, max_branch_edges=len(edges),
+                    max_nodes=max_nodes, memoize=memoize,
+                )
+            except BudgetExceededError as exc:
+                result = exc.best
+            expected = _flat_search(config, state, depth_cap, graph, max_nodes, memoize)
+            outcome = (result.collisions, result.witness, result.nodes_explored, result.truncated)
+            assert outcome == expected
