@@ -9,11 +9,13 @@ entropy and record it in the manifest; a run that uses no seed records null.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import secrets
 import sys
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -330,7 +332,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _single_blas_thread() -> None:
+    """Run the OpenBLAS that numpy loaded on one thread; a no-op where numpy
+    ships no such library.  A command makes one small factorization at a
+    time, which a second BLAS thread only stalls (an SVD of the 31-disc
+    patch took about 95 ms on two threads and 1 ms on one, on a 2-core
+    x86-64 machine)."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        set_threads = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _single_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -39,7 +39,10 @@ from .geometry import (
     StateVector,
     canonical_edge,
     collision_direction,
+    collision_matrix,
     full_contact_graph,
+    pair_offsets,
+    require_touching,
 )
 
 #: Max-norm threshold below which two consecutive states count as equal.
@@ -54,16 +57,20 @@ def _moved(before: np.ndarray, after: np.ndarray) -> np.ndarray:
     return np.max(np.abs(after - before), axis=-1) > CHANGE_TOLERANCE
 
 
+def _exchange_moved(before: list, after: list) -> bool:
+    """:func:`_moved` on the 2d components (lists of floats) one exchange replaced."""
+    return max(map(abs, map(float.__sub__, after, before))) > CHANGE_TOLERANCE
+
+
 def _pairs(config: BallConfiguration, edges: Sequence[Edge]) -> list[tuple | None]:
-    """(i, j, x_i - x_j, unit direction) as floats per edge (i, j), None when the
-    balls do not touch by the float test of ``config.touches``.  One subtraction
-    serves all edges; each norm is sqrt(dx @ dx), the bits of ``np.linalg.norm``."""
-    ends = np.array(edges, dtype=int).reshape(-1, 2).T
-    dxs = config.centers[ends[0]] - config.centers[ends[1]]
-    norms = np.sqrt([dx @ dx for dx in dxs])
-    touching = np.abs(norms - CONTACT_DISTANCE) <= config.contact_tolerance
-    units = (dxs / norms[:, None]).tolist()
-    return [(*e, dx, u) if t else None for e, dx, u, t in zip(edges, dxs.tolist(), units, touching)]
+    """(i, j, x_i - x_j, unit direction) as floats per edge (i, j), from one
+    :func:`pair_offsets`; None when the balls do not touch by ``config.touches``."""
+    dxs, norms = pair_offsets(config, edges)
+    tolerance = config.contact_tolerance
+    return [
+        (*e, dx, [c / norm for c in dx]) if abs(norm - CONTACT_DISTANCE) <= tolerance else None
+        for e, dx, norm in zip(edges, dxs.tolist(), norms.tolist())
+    ]
 
 
 def _exchanges(blocks: list, pairs: Iterable[tuple], tolerance: float) -> Iterator[tuple]:
@@ -108,12 +115,10 @@ class _PairKernel:
 
     def children(self, blocks: list) -> Iterator[tuple[Edge, list]]:
         """(edge, next state) for each graph edge, in order, whose exchange
-        moves ``blocks`` by the collision predicate of :func:`_moved`; only the
-        2d changed components can differ, so only they are compared."""
+        moves ``blocks`` by :func:`_exchange_moved`."""
         for k, new_i, new_j in _exchanges(blocks, self._pairs, self.tolerance):
             i, j = edge = self._edges[k]
-            diffs = map(float.__sub__, new_i + new_j, blocks[i] + blocks[j])
-            if max(map(abs, diffs)) > CHANGE_TOLERANCE:
+            if _exchange_moved(blocks[i] + blocks[j], new_i + new_j):
                 nxt = blocks.copy()
                 nxt[i], nxt[j] = new_i, new_j
                 yield edge, nxt
@@ -338,16 +343,12 @@ def run_schedule(
                 for done in range(0, max_steps, _DRAW_BLOCK)
                 for k in rng.integers(count, size=min(_DRAW_BLOCK, max_steps - done)).tolist()
             )
-        # collision_direction's bits, in the F order of a transposed column stack
-        zmat_t = np.zeros((len(kernel.pairs), config.n * config.dimension), order="F")
-        d = config.dimension
-        for row, (i, j, dx, _) in zip(zmat_t, kernel.pairs.values()):
-            row[i * d : i * d + d], row[j * d : j * d + d] = dx, [-c for c in dx]
-            row /= np.linalg.norm(row)
         applied, quiet = [], None
+        if schedule.kind != "lexicographic-greedy":
+            zmat_t = collision_matrix(config, list(kernel.pairs)).T  # unit rows, F-ordered
 
-        def stable(values: list) -> bool:
-            return bool(np.all(zmat_t @ values >= STABILITY_MARGIN))
+            def stable(values: list) -> bool:
+                return bool(np.all(zmat_t @ values >= STABILITY_MARGIN))
 
     vals = state0.blocks().tolist()
     if schedule.kind == "lexicographic-greedy":
@@ -405,11 +406,10 @@ def decompose_state(
     and every pseudo-collision on a graph edge leaves v_fixed untouched while
     preserving |v_span|.
     """
-    cols = [collision_direction(config, e).vector for e in graph.edges]
-    if not cols:
-        zero = np.zeros_like(state.values)
-        return state, state.with_values(zero)
-    u, s, _ = np.linalg.svd(np.column_stack(cols), full_matrices=False)
+    if not graph.edges:
+        return state, state.with_values(np.zeros_like(state.values))
+    require_touching(config, graph.edges)
+    u, s, _ = np.linalg.svd(collision_matrix(config, graph.edges), full_matrices=False)
     rank = int(np.count_nonzero(s > 1e-12 * s[0]))
     basis = u[:, :rank]
     v_span = basis @ (basis.T @ state.values)

@@ -7,6 +7,17 @@ edges of the full contact graph.  Every touching pair (j, k) has a unit
 collision direction in R^{nd} built from the difference of its centers; that
 vector drives both the collision transform and its folding representation.
 
+Pair geometry is built in batched passes with the bits of the per-pair
+definitions.  One all-pairs distance pass serves the contact graph and the
+overlap check: ``np.linalg.norm(x[None] - x[lo:hi, None], axis=-1)`` over
+blocks of ``_ROW_BLOCK`` rows, the expression a per-row ``norm(axis=1)``
+evaluates, in O(_ROW_BLOCK n d) memory.  Per-edge lengths come from one
+stacked product ``rows[:, None, :] @ rows[:, :, None]``, which sums each row as
+``r @ r`` and ``np.linalg.norm(r)`` do; ``np.einsum`` and ``(r * r).sum(-1)``
+sum in other orders and differ in the last bit on a few percent of rows, so
+they are not used.  :func:`collision_matrix` builds every edge's collision
+vector at once, raw or unit, as the columns of one matrix.
+
 All types are immutable values after construction and every function is pure,
 so instances may be freely shared across threads.
 """
@@ -15,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +38,8 @@ from .errors import (
 )
 
 CONTACT_DISTANCE = 2.0
+#: Rows of the all-pairs distance pass evaluated per array operation.
+_ROW_BLOCK = 64
 
 Edge = tuple[int, int]
 
@@ -74,13 +87,10 @@ class BallConfiguration:
             )
         if not np.all(np.isfinite(centers)):
             raise ValueError("centers must be finite numbers")
-        n = centers.shape[0]
-        for i in range(n - 1):
-            dists = np.linalg.norm(centers[i + 1 :] - centers[i], axis=1)
-            short = np.nonzero(dists < CONTACT_DISTANCE - self.contact_tolerance)[0]
-            if short.size:
-                j = i + 1 + int(short[0])
-                raise OverlapError(i, j, float(dists[short[0]]))
+        limit = CONTACT_DISTANCE - tolerance
+        for i, j, dist in _pairs_where(centers, lambda dists: dists < limit):
+            if i.size:
+                raise OverlapError(int(i[0]), int(j[0]), float(dist[0]))
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "contact_tolerance", tolerance)
@@ -228,14 +238,76 @@ def validate_configuration(
     return BallConfiguration(dimension, np.array(pts), contact_tolerance)
 
 
+def _pairs_where(
+    centers: np.ndarray, test: Callable[[np.ndarray], np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The all-pairs distance pass: per block of rows, the pairs i < j whose
+    distance |x_j - x_i| passes ``test``, as arrays (i, j, distance) in
+    lexicographic order."""
+    for lo in range(0, len(centers) - 1, _ROW_BLOCK):
+        dists = np.linalg.norm(centers[None] - centers[lo : lo + _ROW_BLOCK, None], axis=-1)
+        rows, cols = np.nonzero(test(dists))
+        upper = cols > rows + lo
+        rows, cols = rows[upper], cols[upper]
+        yield rows + lo, cols, dists[rows, cols]
+
+
 def full_contact_graph(config: BallConfiguration) -> ContactGraph:
     """All pairs whose center distance is 2 within the contact tolerance."""
-    edges = []
-    for i in range(config.n - 1):
-        dists = np.linalg.norm(config.centers[i + 1 :] - config.centers[i], axis=1)
-        hits = np.nonzero(np.abs(dists - CONTACT_DISTANCE) <= config.contact_tolerance)[0]
-        edges.extend((i, i + 1 + int(j)) for j in hits)
+    tolerance, edges = config.contact_tolerance, []
+    for i, j, _ in _pairs_where(
+        config.centers, lambda dists: np.abs(dists - CONTACT_DISTANCE) <= tolerance
+    ):
+        edges += zip(i.tolist(), j.tolist())
     return ContactGraph(config.n, tuple(edges))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d array, with the bits of ``np.linalg.norm``
+    on that row alone (module docstring)."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def pair_offsets(config: BallConfiguration, edges: Sequence[Edge]) -> tuple[np.ndarray, np.ndarray]:
+    """x_i - x_j for each edge (i, j), as the rows of one array, and their lengths,
+    each equal to ``config.distance(i, j)``."""
+    both = config.centers.take(np.array(edges, dtype=int).reshape(-1, 2), axis=0)
+    offsets = both[:, 0] - both[:, 1]
+    return offsets, _row_norms(offsets)
+
+
+def require_touching(config: BallConfiguration, edges: Sequence[Edge]) -> None:
+    """Raise :class:`NotTouchingError` for the first edge whose balls do not
+    touch by the test of ``config.touches``."""
+    _, lengths = pair_offsets(config, edges)
+    apart = np.flatnonzero(np.abs(lengths - CONTACT_DISTANCE) > config.contact_tolerance)
+    if apart.size:
+        i, j = edges[apart[0]]
+        raise NotTouchingError(i, j, float(lengths[apart[0]]))
+
+
+def collision_matrix(
+    config: BallConfiguration, edges: Sequence[Edge], unit: bool = True
+) -> np.ndarray:
+    """Collision vectors of canonical edges as the columns of one C-ordered matrix.
+
+    Column k holds x_i - x_j in block i and its negative in block j for the
+    k-th edge (i, j): the bits of :func:`raw_collision_vector`, or with
+    ``unit`` those of :func:`collision_direction`, whose contact test is left
+    to the caller (:func:`require_touching`).  The layout is that of a column
+    stack of those vectors, so factorizations downstream round the same way,
+    and the transpose holds them as F-ordered rows.
+    """
+    d = config.dimension
+    offsets, _ = pair_offsets(config, edges)
+    starts = np.array(edges, dtype=int).reshape(-1, 2) * d
+    rows, block = np.arange(len(offsets))[:, None], np.arange(d)
+    raw = np.zeros((len(offsets), config.n * d))
+    raw[rows, starts[:, :1] + block] = offsets
+    raw[rows, starts[:, 1:] + block] = -offsets
+    if unit:
+        raw /= _row_norms(raw)[:, None]
+    return np.ascontiguousarray(raw.T)
 
 
 def raw_collision_vector(config: BallConfiguration, edge: Edge) -> np.ndarray:

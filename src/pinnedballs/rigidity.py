@@ -33,7 +33,6 @@ from .errors import (
     BudgetExceededError,
     DependentEdgesError,
     DependentInputError,
-    NotTouchingError,
 )
 from .foldings import fold_into_cone
 from .geometry import (
@@ -42,8 +41,10 @@ from .geometry import (
     Edge,
     canonical_edge,
     collision_direction,
+    collision_matrix,
     full_contact_graph,
     raw_collision_vector,
+    require_touching,
 )
 
 DEFAULT_ZERO_TOLERANCE = 1e-8
@@ -148,6 +149,10 @@ def alpha(
     coloops, or the table's solves up front; past it
     :class:`BudgetExceededError` names the budget.  A negative or non-finite
     ``zero_tolerance`` or a budget below 1 raises ValueError.
+
+    The search grows with the dual rank m - r: generic dense direction
+    matrices (16 columns, dual rank 6-9) exceed the default budget, which the
+    contact graphs in the test suite (dual rank at most 7) stay within.
     """
     if not (math.isfinite(zero_tolerance) and zero_tolerance >= 0.0):
         raise ValueError(f"zero_tolerance must be finite and >= 0, got {zero_tolerance!r}")
@@ -156,34 +161,13 @@ def alpha(
     edges = list(full_contact_graph(config).edges)
     if not edges:
         raise AllZeroError("the configuration has no touching pairs")
-    zmat = _direction_matrix(config, edges)
+    zmat = collision_matrix(config, edges)
     if not collect_table:
         return _alpha_by_cocircuits(edges, zmat, zero_tolerance, budget)
     solves = len(edges) << (len(edges) - 1)
     if solves > budget:
         raise BudgetExceededError(f"the table's {solves} solves exceed the budget {budget}", None)
     return _alpha_by_subsets(edges, zmat, zero_tolerance)
-
-
-def _direction_matrix(config: BallConfiguration, edges: list[Edge]) -> np.ndarray:
-    """Unit collision directions of touching edges, as the columns of one matrix.
-
-    Column k holds x_i - x_j in block i and its negative in block j for the
-    k-th edge (i, j), normalised as :func:`collision_direction` does, so the
-    columns equal its vectors bit for bit; the result is C-ordered like a
-    column stack of them, so the factorizations downstream round the same
-    way.  The edges must touch; the contact graph's edges do by construction.
-    """
-    d = config.dimension
-    i, j = np.array(edges).T
-    diff = config.centers[i] - config.centers[j]
-    rows = np.arange(len(edges))[:, None]
-    block = np.arange(d)
-    raw = np.zeros((len(edges), config.n * d))
-    raw[rows, (i * d)[:, None] + block] = diff
-    raw[rows, (j * d)[:, None] + block] = -diff
-    norms = np.sqrt([r @ r for r in raw])
-    return np.ascontiguousarray((raw / norms[:, None]).T)
 
 
 def _alpha_by_cocircuits(
@@ -311,7 +295,7 @@ def stress_certificate(
     others = [e for e in edges if e != chosen]
     target = raw_collision_vector(config, chosen)
     if others:
-        cols = np.column_stack([raw_collision_vector(config, e) for e in others])
+        cols = collision_matrix(config, others, unit=False)
         coef, *_ = np.linalg.lstsq(cols, -target, rcond=None)
         residual_vec = target + cols @ coef
     else:
@@ -424,14 +408,11 @@ def spherical_vertex_check(
         raise ValueError("graph must have at least one edge")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    # _direction_matrix assumes touching edges
-    for i, j in subset + list(graph.edges):
-        if not config.touches(i, j):
-            raise NotTouchingError(i, j, config.distance(i, j))
+    require_touching(config, subset + list(graph.edges))
     for i, j in subset:
         if not graph.has_edge(i, j):
             raise ValueError(f"subset edge ({i + 1}, {j + 1}) is not an edge of the graph")
-    zcols = _direction_matrix(config, subset)
+    zcols = collision_matrix(config, subset)
     if np.linalg.matrix_rank(zcols, tol=RANK_TOLERANCE) < len(subset):
         raise DependentEdgesError("subset directions are linearly dependent")
     if alpha_value is None:
@@ -444,7 +425,7 @@ def spherical_vertex_check(
     vertices /= np.linalg.norm(vertices, axis=0)
     vertex_margins = np.max(zcols.T @ vertices, axis=0)
 
-    graph_cols = _direction_matrix(config, list(graph.edges))
+    graph_cols = collision_matrix(config, graph.edges)
     u_mat, s, _ = np.linalg.svd(graph_cols, full_matrices=False)
     rank = int(np.count_nonzero(s > 1e-12 * s[0]))
     basis = u_mat[:, :rank]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .dynamics import _exchanged, _moved, _PairKernel
+from .dynamics import _exchange_moved, _exchanged, _PairKernel
 from .errors import BudgetExceededError, NotNormalizedError, TooManyEdgesError
 from .foldings import _point_key
 from .geometry import (
@@ -95,6 +95,11 @@ def _require_normalized(config: BallConfiguration, state: StateVector) -> None:
         raise NotNormalizedError("state does not have unit energy")
 
 
+def _require_depth_cap(depth_cap: int) -> None:
+    if depth_cap < 0:
+        raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
+
+
 def greedy_schedule(
     config: BallConfiguration,
     state0: StateVector,
@@ -154,8 +159,7 @@ def exhaustive_max_collisions(
     branch replaces the best one only with a strictly higher count.  A
     negative ``depth_cap`` or a ``max_nodes`` below 1 raises ValueError.
     """
-    if depth_cap < 0:
-        raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
+    _require_depth_cap(depth_cap)
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     if graph is None:
@@ -198,11 +202,11 @@ def exhaustive_max_collisions(
     found, tail = dfs(start, [_point_key(block, pack) for block in start], 0)
 
     # replay makes the reported count authoritative for the witness
-    states = [start]
-    for e in tail:
-        states.append(_exchanged(states[-1], kernel.pairs[e], 0.0) or states[-1])
-    replayed = np.array(states).reshape(len(states), -1)
-    collisions = int(np.count_nonzero(_moved(replayed[:-1], replayed[1:])))
+    state, collisions = start, 0
+    for i, j in tail:
+        if (out := _exchanged(state, kernel.pairs[i, j], 0.0)) is not None:
+            collisions += _exchange_moved(state[i] + state[j], out[i] + out[j])
+            state = out
     if collisions != found:
         raise RuntimeError(f"witness replays to {collisions} collisions, {found} found")
     result = SearchResult(
@@ -257,12 +261,14 @@ def velocity_sweep(
 
     Reports the per-sample results and their maximum.  With a fixed seed the
     sample sequence is a prefix, so the maximum is monotone in the sample
-    count.  Truncated exhaustive runs contribute their best-so-far.
+    count.  Truncated exhaustive runs contribute their best-so-far.  A
+    negative ``depth_cap`` raises ValueError for either method.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if method not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown method {method!r}")
+    _require_depth_cap(depth_cap)
     if graph is None:
         graph = full_contact_graph(config)
     rng = np.random.default_rng(seed)

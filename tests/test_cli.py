@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pinnedballs
 from pinnedballs import configs
 from pinnedballs.cli import main
 from pinnedballs.foldings import adversarial_two_halfplanes
@@ -383,3 +388,49 @@ class TestVerifyCommand:
         assert "PASS" in captured.out
         report = json.loads(open(out_path).read())
         assert report["failures"] == 0
+
+
+#: Prints OpenBLAS's thread count before and after ``{action}``, or "absent"
+#: when numpy's BLAS has no scipy-openblas thread symbols.
+_BLAS_PROBE = """
+import ctypes, pathlib, sys
+import numpy as np
+libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+probes = [getattr(ctypes.CDLL(str(p)), "scipy_openblas_get_num_threads64_", None)
+          for p in libs.glob("libscipy_openblas*")]
+get = next((f for f in probes if f is not None), None)
+if get is None:
+    print("absent")
+    sys.exit()
+before = get()
+{action}
+print(before, get())
+"""
+
+
+class TestBlasThreads:
+    """The CLI runs BLAS on one thread; importing the library leaves it alone."""
+
+    def _probe(self, action):
+        env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        # two threads where the machine has them, so a change shows
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        env["PYTHONPATH"] = str(Path(pinnedballs.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE.format(action=action)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        if done.stdout.split() == ["absent"]:
+            pytest.skip("numpy's BLAS has no scipy-openblas thread symbols")
+        before, after = map(int, done.stdout.split())
+        return before, after
+
+    def test_import_keeps_thread_count(self):
+        before, after = self._probe("import pinnedballs")
+        assert after == before
+
+    def test_cli_runs_one_thread(self, chain_config, tmp_path):
+        argv = ["--output", str(tmp_path / "out.json"), "validate", chain_config]
+        _, after = self._probe(f"from pinnedballs.cli import main; main({argv!r})")
+        assert after == 1

@@ -17,7 +17,7 @@ from pinnedballs.dynamics import (
     monotone_functional,
     run_schedule,
 )
-from pinnedballs.errors import NotNormalizedError, ScheduleError
+from pinnedballs.errors import NotNormalizedError, NotTouchingError, ScheduleError
 from pinnedballs.foldings import STABILITY_MARGIN
 from pinnedballs.geometry import (
     BallConfiguration,
@@ -122,6 +122,22 @@ class TestRunSchedule:
         trace = run_schedule(config, state, Schedule.greedy())
         assert trace.collisions == 3
         assert trace.stabilized
+
+    def test_only_policy_runs_build_stability_rows(self, monkeypatch):
+        config, state = normalize_system(
+            configs.collinear_chain(3), _state([[1.0], [0.0], [-1.0]])
+        )
+        built = []
+        real = dynamics.collision_matrix
+        monkeypatch.setattr(
+            dynamics, "collision_matrix", lambda *args: built.append(args) or real(*args)
+        )
+        for schedule in (Schedule.greedy(), Schedule.explicit([(0, 1)] * 3)):
+            run_schedule(config, state, schedule)
+        assert built == []
+        for schedule in (Schedule.round_robin(), Schedule.seeded_random(3)):
+            assert run_schedule(config, state, schedule).stabilized
+        assert len(built) == 2
 
     def test_foreign_edge_rejected(self):
         config, state = normalize_system(
@@ -339,6 +355,13 @@ class TestDecomposeState:
             assert abs(
                 np.linalg.norm(span.values) - np.linalg.norm(span2.values)
             ) <= 1e-12
+
+    def test_non_touching_graph_edge_rejected(self):
+        config = configs.collinear_chain(3)
+        graph = ContactGraph(3, ((0, 1), (0, 2), (1, 2)))
+        with pytest.raises(NotTouchingError) as exc:
+            decompose_state(config, graph, _state([[1.0], [0.0], [-1.0]]))
+        assert (exc.value.i, exc.value.j, exc.value.distance) == (0, 2, 4.0)
 
 
 def _collide_replay(config, state, edges, tolerance=0.0):

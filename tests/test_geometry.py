@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinnedballs import configs
 from pinnedballs.errors import (
@@ -11,15 +13,20 @@ from pinnedballs.errors import (
     ZeroEnergyError,
 )
 from pinnedballs.geometry import (
+    _ROW_BLOCK,
+    CONTACT_DISTANCE,
     BallConfiguration,
     ContactGraph,
     StateVector,
     canonical_edge,
     collision_direction,
+    collision_matrix,
     full_contact_graph,
     interior_witness,
     normalize_system,
+    pair_offsets,
     raw_collision_vector,
+    require_touching,
     validate_configuration,
 )
 
@@ -80,6 +87,127 @@ class TestContactGraph:
         assert graph.has_edge(2, 1)
         with pytest.raises(ValueError):
             canonical_edge(1, 1)
+
+
+def _per_row_pairs(centers, tolerance):
+    """Test-only copy of the per-row loops the distance pass replaced:
+    (first overlapping pair (i, j, distance) or None, contact edges)."""
+    edges = []
+    for i in range(len(centers) - 1):
+        dists = np.linalg.norm(centers[i + 1 :] - centers[i], axis=1)
+        short = np.nonzero(dists < CONTACT_DISTANCE - tolerance)[0]
+        if short.size:
+            return (i, i + 1 + int(short[0]), float(dists[short[0]])), None
+        hits = np.nonzero(np.abs(dists - CONTACT_DISTANCE) <= tolerance)[0]
+        edges.extend((i, i + 1 + int(j)) for j in hits)
+    return None, tuple(edges)
+
+
+def _pass_against_per_row(centers, tolerance):
+    """The distance pass gives the per-row loop's overlap error or contact edges."""
+    overlap, edges = _per_row_pairs(centers, tolerance)
+    if overlap is None:
+        config = BallConfiguration(centers.shape[1], centers, tolerance)
+        assert full_contact_graph(config).edges == edges
+        return edges
+    with pytest.raises(OverlapError) as exc:
+        BallConfiguration(centers.shape[1], centers, tolerance)
+    assert (exc.value.i, exc.value.j, exc.value.distance) == overlap
+    return None
+
+
+def _near_contact_centers(seed, n, d, tolerance):
+    """n centers in R^d, each off an earlier one along an axis or a random
+    direction, at 2 + s * tolerance for s in -2..2 (rarely -2) or farther; a
+    spot that overlaps another ball by more is drawn again, a few times."""
+    rng = np.random.default_rng(seed)
+    centers = np.zeros((n, d))
+    for k in range(1, n):
+        for _ in range(8):
+            if rng.random() < 0.5:
+                step = np.eye(d)[rng.integers(d)] * rng.choice([-1.0, 1.0])
+            else:
+                step = rng.standard_normal(d)
+                step /= np.linalg.norm(step)
+            if rng.random() < 0.8:
+                s = rng.choice([-2, -1, 0, 1, 2], p=[0.02, 0.245, 0.245, 0.245, 0.245])
+                length = CONTACT_DISTANCE + int(s) * tolerance
+            else:
+                length = CONTACT_DISTANCE + 3.0 * rng.random()
+            centers[k] = centers[rng.integers(k)] + length * step
+            gaps = np.linalg.norm(centers[:k] - centers[k], axis=1)
+            if gaps.min() >= CONTACT_DISTANCE - 2 * tolerance - 1e-6:
+                break
+    return centers
+
+
+class TestDistancePass:
+    """One all-pairs distance pass against the per-row loops, bit for bit."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 14),
+        d=st.integers(1, 3),
+        tolerance=st.sampled_from([0.0, 1e-9, 1e-4, 0.3]),
+    )
+    def test_matches_per_row_loop(self, seed, n, d, tolerance):
+        _pass_against_per_row(_near_contact_centers(seed, n, d, tolerance), tolerance)
+
+    def test_chain_longer_than_a_row_block(self):
+        n = 2 * _ROW_BLOCK + 5
+        centers = configs.collinear_chain(n).centers.copy()
+        assert len(_pass_against_per_row(centers, 1e-9)) == n - 1
+        # an overlap whose first pair lies in the second row block
+        centers[_ROW_BLOCK + 3 :] -= 0.5
+        assert _pass_against_per_row(centers, 1e-9) is None
+
+    def test_overlap_error_pair_and_distance(self):
+        centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 1.5]])
+        with pytest.raises(OverlapError) as exc:
+            BallConfiguration(2, centers)
+        assert (exc.value.i, exc.value.j, exc.value.distance) == (1, 3, 1.5)
+
+
+class TestCollisionMatrix:
+    """The batched collision vectors against the per-edge definitions, bit for bit."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), d=st.integers(1, 3))
+    def test_matches_per_edge_vectors(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        config = configs.random_contact_configuration(
+            n, d, rng, style="mixed" if d >= 2 else "tree"
+        )
+        edges = list(full_contact_graph(config).edges)
+        raw = [raw_collision_vector(config, e) for e in edges]
+        unit = collision_matrix(config, edges)
+        assert unit.flags.c_contiguous
+        assert np.array_equal(unit, np.column_stack([collision_direction(config, e).vector for e in edges]))
+        # the stability rows of a policy run: each raw row over its own norm, F-ordered
+        rows = unit.T
+        assert rows.flags.f_contiguous
+        assert np.array_equal(rows, np.array([r / np.linalg.norm(r) for r in raw]))
+        stress = collision_matrix(config, edges, unit=False)
+        assert stress.flags.c_contiguous
+        assert np.array_equal(stress, np.column_stack(raw))
+        # lengths are config.distance's, for edges in either order and non-edges
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        offsets, lengths = pair_offsets(config, pairs)
+        for (i, j), dx, length in zip(pairs, offsets, lengths):
+            assert np.array_equal(dx, config.centers[i] - config.centers[j])
+            assert length == config.distance(i, j)
+
+    def test_no_edges(self):
+        config = configs.touching_pair()
+        assert collision_matrix(config, []).shape == (2, 0)
+
+    def test_require_touching_names_first_offender(self):
+        config = validate_configuration([[0.0], [2.0], [5.0], [8.0]])
+        require_touching(config, [(0, 1)])
+        with pytest.raises(NotTouchingError) as exc:
+            require_touching(config, [(0, 1), (2, 3), (0, 2)])
+        assert (exc.value.i, exc.value.j, exc.value.distance) == (2, 3, 3.0)
 
 
 class TestCollisionDirection:

@@ -20,8 +20,10 @@ from pinnedballs.geometry import (
     ContactGraph,
     StateVector,
     collision_direction,
+    collision_matrix,
     full_contact_graph,
     interior_witness,
+    raw_collision_vector,
     validate_configuration,
 )
 from pinnedballs.rigidity import (
@@ -30,7 +32,6 @@ from pinnedballs.rigidity import (
     AlphaReport,
     _alpha_by_cocircuits,
     _alpha_by_subsets,
-    _direction_matrix,
     _distance_to_span,
     alpha,
     alpha_star,
@@ -264,7 +265,7 @@ def _hyperplanes_against_subsets(config):
     assert (fast.n_zero > 0) == (oracle.n_zero > 0)
     edges = list(full_contact_graph(config).edges)
     per_edge = np.column_stack([collision_direction(config, e).vector for e in edges])
-    assert np.array_equal(_direction_matrix(config, edges), per_edge)
+    assert np.array_equal(collision_matrix(config, edges), per_edge)
     reference = _alpha_by_hyperplanes(edges, per_edge, DEFAULT_ZERO_TOLERANCE)
     assert (fast.n_candidates, fast.n_zero) == (reference.n_candidates, reference.n_zero)
     return fast, oracle
@@ -314,7 +315,7 @@ class TestCocircuitsAgainstSubsets:
         config = configs.random_contact_configuration(n, d, rng, style="mixed")
         edges = list(full_contact_graph(config).edges)
         assume(len(edges) <= 12)
-        _cocircuits_against_references(edges, _direction_matrix(config, edges))
+        _cocircuits_against_references(edges, collision_matrix(config, edges))
 
     @settings(max_examples=20, derandomize=True, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10))
@@ -323,7 +324,7 @@ class TestCocircuitsAgainstSubsets:
         rng = np.random.default_rng(seed)
         for config in (configs.collinear_chain(n), configs.random_contact_configuration(n, 1, rng)):
             edges = list(full_contact_graph(config).edges)
-            fast, oracle = _cocircuits_against_references(edges, _direction_matrix(config, edges))
+            fast, oracle = _cocircuits_against_references(edges, collision_matrix(config, edges))
             assert fast.n_zero == oracle.n_zero == 0
 
     @settings(max_examples=1, derandomize=True, deadline=None, database=None)
@@ -336,7 +337,7 @@ class TestCocircuitsAgainstSubsets:
         config, edges = _patch(P7 if extra < 0 else P13)
         subset = [e for e in edges if max(e) < 7]
         subset += [] if extra < 0 else [[e for e in edges if max(e) >= 7][extra]]
-        zmat = _direction_matrix(config, sorted(subset))
+        zmat = collision_matrix(config, sorted(subset))
         assert np.linalg.matrix_rank(zmat, tol=RANK_TOLERANCE) + 1 == len(subset)
         fast, oracle = _cocircuits_against_references(sorted(subset), zmat)
         assert fast.n_zero == 12 and oracle.n_zero > 0
@@ -347,7 +348,7 @@ class TestCocircuitsAgainstSubsets:
         config, edges = _patch(P13)
         rest = [e for e in edges if max(e) >= 7]
         subset = sorted([e for e in edges if max(e) < 7] + [rest[k] for k in extras])
-        zmat = _direction_matrix(config, subset)
+        zmat = collision_matrix(config, subset)
         fast, _ = _cocircuits_against_references(subset, zmat, with_oracle=False)
         assert (fast.n_zero, fast.n_candidates) == (12, len(extras) + 2 * 66)
 
@@ -381,7 +382,7 @@ class TestCocircuitsAgainstSubsets:
             if min(lattice.squared_distance(p, c) for c in centers) <= 4
         ]
         edges = [e for e in lattice.contact_edges(points) if e[0] in near and e[1] in near]
-        zmat = _direction_matrix(config, edges)
+        zmat = collision_matrix(config, edges)
         assert len(edges) - np.linalg.matrix_rank(zmat, tol=RANK_TOLERANCE) == 2
         fast = _alpha_by_cocircuits(edges, zmat, DEFAULT_ZERO_TOLERANCE, 1 << 15)
         reference = _alpha_by_hyperplanes(edges, zmat, DEFAULT_ZERO_TOLERANCE)
@@ -397,7 +398,7 @@ class TestCocircuitPath:
         rng = np.random.default_rng(seed)
         config = configs.random_contact_configuration(6, 2 + seed % 2, rng, style="mixed")
         edges = list(full_contact_graph(config).edges)
-        zmat = _direction_matrix(config, edges)
+        zmat = collision_matrix(config, edges)
         assert np.linalg.matrix_rank(zmat, tol=RANK_TOLERANCE) == len(edges)
         expected = 1.0 / np.sqrt(np.diag(np.linalg.inv(zmat.T @ zmat)))
         report = alpha(config)
@@ -451,6 +452,31 @@ class TestStressCertificate:
             expected = 2.0 ** 1.5 * alpha_star(config, edges, chosen)
             assert cert.total_residual == pytest.approx(expected, abs=1e-9)
             assert cert.coefficients[chosen] == 1.0
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8), d=st.integers(1, 3))
+    def test_same_fields_as_per_edge_columns(self, seed, n, d):
+        # against the certificate on a column stack of raw_collision_vector,
+        # over the contact edges plus one pair that does not touch
+        rng = np.random.default_rng(seed)
+        config = configs.random_contact_configuration(
+            n, d, rng, style="mixed" if d >= 2 else "tree"
+        )
+        full = full_contact_graph(config)
+        edges = list(full.edges)
+        edges += [(i, j) for i, j in itertools.combinations(range(n), 2) if not full.has_edge(i, j)][:1]
+        chosen = edges[int(rng.integers(len(edges)))]
+        others = [e for e in sorted(edges) if e != chosen]
+        target = raw_collision_vector(config, chosen)
+        cols = np.column_stack([raw_collision_vector(config, e) for e in others])
+        coef, *_ = np.linalg.lstsq(cols, -target, rcond=None)
+        residual = target + cols @ coef
+        cert = stress_certificate(config, edges, chosen)
+        assert cert.coefficients == {chosen: 1.0, **dict(zip(others, coef.tolist()))}
+        assert np.array_equal(
+            cert.residual_norms, np.linalg.norm(residual.reshape(n, d), axis=1)
+        )
+        assert cert.total_residual == float(np.linalg.norm(residual))
 
 
 class TestExtendBasis:

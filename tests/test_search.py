@@ -179,10 +179,11 @@ class TestExhaustive:
         with pytest.raises(ValueError, match=f"{name}.*{value}"):
             exhaustive_max_collisions(config, state, **kwargs)
 
-    def test_sweep_rejects_negative_depth_cap(self):
+    @pytest.mark.parametrize("method", ["exhaustive", "greedy"])
+    def test_sweep_rejects_negative_depth_cap(self, method):
         config, _ = _chain3_system()
         with pytest.raises(ValueError, match="depth_cap.*-3"):
-            velocity_sweep(config, 2, seed=1, depth_cap=-3)
+            velocity_sweep(config, 2, seed=1, method=method, depth_cap=-3)
 
     def test_edge_guard(self):
         config = configs.hexagonal_flower()
