@@ -22,7 +22,6 @@ from .dynamics import (
     collide,
     collide_as_folding,
     decompose_state,
-    monotone_functional,
     run_schedule,
 )
 from .foldings import (

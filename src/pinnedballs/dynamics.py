@@ -29,7 +29,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NotNormalizedError, ScheduleError
+from .errors import ScheduleError
 from .foldings import STABILITY_MARGIN, HalfSpace, fold
 from .geometry import (
     CONTACT_DISTANCE,
@@ -177,28 +177,11 @@ def collide_as_folding(
     return state.with_values(fold(state.values, halfspace))
 
 
-def monotone_functional(
-    config: BallConfiguration,
-    state: StateVector,
-    normalization_tolerance: float = 1e-9,
-) -> float:
-    """F = 2n (x . v) for a centered configuration.
-
-    Requires sum x_j = 0 within the tolerance, otherwise raises
-    :class:`NotNormalizedError`.  Under that normalization the value equals
-    the double sum over pairs of (v_j - v_i) . (x_j - x_i).
-    """
-    drift = float(np.linalg.norm(config.centers.sum(axis=0)))
-    if drift > normalization_tolerance:
-        raise NotNormalizedError(
-            f"centers sum has norm {drift:.3g}; center the configuration first"
-        )
-    return 2.0 * config.n * float(config.stacked() @ state.values)
-
-
 def functional_value(config: BallConfiguration, values: np.ndarray) -> float | np.ndarray:
-    """The pair-sum functional in its shift-invariant closed form; one value
-    per row when ``values`` is a stack of states of shape (T, nd)."""
+    """F, the sum over ordered pairs of (v_j - v_i) . (x_j - x_i), in its
+    shift-invariant closed form, which is 2n (x . v) on a centred
+    configuration; one value per row when ``values`` is a stack of states of
+    shape (T, nd)."""
     sv = values.reshape(*values.shape[:-1], config.n, config.dimension).sum(axis=-2)
     x, sx = config.stacked(), config.centers.sum(axis=0)
     return 2.0 * config.n * (values @ x) - 2.0 * (sv @ sx)

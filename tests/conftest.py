@@ -1,19 +1,7 @@
 import numpy as np
 import pytest
 
-from pinnedballs import configs, geometry, search
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
-
-
-def random_normalized_system(rng, n_max=6, d_max=3, style="mixed"):
-    """Random touching configuration plus a normalized state."""
-    n = int(rng.integers(2, n_max + 1))
-    d = int(rng.integers(1, d_max + 1))
-    use_style = style if d >= 2 else "tree"
-    config = configs.random_contact_configuration(n, d, rng, style=use_style)
-    state = search.sample_unit_state(n, d, rng)
-    return geometry.normalize_system(config, state)

@@ -30,7 +30,7 @@ from pinnedballs.geometry import (
     validate_configuration,
 )
 
-from conftest import random_normalized_system
+from pinnedballs.verify import random_system
 
 SQRT3 = math.sqrt(3.0)
 
@@ -236,7 +236,7 @@ class TestCollisionDirection:
 
     def test_raw_vector_norm_is_two_sqrt_two(self, rng):
         for _ in range(50):
-            config, _ = random_normalized_system(rng)
+            config, _ = random_system(rng)
             graph = full_contact_graph(config)
             for edge in graph.edges:
                 raw = raw_collision_vector(config, edge)
@@ -271,7 +271,7 @@ class TestNormalizeSystem:
 
     def test_normalization_identities(self, rng):
         for _ in range(50):
-            config, state = random_normalized_system(rng)
+            config, state = random_system(rng)
             assert abs(np.linalg.norm(config.centers.sum(axis=0))) <= 1e-12
             assert abs(np.linalg.norm(state.momentum)) <= 1e-12
             assert abs(state.energy - 1.0) <= 1e-12

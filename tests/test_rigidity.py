@@ -40,7 +40,7 @@ from pinnedballs.rigidity import (
     stress_certificate,
 )
 
-from conftest import random_normalized_system
+from pinnedballs.verify import random_system
 
 SQRT3 = math.sqrt(3.0)
 
@@ -89,7 +89,7 @@ class TestAlphaStar:
 
     def test_randomized_against_gram_oracle(self, rng):
         for _ in range(30):
-            config, _ = random_normalized_system(rng, n_max=5)
+            config, _ = random_system(rng, n_max=5)
             edges = list(full_contact_graph(config).edges)
             chosen = edges[int(rng.integers(len(edges)))]
             value = alpha_star(config, edges, chosen)
@@ -99,7 +99,7 @@ class TestAlphaStar:
 
     def test_never_increases_when_edges_added(self, rng):
         for _ in range(30):
-            config, _ = random_normalized_system(rng, n_max=5, d_max=2)
+            config, _ = random_system(rng, n_max=5, d_max=2)
             edges = list(full_contact_graph(config).edges)
             chosen = edges[0]
             rest = edges[1:]
@@ -174,7 +174,7 @@ class TestAlpha:
 
     def test_alpha_in_unit_interval_and_permutation_invariant(self, rng):
         for _ in range(10):
-            config, _ = random_normalized_system(rng, n_max=5, d_max=2)
+            config, _ = random_system(rng, n_max=5, d_max=2)
             report = alpha(config, collect_table=False)
             assert 0.0 < report.alpha <= 1.0
             perm = rng.permutation(config.n)
@@ -445,7 +445,7 @@ class TestStressCertificate:
 
     def test_residual_tracks_alpha_star_randomized(self, rng):
         for _ in range(30):
-            config, _ = random_normalized_system(rng, n_max=5, d_max=2)
+            config, _ = random_system(rng, n_max=5, d_max=2)
             edges = list(full_contact_graph(config).edges)
             chosen = edges[int(rng.integers(len(edges)))]
             cert = stress_certificate(config, edges, chosen)
@@ -568,7 +568,7 @@ class TestSphericalVertexCheck:
 
     def test_randomized_configs(self, rng):
         for _ in range(10):
-            config, _ = random_normalized_system(rng, n_max=5, d_max=3)
+            config, _ = random_system(rng, n_max=5, d_max=3)
             graph = full_contact_graph(config)
             subset = _independent_subset(config, graph)
             report = spherical_vertex_check(config, graph, subset, samples=100)
@@ -689,7 +689,7 @@ class TestConeCheckAgainstPerSample:
     def test_seeded_random_configurations(self):
         rng = np.random.default_rng(20261018)
         for _ in range(30):
-            config, _ = random_normalized_system(rng, n_max=7, d_max=3)
+            config, _ = random_system(rng, n_max=7, d_max=3)
             _cone_check_against_per_sample(config, seed=int(rng.integers(2**31)))
 
 
@@ -709,7 +709,7 @@ class TestFeasiblePointConstruction:
         # walk the explicit path: segment to the witness projection, then
         # renormalize; the endpoint must be feasible and close to the start
         for _ in range(40):
-            config, _ = random_normalized_system(rng, n_max=5, d_max=3)
+            config, _ = random_system(rng, n_max=5, d_max=3)
             graph = full_contact_graph(config)
             n = config.n
             w, _ = interior_witness(config, graph)

@@ -31,7 +31,7 @@ from pinnedballs.search import (
     sample_unit_state,
     velocity_sweep,
 )
-from conftest import random_normalized_system
+from pinnedballs.verify import random_system
 
 
 def _chain3_system():
@@ -153,7 +153,7 @@ class TestExhaustive:
         # returns the first (lexicographic greedy) path, never a false witness
         monkeypatch.setattr(search, "_point_key", lambda vals, pack: b"")
         for _ in range(20):
-            config, state = random_normalized_system(rng, n_max=5, d_max=2)
+            config, state = random_system(rng, n_max=5, d_max=2)
             result = exhaustive_max_collisions(config, state, max_branch_edges=10)
             greedy = greedy_schedule(config, state)
             assert (result.collisions, result.witness) == (greedy.collisions, greedy.witness)
