@@ -107,6 +107,9 @@ class _PairKernel:
     no method mutates one, so a child shares the blocks its exchange left alone.
     """
 
+    #: Pair index (None: all) -> (indices, pairs) of the pairs sharing a ball with it.
+    _near: dict[int | None, tuple[Sequence[int], list[tuple]]] | None = None
+
     def __init__(self, config: BallConfiguration, graph: ContactGraph, tolerance: float):
         self.tolerance = tolerance
         #: :func:`_pairs` of the graph's touching edges, in graph order.
@@ -122,6 +125,33 @@ class _PairKernel:
                 nxt = blocks.copy()
                 nxt[i], nxt[j] = new_i, new_j
                 yield edge, nxt
+
+    def moves(self, blocks: list, key) -> list:
+        """Per pair of ``_pairs``: (new v_i, new v_j, key(new v_i), key(new v_j))
+        when its exchange moves ``blocks`` by :func:`_exchange_moved`, else None."""
+        return self.child_moves([None] * len(self._pairs), blocks, None, key)
+
+    def child_moves(self, moves: list, blocks: list, k: int | None, key) -> list:
+        """:meth:`moves` of ``blocks``, reached by pair k's entry of ``moves``; only pair k and
+        those sharing a ball with it (all, for k None) are redone, the rest read the same blocks."""
+        if self._near is None:
+            self._near = {None: (range(len(self._pairs)), self._pairs)}
+        if (near := self._near.get(k)) is None:
+            ij, near = self._pairs[k][:2], ([], [])
+            for m, p in enumerate(self._pairs):
+                if p[0] in ij or p[1] in ij:
+                    near[0].append(m)
+                    near[1].append(p)
+            self._near[k] = near
+        ks, pairs = near
+        out = moves.copy()
+        for m in ks:
+            out[m] = None
+        for c, new_i, new_j in _exchanges(blocks, pairs, self.tolerance):
+            i, j, _, _ = pairs[c]
+            if _exchange_moved(blocks[i] + blocks[j], new_i + new_j):
+                out[ks[c]] = (new_i, new_j, key(new_i), key(new_j))
+        return out
 
     def walk(
         self, blocks: list, max_steps: int, rng: np.random.Generator | None = None

@@ -10,7 +10,10 @@ initial states can never certify it.
 A node is a list of per-ball velocity blocks, and its memo key joins one
 key per block, each the bytes of the block rounded to 12 decimals by
 ``foldings._point_key``; the joined key equals ``np.round(state, 12).tobytes()``
-byte for byte.  A child re-keys only the two blocks its collision replaced.
+byte for byte.  A node also carries its moves: per touching pair, the blocks
+its exchange gives and their keys, or None.  A collision on pair (i, j) changes
+only v_i and v_j, so a child recomputes only the pairs that share ball i or j,
+reuses the rest, and never re-keys an inherited move.
 """
 
 from __future__ import annotations
@@ -148,7 +151,8 @@ def exhaustive_max_collisions(
 ) -> SearchResult:
     """Depth-first maximum of the collision count over all schedules.
 
-    Branches on every approaching pair whose collision changes the state.
+    Branches on every approaching pair whose collision changes the state, in
+    graph order, from the moves each node carries (see the module docstring).
     Subtree results are memoized on the (quantized state, depth) pair, which
     is sound because the dynamics are deterministic.  Raises
     :class:`BudgetExceededError` carrying the best result found when the
@@ -168,38 +172,44 @@ def exhaustive_max_collisions(
         raise TooManyEdgesError(len(graph.edges), max_branch_edges)
 
     kernel = _PairKernel(config, graph, 0.0)
+    edges = list(kernel.pairs)
     pack = struct.Struct(f"{config.dimension}d").pack
+
+    def key(block: list) -> bytes:
+        return _point_key(block, pack)
+
     nodes, truncated = 0, False
     memo: dict[tuple[bytes, int], tuple[int, tuple[Edge, ...]]] = {}
 
-    def dfs(blocks: list, keys: list[bytes], depth: int) -> tuple[int, tuple[Edge, ...]]:
+    def dfs(blocks: list, keys: list, depth: int, moves: list, k) -> tuple[int, tuple[Edge, ...]]:
         nonlocal nodes, truncated
         nodes += 1
-        key = (b"".join(keys), depth)
-        if key in memo:
-            return memo[key]
+        memo_key = (b"".join(keys), depth)
+        if memo_key in memo:
+            return memo[memo_key]
         best: tuple[int, tuple[Edge, ...]] = (0, ())
-        children = kernel.children(blocks)
         if depth == depth_cap:
-            truncated = truncated or next(children, None) is not None
-            children = ()
-        for e, out in children:
+            truncated = truncated or next(kernel.children(blocks), None) is not None
+        moves = kernel.child_moves(moves, blocks, k, key) if depth < depth_cap else ()
+        for m, move in enumerate(moves):
+            if move is None:
+                continue
             if nodes >= max_nodes:
                 # each call left would count one node and find nothing
-                nodes += 1 + sum(1 for _ in children)
+                nodes += 1 + sum(map(bool, moves[m + 1 :]))
                 truncated = True
-                return best if best[0] else (1, (e,))
-            (i, j), sub = e, keys.copy()
-            sub[i], sub[j] = _point_key(out[i], pack), _point_key(out[j], pack)
-            extra, tail = dfs(out, sub, depth + 1)
+                return best if best[0] else (1, (edges[m],))
+            (i, j), out, sub = edges[m], blocks.copy(), keys.copy()
+            out[i], out[j], sub[i], sub[j] = move
+            extra, tail = dfs(out, sub, depth + 1, moves, m)
             if 1 + extra > best[0]:
-                best = (1 + extra, (e,) + tail)
+                best = (1 + extra, (edges[m],) + tail)
         if memoize:
-            memo[key] = best
+            memo[memo_key] = best
         return best
 
     start = state0.blocks().tolist()
-    found, tail = dfs(start, [_point_key(block, pack) for block in start], 0)
+    found, tail = dfs(start, list(map(key, start)), 0, [None] * len(edges), None)
 
     # replay makes the reported count authoritative for the witness
     state, collisions = start, 0

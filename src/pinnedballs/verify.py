@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import mpmath
@@ -299,21 +298,16 @@ def check_certificates_vs_alpha(rng, points=3, max_size=3) -> CheckResult:
 
 
 def check_bound_consistency(rng, n_max=8) -> CheckResult:
-    """The exponent arithmetic, the tree and lattice bases against the general
-    base, exact below rounded lattice bounds for n <= n_max, and log-space
-    bounds against a 200-bit evaluation of the same formula."""
+    """The tree bases of both constant modes and the lattice base against the
+    general base at their alpha floors, exact below rounded lattice bounds for
+    n <= n_max, and log-space bounds against a 200-bit evaluation of the same
+    formula."""
     failures = []
-    if not (
-        Fraction(21, 2) - 2 == Fraction(17, 2)
-        and Fraction(21, 2) - Fraction(1, 2) == 10
-        and Fraction(21, 2) + 1 == Fraction(23, 2)
-        and 5 + Fraction(1, 2) == Fraction(11, 2)
-    ):
-        failures.append("exponent identities")
-    for n, d in itertools.product((2, 3, 5, 8, 13), (1, 2, 3)):
-        nominal = bounds.tree_bound(n, d, "nominal")
-        if abs(nominal.log2_base - bounds.general_base_log2(n, d, 4.0 / n)) > 1e-9:
-            failures.append(f"tree base at n={n}, d={d}")
+    floors = {"nominal": lambda n: 4.0 / n, "corrected": lambda n: math.sqrt(2.0) / n}
+    for (mode, floor), n, d in itertools.product(floors.items(), (2, 3, 5, 8, 13), (1, 2, 3)):
+        tree = bounds.tree_bound(n, d, mode)
+        if abs(tree.log2_base - bounds.general_base_log2(n, d, floor(n))) > 1e-9:
+            failures.append(f"{mode} tree base at n={n}, d={d}")
     for n in range(1, n_max + 1):
         report = bounds.lattice_bound(n)
         substituted = bounds.general_base_log2(n, 2, lattice.lattice_alpha_lower_bound(n))
@@ -333,7 +327,8 @@ def check_bound_consistency(rng, n_max=8) -> CheckResult:
         "bound-consistency",
         not failures,
         f"failed: {', '.join(failures)}" if failures
-        else f"substitution identities, exact < rounded to n={n_max}, 200-bit agreement",
+        else f"tree (both modes) and lattice bases at their floors, exact < rounded to n={n_max}, "
+        "200-bit agreement",
     )
 
 

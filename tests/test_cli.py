@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pinnedballs
@@ -12,6 +14,29 @@ from pinnedballs import configs
 from pinnedballs.cli import main
 from pinnedballs.foldings import adversarial_two_halfplanes
 from pinnedballs.io import save_configuration, save_halfspaces
+
+
+def _openblas(name):
+    """The function ``name`` of the OpenBLAS that numpy bundles, or None where it has none."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        if (function := getattr(ctypes.CDLL(str(path)), name, None)) is not None:
+            return function
+    return None
+
+
+@pytest.fixture(autouse=True)
+def _restore_blas_threads():
+    """``main`` runs OpenBLAS on one thread for the rest of the process; give the
+    tests after each one here the thread count they had."""
+    get = _openblas("scipy_openblas_get_num_threads64_")
+    set_threads = _openblas("scipy_openblas_set_num_threads64_")
+    if get is None or set_threads is None:
+        yield
+        return
+    before = get()
+    yield
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(before)
 
 
 def _write(path, payload):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from pinnedballs.dynamics import (
     run_schedule,
 )
 from pinnedballs.errors import NotTouchingError, ScheduleError
-from pinnedballs.foldings import STABILITY_MARGIN
+from pinnedballs.foldings import STABILITY_MARGIN, _point_key
 from pinnedballs.geometry import (
     BallConfiguration,
     ContactGraph,
@@ -483,6 +484,51 @@ class TestKernelProperties:
                 break
             edges = list(children)
             state = state.with_values(np.ravel(children[edges[int(rng.integers(len(edges)))]]))
+
+
+def _move_bits(moves):
+    """Each entry of a moves list as the IEEE bytes of its two blocks and its two keys."""
+    return [move and (np.array(move[:2]).tobytes(), *move[2:]) for move in moves]
+
+
+class TestChildMoves:
+    """Moves carried down random search paths against moves made afresh."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 9),
+        d=st.integers(2, 3),
+        ties=st.integers(0, 3),
+        tolerance=st.sampled_from([0.0, 1e-9]),
+    )
+    def test_child_moves_match_fresh_moves(self, seed, n, d, ties, tolerance):
+        rng = np.random.default_rng(seed)
+        config = configs.random_contact_configuration(n, d, rng, style="mixed")
+        graph = ContactGraph(n, full_contact_graph(config).edges[:10])
+        kernel = _PairKernel(config, graph, tolerance)
+        edges = list(kernel.pairs)
+        blocks = sample_unit_state(n, d, rng).blocks().tolist()
+        for _ in range(ties):
+            # equal velocities across a contact: an exact zero approach
+            i, j = edges[int(rng.integers(len(edges)))]
+            blocks[j] = blocks[i].copy()
+        pack = struct.Struct(f"{d}d").pack
+
+        def key(block):
+            return _point_key(block, pack)
+
+        moves = kernel.moves(blocks, key)
+        for _ in range(12):
+            options = [m for m, move in enumerate(moves) if move]
+            assert [edges[m] for m in options] == [e for e, _ in kernel.children(blocks)]
+            if not options:
+                break
+            k = options[int(rng.integers(len(options)))]
+            (i, j), blocks = edges[k], blocks.copy()
+            blocks[i], blocks[j] = moves[k][:2]
+            moves = kernel.child_moves(moves, blocks, k, key)
+            assert _move_bits(moves) == _move_bits(kernel.moves(blocks, key))
 
 
 class TestChangePoints:

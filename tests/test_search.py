@@ -363,3 +363,81 @@ class TestAgainstFlatSearch:
             expected = _flat_search(config, state, depth_cap, graph, max_nodes, memoize)
             outcome = (result.collisions, result.witness, result.nodes_explored, result.truncated)
             assert outcome == expected
+
+
+def _deep_cases():
+    """The first six mixed configurations (6..9 balls, d = 2 or 3) with 8..10
+    contacts drawn from seed 5, each with one sampled state, normalized."""
+    rng = np.random.default_rng(5)
+    cases = []
+    while len(cases) < 6:
+        n, d = int(rng.integers(6, 10)), int(rng.integers(2, 4))
+        config = configs.random_contact_configuration(n, d, rng, style="mixed")
+        system = normalize_system(config, sample_unit_state(n, d, rng))
+        if 8 <= len(full_contact_graph(system[0]).edges) <= 10:
+            cases.append(system)
+    return cases
+
+
+DEEP_CASES = _deep_cases()
+
+#: (with memo, without memo), each (collisions, nodes, truncated, witness), under
+#: depth_cap=40, max_branch_edges=10, max_nodes=30_000: trees of up to 30,034
+#: nodes, where the golden file stops at 150.
+DEEP_EXPECTED = [
+    (
+        (4, 17, False, ((1, 2), (2, 3), (1, 2), (4, 7))),
+        (4, 21, False, ((1, 2), (2, 3), (1, 2), (4, 7))),
+    ),
+    (
+        (6, 57, False, ((0, 4), (1, 3), (1, 5), (5, 6), (1, 5), (1, 2))),
+        (6, 110, False, ((0, 4), (1, 3), (1, 5), (5, 6), (1, 5), (1, 2))),
+    ),
+    (
+        (8, 443, False, ((0, 1), (1, 5), (1, 4), (1, 5), (0, 1), (1, 5), (3, 6), (4, 7))),
+        (8, 1452, False, ((0, 1), (1, 5), (1, 4), (1, 5), (0, 1), (1, 5), (3, 6), (4, 7))),
+    ),
+    (
+        (13, 4260, False, (
+            (1, 3), (0, 3), (0, 7), (0, 1), (1, 7), (3, 5), (0, 3), (0, 7),
+            (0, 4), (0, 2), (1, 3), (1, 7), (2, 6),
+        )),
+        (13, 23308, False, (
+            (1, 3), (0, 3), (0, 7), (0, 1), (1, 7), (3, 5), (0, 3), (0, 7),
+            (0, 4), (0, 2), (1, 3), (1, 7), (2, 6),
+        )),
+    ),
+    (
+        (19, 30034, True, (
+            (0, 2), (0, 1), (2, 5), (0, 2), (5, 7), (2, 5), (3, 5), (3, 7),
+            (2, 3), (0, 2), (3, 4), (3, 6), (3, 4), (3, 5), (3, 4), (2, 3),
+            (2, 4), (0, 2), (0, 1),
+        )),
+        (16, 30027, True, (
+            (0, 2), (0, 1), (2, 4), (3, 5), (3, 6), (5, 7), (2, 5), (3, 5),
+            (3, 4), (3, 5), (5, 7), (3, 7), (3, 4), (2, 3), (0, 2), (3, 7),
+        )),
+    ),
+    (
+        (3, 12, False, ((1, 4), (1, 3), (2, 4))),
+        (3, 12, False, ((1, 4), (1, 3), (2, 4))),
+    ),
+]
+
+
+class TestDeepSearchPin:
+    """Node order on deep trees: every node's expansion, its memo key and the
+    budget accounting decide these counts."""
+
+    @pytest.mark.parametrize("memoize", [True, False])
+    @pytest.mark.parametrize("case", range(len(DEEP_EXPECTED)))
+    def test_recorded_outcome(self, case, memoize):
+        config, state = DEEP_CASES[case]
+        try:
+            result = exhaustive_max_collisions(
+                config, state, 40, max_branch_edges=10, max_nodes=30_000, memoize=memoize
+            )
+        except BudgetExceededError as exc:
+            result = exc.best
+        outcome = (result.collisions, result.nodes_explored, result.truncated, result.witness)
+        assert outcome == DEEP_EXPECTED[case][not memoize]
