@@ -64,7 +64,6 @@ from .rigidity import (
     StressCertificate,
     alpha,
     alpha_star,
-    extend_basis,
     spherical_vertex_check,
     stress_certificate,
 )

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
-
 from .errors import InvalidAlphaError, TooFewBallsError
 
 #: log2 of the constant 2^{21/2} in the general bound base.
@@ -334,9 +332,3 @@ def superadditivity_check(
         max_collisions_bound(p, d, alpha_value, tau).log2_bound for p in parts
     ]
     return whole >= _log2_sum(pieces) - 1e-12
-
-
-def high_precision_log2(log2_value: float, bits: int = 200) -> mpmath.mpf:
-    """Re-evaluate 2^log2_value at the given precision (for agreement checks)."""
-    with mpmath.workprec(bits):
-        return mpmath.power(2, mpmath.mpf(log2_value))

@@ -73,10 +73,6 @@ class AllZeroError(PinnedBallsError):
     """No strictly positive rigidity values exist among the candidates."""
 
 
-class DependentInputError(PinnedBallsError):
-    """Input vectors fail the linear-independence precondition."""
-
-
 class DependentEdgesError(PinnedBallsError):
     """Collision directions of the chosen edge subset are linearly dependent."""
 

@@ -51,6 +51,23 @@ def canonical_edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
+def split_chosen_edge(n: int, edge_set: Iterable[Edge], edge: Edge) -> tuple[Edge, list[Edge]]:
+    """The chosen edge and the other edges of the set, canonical and sorted.
+
+    Raises ValueError for the first edge (printed 1-based) with a ball index
+    outside 0..n-1, so that a negative index cannot wrap around to a real
+    ball, and when the chosen edge is not in the set.
+    """
+    edges = sorted({canonical_edge(*e) for e in edge_set})
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i + 1}, {j + 1}) names a ball outside 1..{n}")
+    chosen = canonical_edge(*edge)
+    if chosen not in edges:
+        raise ValueError(f"edge {chosen} is not in the edge set")
+    return chosen, [e for e in edges if e != chosen]
+
+
 @dataclass(frozen=True, eq=False)
 class BallConfiguration:
     """Fixed unit-ball centers plus the tolerance used for touching tests.

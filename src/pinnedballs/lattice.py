@@ -5,25 +5,24 @@ integers a, b of equal parity, so every collision vector of a lattice
 configuration has entries in the ring Z[sqrt(3)].  Determinants of matrices
 with such entries stay in the ring and obey explicit coefficient bounds,
 which combine with continued-fraction lower bounds on |r1 + r2*sqrt(3)| to
-certify exact positive lower bounds on the rigidity index of any lattice
-configuration.
+give the paper's positive floor on the rigidity index of any lattice
+configuration.  The inner products of two collision vectors are integers, so
+the rigidity index of one edge set is itself exact: alpha_star^2 is a ratio
+of two integer Gram determinants (:func:`exact_alpha_certificate`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import NonconformingColumnError, NotTouchingError
-from .geometry import BallConfiguration, Edge, canonical_edge
-from .rigidity import extend_basis
-
-HIGH_PRECISION_BITS = 200
+from .geometry import BallConfiguration, Edge, canonical_edge, split_chosen_edge
 
 
 @dataclass(frozen=True)
@@ -77,26 +76,6 @@ class QuadraticInteger:
     def __bool__(self) -> bool:
         return self.r1 != 0 or self.r2 != 0
 
-    def conjugate(self) -> "QuadraticInteger":
-        return QuadraticInteger(self.r1, -self.r2)
-
-    def field_norm(self) -> int:
-        """r1^2 - 3 r2^2; zero only for the zero element."""
-        return self.r1 * self.r1 - 3 * self.r2 * self.r2
-
-    def exact_div(self, other) -> "QuadraticInteger":
-        """Exact ring division; raises when the quotient is not in the ring."""
-        o = self._coerce(other)
-        if not o:
-            raise ZeroDivisionError("division by zero in Z[sqrt(3)]")
-        num = self * o.conjugate()
-        den = o.field_norm()
-        q1, rem1 = divmod(num.r1, den)
-        q2, rem2 = divmod(num.r2, den)
-        if rem1 or rem2:
-            raise ValueError(f"{self} is not divisible by {o} in Z[sqrt(3)]")
-        return QuadraticInteger(q1, q2)
-
     def sign(self) -> int:
         """Exact sign of the real value r1 + r2*sqrt(3)."""
         if self.r1 == 0 and self.r2 == 0:
@@ -115,9 +94,6 @@ class QuadraticInteger:
 
     def __float__(self) -> float:
         return float(self.r1) + float(self.r2) * math.sqrt(3.0)
-
-    def to_mpf(self) -> mpmath.mpf:
-        return mpmath.mpf(self.r1) + mpmath.mpf(self.r2) * mpmath.sqrt(3)
 
     def __str__(self) -> str:
         if self.r2 == 0:
@@ -152,9 +128,6 @@ class LatticePoint:
 
     def xy(self) -> np.ndarray:
         return np.array([float(self.a), self.b * math.sqrt(3.0)])
-
-    def coords(self) -> tuple[QuadraticInteger, QuadraticInteger]:
-        return QuadraticInteger(self.a, 0), QuadraticInteger(0, self.b)
 
 
 def is_lattice_point(a: int, b: int) -> bool:
@@ -430,28 +403,21 @@ class ConvergentPair:
     g: int
 
 
-def _cf_digit(k: int) -> int:
-    # digits of sqrt(3): 1, then alternating 1, 2
-    if k == 0:
-        return 1
-    return 1 if k % 2 == 1 else 2
+def _convergents():
+    """Numerators and denominators (h_k, g_k), k = 0, 1, ..., of the
+    continued fraction sqrt(3) = [1; 1, 2, 1, 2, ...]."""
+    h_prev, h, g_prev, g = 1, 1, 0, 1
+    for k in itertools.count(1):
+        yield h, g
+        digit = 1 if k % 2 else 2
+        h_prev, h, g_prev, g = h, digit * h + h_prev, g, digit * g + g_prev
 
 
 def sqrt3_convergents(k_max: int) -> list[ConvergentPair]:
     """Convergents h_k/g_k for k = 0..k_max from the standard recurrences."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    h_prev2, h_prev1 = 0, 1
-    g_prev2, g_prev1 = 1, 0
-    out = []
-    for k in range(k_max + 1):
-        a = _cf_digit(k)
-        h = a * h_prev1 + h_prev2
-        g = a * g_prev1 + g_prev2
-        out.append(ConvergentPair(k, h, g))
-        h_prev2, h_prev1 = h_prev1, h
-        g_prev2, g_prev1 = g_prev1, g
-    return out
+    return [ConvergentPair(k, h, g) for k, (h, g) in zip(range(k_max + 1), _convergents())]
 
 
 def quadratic_lower_bound(r2_bound: float) -> float:
@@ -462,25 +428,12 @@ def quadratic_lower_bound(r2_bound: float) -> float:
     |r1 + r2*sqrt(3)| > 1/(6 g_{k+1}).  Pairs with r2 = 0 are excluded; for
     those |r1| >= 1 holds trivially.
     """
-    if r2_bound < 1:
-        raise ValueError("r2_bound must be >= 1")
-    h_prev2, h_prev1 = 0, 1
-    g_prev2, g_prev1 = 1, 0
-    k = 0
-    g_k = None
-    while True:
-        a = _cf_digit(k)
-        h = a * h_prev1 + h_prev2
-        g = a * g_prev1 + g_prev2
-        h_prev2, h_prev1 = h_prev1, h
-        g_prev2, g_prev1 = g_prev1, g
-        if g_k is None and g >= r2_bound:
-            g_k = g
-        elif g_k is not None:
-            g_next = g
-            break
-        k += 1
-    return 1.0 / (6.0 * g_next)
+    if not 1 <= r2_bound < math.inf:
+        raise ValueError(f"r2_bound must be finite and >= 1, got {r2_bound}")
+    denominators = (g for _, g in _convergents())
+    for g in denominators:
+        if g >= r2_bound:
+            return 1.0 / (6.0 * next(denominators))
 
 
 def quadratic_lower_bound_closed_form(n: int) -> float:
@@ -505,40 +458,98 @@ def lattice_alpha_lower_bound(n: int) -> float:
 # --- exact rigidity certificate ----------------------------------------------
 
 
-def _collision_pairs(points: Sequence[LatticePoint], edge: Edge) -> list[Pair]:
+def _edge_offset(points: Sequence[LatticePoint], edge: Edge) -> tuple[int, int]:
+    """(da, db) with x_i - x_j = (da, db*sqrt(3)) for a touching canonical pair."""
+    i, j = edge
+    da, db = points[i].a - points[j].a, points[i].b - points[j].b
+    if da * da + 3 * db * db != 4:
+        raise NotTouchingError(i, j, math.sqrt(da * da + 3 * db * db))
+    return da, db
+
+
+def exact_collision_vector(points: Sequence[LatticePoint], edge: Edge) -> list[QuadraticInteger]:
+    """Unnormalized collision vector of a touching lattice pair, over Z[sqrt(3)]."""
     i, j = canonical_edge(*edge)
-    if squared_distance(points[i], points[j]) != 4:
-        raise NotTouchingError(
-            i, j, math.sqrt(squared_distance(points[i], points[j]))
-        )
-    vec = [_ZERO] * (2 * len(points))
-    da = points[i].a - points[j].a
-    db = points[i].b - points[j].b
-    vec[2 * i] = (da, 0)
-    vec[2 * i + 1] = (0, db)
-    vec[2 * j] = (-da, 0)
-    vec[2 * j + 1] = (0, -db)
+    da, db = _edge_offset(points, (i, j))
+    vec = [QI_ZERO] * (2 * len(points))
+    vec[2 * i], vec[2 * i + 1] = QuadraticInteger(da), QuadraticInteger(0, db)
+    vec[2 * j], vec[2 * j + 1] = QuadraticInteger(-da), QuadraticInteger(0, -db)
     return vec
 
 
-def exact_collision_vector(
-    points: Sequence[LatticePoint], edge: Edge
-) -> list[QuadraticInteger]:
-    """Unnormalized collision vector of a touching lattice pair, over Z[sqrt(3)]."""
-    return [QuadraticInteger(r1, r2) for r1, r2 in _collision_pairs(points, edge)]
+def _gram_matrix(points: Sequence[LatticePoint], edges: Sequence[Edge]) -> list[list[int]]:
+    """Gram matrix of the integer-scaled collision vectors of canonical edges.
+
+    The vector of (i, j) holds x_i - x_j = (da, db*sqrt(3)) in block i and
+    its negative in block j, so two edges that share a ball have the product
+    +-(da*da' + 3*db*db'), a touching edge has 8 on the diagonal, and edges
+    on disjoint balls are orthogonal: every entry is an integer.
+    """
+    offsets = [_edge_offset(points, e) for e in edges]
+    gram = [[0] * len(edges) for _ in edges]
+    incident: dict[int, list[tuple[int, int]]] = {}
+    for r, (i, j) in enumerate(edges):
+        gram[r][r] = 8
+        incident.setdefault(i, []).append((r, 1))
+        incident.setdefault(j, []).append((r, -1))
+    for at_ball in incident.values():
+        for (r, s), (t, u) in itertools.combinations(at_ball, 2):
+            (da, db), (ea, eb) = offsets[r], offsets[t]
+            gram[r][t] = gram[t][r] = s * u * (da * ea + 3 * db * eb)
+    return gram
 
 
-@dataclass(frozen=True, eq=False)
+def _gram_elimination(gram: list[list[int]]) -> tuple[list[int], int, int]:
+    """Symmetric fraction-free (Bareiss) elimination of an integer Gram matrix, in place.
+
+    Index c becomes a pivot when its diagonal entry is non-zero.  After
+    pivots S the entry (i, j) is the minor det G(S + i, S + j) (Sylvester's
+    identity), so each update of the upper triangle divides exactly by the
+    previous pivot det G(S), and the diagonal entry det G(S + c) vanishes
+    exactly when vector c lies in the span of S: the pivots form the greedy
+    basis.  Returns the pivots S before the last index, det G(S + last) and
+    det G(S) (1 for no pivot).
+    """
+    size = len(gram)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(size - 1):
+        top = gram[c]
+        pivot = top[c]
+        if not pivot:
+            continue
+        for i in range(c + 1, size):
+            row, lead = gram[i], top[i]
+            for j in range(i, size):
+                row[j] = (pivot * row[j] - lead * top[j]) // prev
+        pivots.append(c)
+        prev = pivot
+    return pivots, gram[-1][-1], prev
+
+
+def _sqrt_ratio_down(num: int, den: int) -> float:
+    """The largest float not above sqrt(num / den), for num >= 0 < den."""
+    # scale so that the integer square root has at least 54 bits, then keep
+    # its leading 53: flooring twice is flooring once, so nothing rounds up
+    scale = max(0, 55 - (num.bit_length() - den.bit_length()) // 2)
+    root = math.isqrt((num << 2 * scale) // den)
+    drop = max(0, root.bit_length() - 53)
+    return math.ldexp(float(root >> drop), drop - scale)
+
+
+@dataclass(frozen=True)
 class CertificateData:
-    """Exact normal-vector data backing a rigidity lower bound."""
+    """r1 = det G(B + e) and r2 = det G(B) for the chosen edge e and the
+    greedy basis B (``basis_edges``) of the others: alpha_star^2 = r1 / (8 r2)."""
 
     r1: int
     r2: int
-    normal: tuple[QuadraticInteger, ...]
-    norm_squared: QuadraticInteger
     basis_edges: tuple[Edge, ...]
-    basis_indices: tuple[int, ...]
-    exact_zero: bool
+
+    @property
+    def exact_zero(self) -> bool:
+        """Whether the chosen direction lies in the span of the others."""
+        return self.r1 == 0
 
 
 def exact_alpha_certificate(
@@ -546,106 +557,24 @@ def exact_alpha_certificate(
     edge_set: Iterable[Edge],
     edge: Edge,
 ) -> tuple[float, CertificateData]:
-    """Certified lower bound on alpha_star for a lattice configuration.
+    """Exact alpha_star of a lattice configuration, as a certified float.
 
-    Works with the integer-scaled collision vectors so that all arithmetic
-    stays in Z[sqrt(3)]; the 2^{-3/2} normalization is applied once at the
-    end.  The bound is the distance from the chosen direction w to a
-    hyperplane containing the span of the others.  One fraction-free echelon
-    of the 2n x (k+1) matrix [z_f for the k other edges, in order | w] picks
-    the basis B: its pivot columns are the greedy maximal independent subset
-    of the others, and w lies in their span exactly when its column is not a
-    pivot.  :func:`extend_basis` completes B with standard basis vectors e_q
-    to dimension 2n - 1, and the hyperplane normal c has the cofactors
-    c_i = det([e_i | B | e_q for the picks q]).  These vanish on the picks;
-    on the p + 1 rows R outside them they are, up to one common sign, the
-    p x p minors of B restricted to R, all read off one elimination of
-    [B_R | I].  The certificate is |w . c| / |c|.  Returns exactly 0.0 when
-    w already lies in the span (or, defensively, when w . c vanishes), and
-    exactly 1.0 when the span is trivial.
+    alpha_star of the chosen edge e is the distance from z_e / sqrt(8), z_e
+    its integer-scaled collision vector (|z_e|^2 = 8), to the span of the
+    greedy basis B of the other edges' vectors, so by the Gram determinant
+    formula alpha_star^2 = det G(B + e) / (8 det G(B)) = r1 / (8 r2), read
+    off one fraction-free elimination of the integer Gram matrix of the other
+    edges followed by e.  The float returned is the largest one not above
+    sqrt(r1 / (8 r2)): exactly 0.0 when e lies in the span of the others,
+    exactly 1.0 when that span is trivial (r1 = 8, r2 = 1).
+
+    A positive certificate obeys alpha_star >= 8^{-(|B|+1)/2}: r1 is then a
+    positive integer, so r1 >= 1, and Hadamard's inequality for the positive
+    definite G(B), whose diagonal entries are 8, gives r2 <= 8^{|B|}; hence
+    alpha_star^2 >= 1 / (8 * 8^{|B|}).  This floor follows from integrality
+    alone and is not the lattice floor of :func:`lattice_alpha_lower_bound`.
     """
-    n = len(points)
-    if n < 1:
-        raise ValueError("need at least one point")
-    m = 2 * n
-    chosen = canonical_edge(*edge)
-    edges = sorted({canonical_edge(*e) for e in edge_set})
-    if chosen not in edges:
-        raise ValueError(f"edge {chosen} is not in the edge set")
-    others = [e for e in edges if e != chosen]
-
-    w = _collision_pairs(points, chosen)
-    vectors = [_collision_pairs(points, e) for e in others]
-
-    if not vectors:
-        # trivial span: the certificate is the length of the unit direction
-        norm_sq = QuadraticInteger(8, 0)
-        normal = tuple(QuadraticInteger(r1, r2) for r1, r2 in w)
-        return 1.0, CertificateData(8, 0, normal, norm_sq, (), (), False)
-
-    k = len(vectors)
-    columns = vectors + [w]
-    pivots, _ = _echelon([[col[r] for col in columns] for r in range(m)])
-    basis = [vectors[c] for c in pivots if c < k]
-    basis_edges = tuple(others[c] for c in pivots if c < k)
-    p = len(basis)
-
-    if pivots[-1] != k:
-        data = CertificateData(0, 0, (QI_ZERO,) * m, QI_ZERO, basis_edges, (), True)
-        return 0.0, data
-
-    root3 = math.sqrt(3.0)
-    float_basis = [np.array([r1 + r2 * root3 for r1, r2 in v]) for v in basis]
-    float_w = np.array([r1 + r2 * root3 for r1, r2 in w])
-    picks = extend_basis(float_basis, float_w, m)
-
-    # Move the rows R outside the picks to the top, keeping both groups in
-    # order: [e_i | B | e_picks] becomes block triangular with an identity in
-    # the pick corner, so c_{R[a]} = s det([e_a | B_R]), s the sign of that
-    # row permutation.  Row p of the echelon of [B_R | I] holds, in column
-    # p + a, t det([B_R | e_a]) = t (-1)^p det([e_a | B_R]), t the sign of
-    # the echelon's row swaps.
-    pick_set = set(picks)
-    outside = [r for r in range(m) if r not in pick_set]
-    inversions = sum(1 for q in picks for r in outside if r > q)
-    aug = [
-        [v[r] for v in basis] + [_ONE if a == b else _ZERO for b in range(p + 1)]
-        for a, r in enumerate(outside)
-    ]
-    minor_pivots, swaps = _echelon(aug)
-    if minor_pivots[:p] == list(range(p)):
-        factor = swaps * (-1) ** (inversions + p)
-        minors = [(factor * r1, factor * r2) for r1, r2 in aug[p][p:]]
-    else:
-        # B_R has rank below p, so every minor vanishes
-        minors = [_ZERO] * (p + 1)
-    normal_pairs = [_ZERO] * m
-    num1 = num2 = 0
-    for r, (c1, c2) in zip(outside, minors):
-        normal_pairs[r] = (c1, c2)
-        w1, w2 = w[r]
-        num1 += w1 * c1 + 3 * w2 * c2
-        num2 += w1 * c2 + w2 * c1
-    normal = tuple(QuadraticInteger(r1, r2) for r1, r2 in normal_pairs)
-    if not (num1 or num2):
-        data = CertificateData(
-            0, 0, normal, QI_ZERO, basis_edges, tuple(picks), True
-        )
-        return 0.0, data
-    num = QuadraticInteger(num1, num2)
-
-    sq1 = sq2 = 0
-    for c1, c2 in minors:
-        sq1 += c1 * c1 + 3 * c2 * c2
-        sq2 += 2 * c1 * c2
-    norm_sq = QuadraticInteger(sq1, sq2)
-
-    with mpmath.workprec(HIGH_PRECISION_BITS):
-        value = abs(num.to_mpf()) / (
-            mpmath.mpf(2) ** mpmath.mpf("1.5") * mpmath.sqrt(norm_sq.to_mpf())
-        )
-        bound = float(value)
-    data = CertificateData(
-        num.r1, num.r2, normal, norm_sq, basis_edges, tuple(picks), False
-    )
-    return bound, data
+    chosen, others = split_chosen_edge(len(points), edge_set, edge)
+    pivots, r1, r2 = _gram_elimination(_gram_matrix(points, others + [chosen]))
+    basis_edges = tuple(others[c] for c in pivots)
+    return _sqrt_ratio_down(r1, 8 * r2), CertificateData(r1, r2, basis_edges)

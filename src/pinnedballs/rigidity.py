@@ -24,16 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    AllZeroError,
-    BudgetExceededError,
-    DependentEdgesError,
-    DependentInputError,
-)
+from .errors import AllZeroError, BudgetExceededError, DependentEdgesError
 from .foldings import fold_into_cone
 from .geometry import (
     BallConfiguration,
@@ -45,6 +40,7 @@ from .geometry import (
     full_contact_graph,
     raw_collision_vector,
     require_touching,
+    split_chosen_edge,
 )
 
 DEFAULT_ZERO_TOLERANCE = 1e-8
@@ -73,12 +69,9 @@ def alpha_star(
     edge: Edge,
 ) -> float:
     """Distance from z_edge to the span of the other edges' directions."""
-    edges = _edge_list(edge_set)
-    chosen = canonical_edge(*edge)
-    if chosen not in edges:
-        raise ValueError(f"edge {chosen} is not in the edge set")
-    others = [collision_direction(config, e).vector for e in edges if e != chosen]
-    return _distance_to_span(collision_direction(config, chosen).vector, others)
+    chosen, others = split_chosen_edge(config.n, _edge_list(edge_set), edge)
+    columns = [collision_direction(config, e).vector for e in others]
+    return _distance_to_span(collision_direction(config, chosen).vector, columns)
 
 
 @dataclass(frozen=True)
@@ -288,11 +281,7 @@ def stress_certificate(
     edge: Edge,
 ) -> StressCertificate:
     """Best symmetric stress with the chosen edge's coefficient pinned to 1."""
-    edges = _edge_list(edge_set)
-    chosen = canonical_edge(*edge)
-    if chosen not in edges:
-        raise ValueError(f"edge {chosen} is not in the edge set")
-    others = [e for e in edges if e != chosen]
+    chosen, others = split_chosen_edge(config.n, _edge_list(edge_set), edge)
     target = raw_collision_vector(config, chosen)
     if others:
         cols = collision_matrix(config, others, unit=False)
@@ -312,56 +301,6 @@ def stress_certificate(
         residual_norms=per_vertex,
         total_residual=float(np.linalg.norm(residual_vec)),
     )
-
-
-def extend_basis(
-    vectors: Sequence[np.ndarray],
-    excluded: np.ndarray,
-    dim: int,
-    rank_tolerance: float = RANK_TOLERANCE,
-) -> list[int]:
-    """Standard basis indices completing ``vectors`` to a hyperplane avoiding ``excluded``.
-
-    Picks indices i (lowest first) so that span(vectors + picks) has dimension
-    dim - 1 and does not contain ``excluded``.  The picks are exactly the e_i
-    outside span(vectors + excluded), so the excluded vector stays outside by
-    construction.  Raises :class:`DependentInputError` when the input vectors
-    are dependent or the excluded vector already lies in their span (rank
-    decisions at ``rank_tolerance``).
-    """
-    w = np.asarray(excluded, dtype=float).reshape(-1)
-    if w.size != dim:
-        raise ValueError("excluded vector has wrong dimension")
-    cols = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
-    if any(c.size != dim for c in cols):
-        raise ValueError("vectors have wrong dimension")
-    stacked = np.column_stack(cols) if cols else np.zeros((dim, 0))
-    if cols and np.linalg.matrix_rank(stacked, tol=rank_tolerance) < len(cols):
-        raise DependentInputError("input vectors are linearly dependent")
-    with_w = np.column_stack([stacked, w])
-    if np.linalg.matrix_rank(with_w, tol=rank_tolerance) < len(cols) + 1:
-        raise DependentInputError("excluded vector lies in the span of the input")
-
-    # orthonormal basis of span(vectors + excluded) in the first `size`
-    # columns of q, grown greedily with e_i; e_i's residual is e_i - Q Q[i]
-    size = len(cols) + 1
-    q = np.zeros((dim, dim))
-    q[:, :size] = np.linalg.qr(with_w)[0]
-    picks: list[int] = []
-    needed = dim - 1 - len(cols)
-    for i in range(dim):
-        if len(picks) == needed:
-            break
-        residual = -(q[:, :size] @ q[i, :size])
-        residual[i] += 1.0
-        norm = np.linalg.norm(residual)
-        if norm > rank_tolerance:
-            q[:, size] = residual / norm
-            size += 1
-            picks.append(i)
-    if len(picks) != needed:
-        raise DependentInputError("could not reach the requested dimension")
-    return picks
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,12 +10,13 @@ generator it is given.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Callable
 
-import mpmath
 import numpy as np
 
 from . import bounds, configs, dynamics, foldings, geometry, lattice, rigidity, search
@@ -237,44 +238,55 @@ def check_lattice_determinants(rng, rounds=150, m_max=6) -> CheckResult:
 
 
 def check_convergents(rng) -> CheckResult:
+    """For k <= 50 the convergents h/g of sqrt(3) obey the Pell identity
+    |h^2 - 3 g^2| in {1, 2}, the gap |sqrt(3) - h/g| > 1/(g (g' + g)) with g'
+    the next denominator, and g <= 3 times the previous one, all in integers.
+
+    The gap is |h^2 - 3 g^2| / (g (g sqrt(3) + h)), so the inequality reads
+    x > g sqrt(3) with x = |h^2 - 3 g^2| (g' + g) - h, that is x > 0 and
+    x^2 > 3 g^2."""
     pairs = lattice.sqrt3_convergents(51)
-    with mpmath.workprec(200):
-        root = mpmath.sqrt(3)
-        for k in range(51):
-            h, g = pairs[k].h, pairs[k].g
-            gap = abs(root - mpmath.mpf(h) / g)
-            floor = mpmath.mpf(1) / (g * (pairs[k + 1].g + g))
-            if not gap > floor:
-                return CheckResult("sqrt3-convergents", False, f"inequality fails at k={k}")
-            if k >= 1 and pairs[k].g > 3 * pairs[k - 1].g:
-                return CheckResult("sqrt3-convergents", False, f"growth fails at k={k}")
-    return CheckResult("sqrt3-convergents", True, "k <= 50 at 200-bit precision")
+    for k in range(51):
+        h, g = pairs[k].h, pairs[k].g
+        pell = abs(h * h - 3 * g * g)
+        if pell not in (1, 2):
+            return CheckResult("sqrt3-convergents", False, f"Pell identity fails at k={k}")
+        x = pell * (pairs[k + 1].g + g) - h
+        if not (x > 0 and x * x > 3 * g * g):
+            return CheckResult("sqrt3-convergents", False, f"inequality fails at k={k}")
+        if k >= 1 and g > 3 * pairs[k - 1].g:
+            return CheckResult("sqrt3-convergents", False, f"growth fails at k={k}")
+    return CheckResult("sqrt3-convergents", True, "k <= 50 in exact integers")
 
 
 def check_quadratic_lower_bound(rng, limit=500) -> CheckResult:
-    """The certified floor on |r sqrt(3) - nearest integer| over 1 <= r <= B
-    holds at B = 1, 10, 100, ... below ``limit`` and at ``limit``, in one
-    running 200-bit scan."""
-    checkpoints = {10**k for k in range(len(str(limit)))} | {limit}
-    with mpmath.workprec(200):
-        root = mpmath.sqrt(3)
-        observed = mpmath.inf
-        for r2 in range(1, limit + 1):
-            observed = min(observed, abs(r2 * root - mpmath.nint(r2 * root)))
-            if r2 in checkpoints and not lattice.quadratic_lower_bound(r2) <= float(observed):
-                return CheckResult(
-                    "quadratic-lower-bound",
-                    False,
-                    f"certified bound exceeds observed {float(observed)} at B={r2}",
-                )
-    return CheckResult("quadratic-lower-bound", True, f"scans up to B={limit}")
+    """The certified floor on |r sqrt(3) - p| over 1 <= r <= B and integers p
+    holds at B = 1, 10, 100, ... below ``limit`` and at ``limit``, in exact
+    integers, for both integers p next to r sqrt(3).
+
+    With the floor u/v as an exact fraction, u/v <= |3 r^2 - p^2| /
+    (r sqrt(3) + p) reads y >= u r sqrt(3) with y = |3 r^2 - p^2| v - u p,
+    that is y >= 0 and y^2 >= 3 u^2 r^2."""
+    for bound_at in sorted({10**k for k in range(len(str(limit)))} | {limit}):
+        u, v = lattice.quadratic_lower_bound(bound_at).as_integer_ratio()
+        for r in range(1, bound_at + 1):
+            below = math.isqrt(3 * r * r)
+            for p in (below, below + 1):
+                y = abs(3 * r * r - p * p) * v - u * p
+                if y < 0 or y * y < 3 * u * u * r * r:
+                    return CheckResult(
+                        "quadratic-lower-bound",
+                        False,
+                        f"certified bound at B={bound_at} exceeds |r sqrt(3) - p| at r={r}, p={p}",
+                    )
+    return CheckResult("quadratic-lower-bound", True, f"exact scan up to B={limit}")
 
 
 def check_certificates_vs_alpha(rng, points=3, max_size=3) -> CheckResult:
-    """Exact Z[sqrt(3)] certificates never exceed the float alpha* and, when
-    positive, never fall below the lattice floor, on every contact-bearing
-    subset of at most ``max_size`` of the first ``points`` discs of the 7-disc
-    hexagonal patch."""
+    """Exact Gram-determinant certificates exceed the float alpha* by at most
+    1e-9 and, when positive, never fall below the lattice floor, on every
+    contact-bearing subset of at most ``max_size`` of the first ``points``
+    discs of the 7-disc hexagonal patch."""
     patch = lattice.lattice_points_in_radius(2.1)[:points]
     checked = below = 0
     worst = -math.inf
@@ -300,8 +312,8 @@ def check_certificates_vs_alpha(rng, points=3, max_size=3) -> CheckResult:
 def check_bound_consistency(rng, n_max=8) -> CheckResult:
     """The tree bases of both constant modes and the lattice base against the
     general base at their alpha floors, exact below rounded lattice bounds for
-    n <= n_max, and log-space bounds against a 200-bit evaluation of the same
-    formula."""
+    n <= n_max, and log-space bounds against a 60-digit decimal evaluation of
+    the same formula."""
     failures = []
     floors = {"nominal": lambda n: 4.0 / n, "corrected": lambda n: math.sqrt(2.0) / n}
     for (mode, floor), n, d in itertools.product(floors.items(), (2, 3, 5, 8, 13), (1, 2, 3)):
@@ -315,20 +327,22 @@ def check_bound_consistency(rng, n_max=8) -> CheckResult:
             failures.append(f"lattice base at n={n}")
         if not report.exact_below_rounded:
             failures.append(f"exact >= rounded at n={n}")
-    with mpmath.workprec(200):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
         for n, d, a, tau in ((2, 1, 1.0, 2), (4, 2, 0.01, 6), (6, 3, 1e-9, 12)):
             report = bounds.max_collisions_bound(n, d, a, tau)
-            base = mpmath.power(2, mpmath.mpf(21) / 2) * d * mpmath.mpf(n) ** 5 / mpmath.mpf(a)
-            exponent = mpmath.mpf(report.exponent.numerator) / report.exponent.denominator
-            exact = float(mpmath.log(base, 2) * exponent)
+            # ln(2^{21/2} d n^5 / a), a's binary value taken exactly
+            ln_base = Decimal(2).ln() * Decimal("10.5") + (Decimal(d) * n**5 / Decimal(a)).ln()
+            exponent = Decimal(report.exponent.numerator) / report.exponent.denominator
+            exact = float(ln_base / Decimal(2).ln() * exponent)
             if abs(report.log2_bound - exact) > 1e-9 * max(1.0, abs(exact)):
-                failures.append(f"200-bit mismatch at n={n}")
+                failures.append(f"60-digit mismatch at n={n}")
     return CheckResult(
         "bound-consistency",
         not failures,
         f"failed: {', '.join(failures)}" if failures
         else f"tree (both modes) and lattice bases at their floors, exact < rounded to n={n_max}, "
-        "200-bit agreement",
+        "60-digit agreement",
     )
 
 

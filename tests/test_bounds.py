@@ -6,7 +6,6 @@ import pytest
 
 from pinnedballs.bounds import (
     general_base_log2,
-    high_precision_log2,
     kissing_number,
     lattice_bound,
     lower_bound_reference,
@@ -240,6 +239,3 @@ class TestHighPrecisionAgreement:
                 log2_exact = float(mpmath.log(exact, 2))
             rel = abs(report.log2_bound - log2_exact) / max(1.0, abs(log2_exact))
             assert rel <= 1e-9
-            recomputed = high_precision_log2(report.log2_bound)
-            with mpmath.workprec(200):
-                assert abs(float(mpmath.log(recomputed, 2)) - report.log2_bound) <= 1e-9

@@ -459,3 +459,26 @@ class TestBlasThreads:
         argv = ["--output", str(tmp_path / "out.json"), "validate", chain_config]
         _, after = self._probe(f"from pinnedballs.cli import main; main({argv!r})")
         assert after == 1
+
+
+#: Imports the package, then its CLI, with neither loading mpmath, and runs
+#: ``verify --quick`` with mpmath blocked from import.
+_WITHOUT_MPMATH = """
+import sys
+import pinnedballs
+assert "mpmath" not in sys.modules, "import pinnedballs loaded mpmath"
+import pinnedballs.cli
+assert "mpmath" not in sys.modules, "import pinnedballs.cli loaded mpmath"
+sys.modules["mpmath"] = None
+sys.exit(pinnedballs.cli.main(["verify", "--quick"]))
+"""
+
+
+def test_runtime_needs_no_mpmath():
+    env = dict(os.environ, PYTHONPATH=str(Path(pinnedballs.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_MPMATH],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("PASS ") == 15

@@ -1,17 +1,18 @@
 import math
+import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinnedballs.errors import NonconformingColumnError, NotTouchingError
 from pinnedballs.geometry import canonical_edge
 from pinnedballs.lattice import (
-    HIGH_PRECISION_BITS,
     QI_ONE,
     QI_ZERO,
     SQRT3,
-    CertificateData,
     ConvergentPair,
     LatticePoint,
     QuadraticInteger,
@@ -35,7 +36,8 @@ from pinnedballs.lattice import (
     squared_distance,
     verify_det_bound,
 )
-from pinnedballs.rigidity import alpha_star, extend_basis
+from pinnedballs.rigidity import alpha_star, stress_certificate
+from pinnedballs.verify import _random_conforming_matrix
 
 
 def _qi(rng, span=6):
@@ -54,17 +56,6 @@ class TestQuadraticInteger:
     def test_golden_square(self):
         value = QuadraticInteger(1, 1) * QuadraticInteger(1, 1)
         assert value == QuadraticInteger(4, 2)
-
-    def test_exact_division(self, rng):
-        for _ in range(300):
-            a, b = _qi(rng), _qi(rng)
-            if not b:
-                continue
-            assert (a * b).exact_div(b) == a
-        with pytest.raises(ValueError):
-            QuadraticInteger(1, 0).exact_div(QuadraticInteger(2, 0))
-        with pytest.raises(ZeroDivisionError):
-            QI_ONE.exact_div(QI_ZERO)
 
     def test_sign_against_float(self, rng):
         assert QI_ZERO.sign() == 0
@@ -96,7 +87,9 @@ class TestQuadraticInteger:
         for _ in range(100):
             q = _qi(rng)
             if q:
-                rel = abs(float(q) - float(q.to_mpf())) / max(1e-9, abs(float(q)))
+                with mpmath.workprec(200):
+                    exact = mpmath.mpf(q.r1) + q.r2 * mpmath.sqrt(3)
+                rel = abs(float(q) - float(exact)) / max(1e-9, abs(float(q)))
                 assert rel <= 1e-12
 
 
@@ -199,37 +192,18 @@ class TestColumnConditions:
         assert classify_column([QuadraticInteger(3, 0), QI_ZERO]) == "nonconforming"
 
 
-def _random_conforming(rng, m):
-    cols = []
-    for _ in range(m):
-        kinds = ["a"]
-        if m >= 2:
-            kinds.append("b")
-        if m >= 4:
-            kinds.append("c")
-        kind = kinds[int(rng.integers(len(kinds)))]
-        col = [QI_ZERO] * m
-        if kind == "a":
-            col[int(rng.integers(m))] = QI_ONE
-        elif kind == "b":
-            i, j = rng.choice(m, size=2, replace=False)
-            col[int(i)] = QuadraticInteger(2, 0)
-            col[int(j)] = QuadraticInteger(-2, 0)
-        else:
-            idx = rng.choice(m, size=4, replace=False)
-            col[int(idx[0])] = QuadraticInteger(int(rng.choice([-1, 1])), 0)
-            col[int(idx[1])] = QuadraticInteger(int(rng.choice([-1, 1])), 0)
-            col[int(idx[2])] = QuadraticInteger(0, int(rng.choice([-1, 1])))
-            col[int(idx[3])] = QuadraticInteger(0, int(rng.choice([-1, 1])))
-        cols.append(col)
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
+def _column_kinds(matrices):
+    return {label for matrix in matrices for label in check_column_conditions(matrix)}
 
 
 def test_elimination_matches_cofactor_on_conforming(rng):
+    drawn = []
     for m in range(3, 11):
         for _ in range(4 if m < 10 else 2):
-            rows = _random_conforming(rng, m)
+            rows = _random_conforming_matrix(rng, m)
             assert _bareiss_determinant(rows) == _cofactor_determinant(rows)
+            drawn.append(rows)
+    assert _column_kinds(drawn) == {"a", "b", "c"}
 
 
 class TestDetBound:
@@ -252,9 +226,9 @@ class TestDetBound:
             verify_det_bound([[QuadraticInteger(3, 0)]])
 
     def test_randomized(self, rng):
-        for _ in range(300):
-            m = int(rng.integers(1, 9))
-            assert verify_det_bound(_random_conforming(rng, m)).all_ok
+        drawn = [_random_conforming_matrix(rng, int(rng.integers(1, 9))) for _ in range(300)]
+        assert all(verify_det_bound(matrix).all_ok for matrix in drawn)
+        assert _column_kinds(drawn) == {"a", "b", "c"}
 
     def test_hadamard_substep(self, rng):
         # columns with at most two entries from {-1, 0, 1}
@@ -303,6 +277,12 @@ class TestConvergents:
 
 
 class TestQuadraticLowerBound:
+    @pytest.mark.parametrize("r2_bound", [0.5, math.nan, math.inf])
+    def test_bad_range_rejected(self, r2_bound):
+        # a NaN or infinite bound used to search the convergents forever
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            quadratic_lower_bound(r2_bound)
+
     def test_unit_range(self):
         # exhaustive minimum at |sqrt3 - 2| = 0.2679; certificate 1/6
         assert quadratic_lower_bound(1) == pytest.approx(1.0 / 6.0)
@@ -352,6 +332,7 @@ class TestExactAlphaCertificate:
         points = [LatticePoint(0, 0), LatticePoint(2, 0)]
         bound, data = exact_alpha_certificate(points, [(0, 1)], (0, 1))
         assert bound == 1.0
+        assert (data.r1, data.r2, data.basis_edges) == (8, 1, ())
         assert not data.exact_zero
 
     def test_collinear_chain_certificate(self):
@@ -402,85 +383,59 @@ class TestExactAlphaCertificate:
             exact_alpha_certificate(points, [(0, 1)], (0, 1))
 
 
-def _bordered_certificate(points, edge_set, edge):
-    """The certificate the long way: an exact rank test per other edge, then
-    one full 2n x 2n bordered determinant per cofactor."""
-    m = 2 * len(points)
+def _gram_oracle(points, edge_set, edge):
+    """alpha_star^2 and the greedy basis by Gaussian elimination in Fractions on
+    the Gram matrix of :func:`exact_collision_vector`, the other edges first."""
     chosen = canonical_edge(*edge)
     edges = sorted({canonical_edge(*e) for e in edge_set})
     others = [e for e in edges if e != chosen]
-    w = exact_collision_vector(points, chosen)
-    basis, basis_edges = [], []
-    for e in others:
-        v = exact_collision_vector(points, e)
-        if exact_rank(basis + [v]) > len(basis):
-            basis.append(v)
-            basis_edges.append(e)
-    basis_edges = tuple(basis_edges)
-    if not basis:
-        return 1.0, CertificateData(8, 0, tuple(w), QuadraticInteger(8), (), (), False)
-    if exact_rank(basis + [w]) == len(basis):
-        return 0.0, CertificateData(0, 0, (QI_ZERO,) * m, QI_ZERO, basis_edges, (), True)
-    picks = extend_basis(
-        [np.array([float(x) for x in v]) for v in basis],
-        np.array([float(x) for x in w]),
-        m,
-    )
-    fixed = basis + [[QI_ONE if r == q else QI_ZERO for r in range(m)] for q in picks]
-    normal = tuple(
-        QI_ZERO
-        if i in picks
-        else exact_determinant(
-            [[QI_ONE if r == i else QI_ZERO] + [col[r] for col in fixed] for r in range(m)]
-        )
-        for i in range(m)
-    )
-    num = sum((a * c for a, c in zip(w, normal)), QI_ZERO)
-    if not num:
-        return 0.0, CertificateData(0, 0, normal, QI_ZERO, basis_edges, tuple(picks), True)
-    norm_sq = sum((c * c for c in normal), QI_ZERO)
-    with mpmath.workprec(HIGH_PRECISION_BITS):
-        value = abs(num.to_mpf()) / (
-            mpmath.mpf(2) ** mpmath.mpf("1.5") * mpmath.sqrt(norm_sq.to_mpf())
-        )
-        bound = float(value)
-    data = CertificateData(
-        num.r1, num.r2, normal, norm_sq, basis_edges, tuple(picks), False
-    )
-    return bound, data
+    vectors = [exact_collision_vector(points, e) for e in others + [chosen]]
+    gram = []
+    for u in vectors:
+        row = []
+        for v in vectors:
+            product = sum((a * b for a, b in zip(u, v)), QI_ZERO)
+            assert product.r2 == 0
+            row.append(Fraction(product.r1))
+        gram.append(row)
+    # Schur complements: after the basis so far, the diagonal entry of a
+    # vector is its squared distance to their span
+    basis = []
+    for c, e in enumerate(others):
+        if gram[c][c] == 0:
+            continue
+        basis.append(e)
+        for i in range(c + 1, len(vectors)):
+            factor = gram[i][c] / gram[c][c]
+            for j in range(c + 1, len(vectors)):
+                gram[i][j] -= factor * gram[c][j]
+    return gram[-1][-1] / 8, tuple(basis)
 
 
-def _certificate_fields(value, data):
-    return (
-        value,
-        data.r1,
-        data.r2,
-        data.normal,
-        data.norm_squared,
-        data.basis_edges,
-        data.basis_indices,
-        data.exact_zero,
-    )
-
-
-def _assert_matches_bordered(points, edges, chosen):
-    got = exact_alpha_certificate(points, edges, chosen)
-    assert _certificate_fields(*got) == _certificate_fields(
-        *_bordered_certificate(points, edges, chosen)
-    )
-    return got
+def _assert_matches_oracle(points, edges, chosen):
+    value, data = exact_alpha_certificate(points, edges, chosen)
+    squared, basis = _gram_oracle(points, edges, chosen)
+    assert Fraction(data.r1, 8 * data.r2) == squared
+    assert data.basis_edges == basis
+    assert data.exact_zero == (squared == 0)
+    # the largest float not above the exact value
+    assert Fraction(value) ** 2 <= squared < Fraction(math.nextafter(value, 2.0)) ** 2
+    direct = alpha_star(lattice_configuration(points), edges, chosen)
+    assert abs(value - direct) <= 1e-12
+    return value, data
 
 
 class TestCertificateAgainstBorderedDeterminants:
-    """One echelon plus the minors outside the picks give every field of the
-    full bordered-determinant construction, compared with ``==``."""
+    """r1 / (8 r2) equals the bordered Gram determinant ratio
+    det G(B + e) / (8 det G(B)) of an independent Fraction elimination, the
+    basis is its greedy basis, and the float rounds the root down."""
 
     def test_every_edge_of_the_flower(self):
         flower = lattice_points_in_radius(2.1)
         edges = contact_edges(flower)
         zeros = 0
         for chosen in edges:
-            _, data = _assert_matches_bordered(flower, edges, chosen)
+            _, data = _assert_matches_oracle(flower, edges, chosen)
             zeros += data.exact_zero
         assert zeros > 0
 
@@ -499,7 +454,7 @@ class TestCertificateAgainstBorderedDeterminants:
                 keep = rng.choice(len(edges), size=len(edges) - 1, replace=False)
                 edges = [edges[int(k)] for k in sorted(keep)]
             for chosen in edges:
-                value, data = _assert_matches_bordered(points, edges, chosen)
+                value, data = _assert_matches_oracle(points, edges, chosen)
                 if data.exact_zero:
                     kinds.add("zero")
                 elif not data.basis_edges:
@@ -517,4 +472,55 @@ class TestCertificateAgainstBorderedDeterminants:
         keep = sorted(rng.choice(len(edges), size=12, replace=False))
         subset = [edges[int(k)] for k in keep]
         for chosen in subset:
-            _assert_matches_bordered(points, subset, chosen)
+            _assert_matches_oracle(points, subset, chosen)
+
+
+def _assert_integrality_floor(points, edges, chosen):
+    """A positive certificate has r1 >= 1 and, by Hadamard, r2 <= 8^|B|, so
+    alpha_star >= 8^{-(|B|+1)/2}."""
+    value, data = exact_alpha_certificate(points, edges, chosen)
+    if data.exact_zero:
+        return
+    size = len(data.basis_edges)
+    assert data.r1 >= 1 and 1 <= data.r2 <= 8**size
+    assert value >= 8.0 ** (-(size + 1) / 2) * (1 - 1e-15)
+
+
+@pytest.mark.parametrize("radius", [2.1, 3.5])
+def test_integrality_floor_on_every_edge(radius):
+    points = lattice_points_in_radius(radius)
+    edges = contact_edges(points)
+    for chosen in edges:
+        _assert_integrality_floor(points, edges, chosen)
+
+
+_PATCHES = {radius: lattice_points_in_radius(radius) for radius in (3.5, 4.0)}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(radius=st.sampled_from(sorted(_PATCHES)), data=st.data())
+def test_integrality_floor_on_random_edge_subsets(radius, data):
+    points = _PATCHES[radius]
+    edges = contact_edges(points)
+    subset = data.draw(st.lists(st.sampled_from(edges), min_size=1, unique=True))
+    _assert_integrality_floor(points, subset, data.draw(st.sampled_from(subset)))
+
+
+_P7 = lattice_points_in_radius(2.1)
+
+
+@pytest.mark.parametrize("bad", [(-6, 0), (0, 7)])
+@pytest.mark.parametrize(
+    "certify",
+    [
+        lambda edges, e: exact_alpha_certificate(_P7, edges, e),
+        lambda edges, e: alpha_star(lattice_configuration(_P7), edges, e),
+        lambda edges, e: stress_certificate(lattice_configuration(_P7), edges, e),
+    ],
+    ids=["exact_alpha_certificate", "alpha_star", "stress_certificate"],
+)
+def test_ball_index_outside_the_patch_rejected(certify, bad):
+    # (-6, 0) used to wrap around to (1, 0), a copy of the edge (0, 1)
+    message = f"edge ({bad[0] + 1}, {bad[1] + 1}) names a ball outside 1..7"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        certify([(0, 1), bad], (0, 1))

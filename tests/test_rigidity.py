@@ -12,7 +12,6 @@ from pinnedballs.errors import (
     AllZeroError,
     BudgetExceededError,
     DependentEdgesError,
-    DependentInputError,
     NotTouchingError,
 )
 from pinnedballs.foldings import HalfSpace, fold
@@ -35,7 +34,6 @@ from pinnedballs.rigidity import (
     _distance_to_span,
     alpha,
     alpha_star,
-    extend_basis,
     spherical_vertex_check,
     stress_certificate,
 )
@@ -477,64 +475,6 @@ class TestStressCertificate:
             cert.residual_norms, np.linalg.norm(residual.reshape(n, d), axis=1)
         )
         assert cert.total_residual == float(np.linalg.norm(residual))
-
-
-class TestExtendBasis:
-    def test_empty_input_plane(self):
-        assert extend_basis([], np.array([1.0, 0.0]), 2) == [1]
-
-    def test_one_vector(self):
-        picks = extend_basis(
-            [np.array([1.0, 0.0, 0.0])], np.array([0.0, 1.0, 0.0]), 3
-        )
-        assert picks == [2]
-
-    def test_randomized_with_rank_oracle(self, rng):
-        for _ in range(100):
-            dim = int(rng.integers(2, 13))
-            k = int(rng.integers(0, dim - 1))
-            vectors = [rng.standard_normal(dim) for _ in range(k)]
-            w = rng.standard_normal(dim)
-            # retry degenerate draws
-            stacked = np.column_stack(vectors + [w]) if vectors else w[:, None]
-            if np.linalg.matrix_rank(stacked, tol=1e-10) < k + 1:
-                continue
-            picks = extend_basis(vectors, w, dim)
-            basis = vectors + [np.eye(dim)[i] for i in picks]
-            mat = np.column_stack(basis)
-            assert np.linalg.matrix_rank(mat, tol=1e-10) == dim - 1
-            with_w = np.column_stack(basis + [w])
-            assert np.linalg.matrix_rank(with_w, tol=1e-10) == dim
-
-    def test_picks_match_sequential_gram_schmidt(self, rng):
-        # reference: the basis grown one vector at a time, residuals summed in Python
-        for _ in range(100):
-            dim = int(rng.integers(2, 13))
-            k = int(rng.integers(0, dim - 1))
-            vectors = [rng.standard_normal(dim) for _ in range(k)]
-            # a repeated coordinate pattern makes some e_i fall into the span
-            w = np.round(rng.standard_normal(dim))
-            stacked = np.column_stack(vectors + [w])
-            if np.linalg.matrix_rank(stacked, tol=1e-10) < k + 1:
-                continue
-            basis = list(np.linalg.qr(stacked)[0].T)
-            expected = []
-            for i in range(dim):
-                if len(expected) == dim - 1 - k:
-                    break
-                e = np.eye(dim)[i]
-                residual = e - sum((b @ e) * b for b in basis)
-                if np.linalg.norm(residual) > 1e-10:
-                    basis.append(residual / np.linalg.norm(residual))
-                    expected.append(i)
-            assert extend_basis(vectors, w, dim) == expected
-
-    def test_dependent_inputs_rejected(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(DependentInputError):
-            extend_basis([e1, 2 * e1], np.array([0.0, 1.0, 0.0]), 3)
-        with pytest.raises(DependentInputError):
-            extend_basis([e1], 3 * e1, 3)
 
 
 def _independent_subset(config, graph):
