@@ -279,11 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-tolerance", type=float, default=rigidity.DEFAULT_ZERO_TOLERANCE)
     p.add_argument(
         "--budget", type=int, default=rigidity.DEFAULT_BUDGET,
-        help="most search nodes and cocircuits (or table solves with --verbose)",
+        help="most search nodes and cocircuits",
     )
     p.add_argument(
         "--verbose", action="store_true",
-        help="include the candidate table (runs the subset enumeration)",
+        help="list every (cocircuit, edge) candidate: the edge, the hyperplane and the value",
     )
     p.set_defaults(func=_cmd_alpha)
 

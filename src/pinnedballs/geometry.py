@@ -51,17 +51,22 @@ def canonical_edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
-def split_chosen_edge(n: int, edge_set: Iterable[Edge], edge: Edge) -> tuple[Edge, list[Edge]]:
-    """The chosen edge and the other edges of the set, canonical and sorted.
-
-    Raises ValueError for the first edge (printed 1-based) with a ball index
-    outside 0..n-1, so that a negative index cannot wrap around to a real
-    ball, and when the chosen edge is not in the set.
-    """
-    edges = sorted({canonical_edge(*e) for e in edge_set})
+def _require_balls(n: int, edges: Iterable[Edge]) -> None:
+    """Raise ValueError for the first edge (printed 1-based) with a ball index
+    outside 0..n-1, so that a negative index cannot wrap around to a real ball."""
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i + 1}, {j + 1}) names a ball outside 1..{n}")
+
+
+def split_chosen_edge(n: int, edge_set: Iterable[Edge], edge: Edge) -> tuple[Edge, list[Edge]]:
+    """The chosen edge and the other edges of the set, canonical and sorted.
+
+    Raises ValueError for an edge outside the balls (:func:`_require_balls`)
+    and when the chosen edge is not in the set.
+    """
+    edges = sorted({canonical_edge(*e) for e in edge_set})
+    _require_balls(n, edges)
     chosen = canonical_edge(*edge)
     if chosen not in edges:
         raise ValueError(f"edge {chosen} is not in the edge set")
@@ -140,9 +145,7 @@ class ContactGraph:
 
     def __post_init__(self):
         edges = tuple(sorted(canonical_edge(*e) for e in self.edges))
-        for i, j in edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
+        _require_balls(self.n, edges)
         if len(set(edges)) != len(edges):
             raise ValueError("duplicate edges")
         object.__setattr__(self, "edges", edges)

@@ -314,12 +314,6 @@ def exact_determinant(matrix, method: str = "auto") -> QuadraticInteger:
     raise ValueError(f"unknown method {method!r}")
 
 
-def exact_rank(vectors: Sequence[Sequence[QuadraticInteger]]) -> int:
-    """Rank of a family of Z[sqrt(3)] vectors via fraction-free elimination."""
-    mat = [[(q.r1, q.r2) for q in map(QuadraticInteger._coerce, v)] for v in vectors]
-    return len(_echelon(mat)[0])
-
-
 # --- admissible column patterns ---------------------------------------------
 
 

@@ -76,15 +76,16 @@ def alpha_star(
 
 @dataclass(frozen=True)
 class AlphaCandidate:
+    """alpha_star(H + edge, edge) = value, with H = ``others`` the hyperplane."""
+
     edge: Edge
     others: tuple[Edge, ...]
     value: float
-    is_zero: bool
 
 
 @dataclass(frozen=True, eq=False)
 class AlphaReport:
-    """Result of :func:`alpha`; ``candidates`` is None unless the table was collected."""
+    """Result of :func:`alpha`; ``candidates`` is None unless ``collect_table`` was set."""
 
     alpha: float
     argmin_edge: Edge
@@ -109,7 +110,6 @@ class AlphaReport:
                     "edge": [c.edge[0] + 1, c.edge[1] + 1],
                     "others": [[i + 1, j + 1] for i, j in c.others],
                     "value": c.value,
-                    "is_zero": c.is_zero,
                 }
                 for c in self.candidates
             ]
@@ -125,7 +125,7 @@ def alpha(
     """Minimum of the alpha_star values above zero_tolerance over all subgraphs.
 
     Values at or below zero_tolerance count as zero and are never the answer.
-    By default the minimum runs over the cocircuits (module docstring), from
+    The minimum runs over the cocircuits (module docstring), from
     one SVD whose rank counts singular values above RANK_TOLERANCE: coloops
     (zero rows of K; every edge when m = r) alone, each pair in a series class
     (parallel rows of K), and the larger circuits of the dual found by a
@@ -135,13 +135,12 @@ def alpha(
     the coloops above it), ``argmin_edges`` is H + e, and equal values go to
     the smaller cocircuit, then to the one found first.
 
-    ``collect_table`` runs the oracle instead, with a row alpha_star(S + e, e)
-    for every edge e and subset S of the others (m 2^(m-1) least-squares
-    solves); ``n_candidates``/``n_zero`` then count rows and zero rows.
-    ``budget`` caps the search's tested sets plus the cocircuits other than
-    coloops, or the table's solves up front; past it
-    :class:`BudgetExceededError` names the budget.  A negative or non-finite
-    ``zero_tolerance`` or a budget below 1 raises ValueError.
+    ``collect_table`` lists those pairs in ``candidates`` as e, H (where the
+    cocircuit vector is 0) and the value, in the order the minimum scans them:
+    coloops, pairs, larger cocircuits, each by edge; the first row at the
+    minimum is the argmin.  ``budget`` caps the search's tested sets plus the
+    cocircuits other than coloops; past it :class:`BudgetExceededError` names
+    the budget.  A negative or non-finite ``zero_tolerance`` or a budget < 1 raises ValueError.
 
     The search grows with the dual rank m - r: generic dense direction
     matrices (16 columns, dual rank 6-9) exceed the default budget, which the
@@ -155,16 +154,12 @@ def alpha(
     if not edges:
         raise AllZeroError("the configuration has no touching pairs")
     zmat = collision_matrix(config, edges)
-    if not collect_table:
-        return _alpha_by_cocircuits(edges, zmat, zero_tolerance, budget)
-    solves = len(edges) << (len(edges) - 1)
-    if solves > budget:
-        raise BudgetExceededError(f"the table's {solves} solves exceed the budget {budget}", None)
-    return _alpha_by_subsets(edges, zmat, zero_tolerance)
+    return _alpha_by_cocircuits(edges, zmat, zero_tolerance, budget, collect_table)
 
 
 def _alpha_by_cocircuits(
-    edges: list[Edge], zmat: np.ndarray, zero_tolerance: float, budget: int
+    edges: list[Edge], zmat: np.ndarray, zero_tolerance: float, budget: int,
+    collect_table: bool = False,
 ) -> AlphaReport:
     m = len(edges)
     _, s, vt = np.linalg.svd(zmat)
@@ -231,30 +226,15 @@ def _alpha_by_cocircuits(
         raise AllZeroError("no strictly positive candidate values")
     row, col = divmod(int(values.argmin()), m)
     hyperplane = [e for i, e in enumerate(edges) if i == col or x[row, i] == 0.0]
+    table = None if not collect_table else tuple(
+        AlphaCandidate(edges[j], others, float(values[i, j]))
+        for i in np.flatnonzero(positive.any(axis=1))
+        for others in [tuple(edges[f] for f in np.flatnonzero(x[i] == 0.0))]
+        for j in np.flatnonzero(positive[i])
+    )
     return AlphaReport(
         float(values[row, col]), edges[col], tuple(sorted(hyperplane)), zero_tolerance,
-        int(positive.sum()), m - int(positive[: coloops.size].sum()), None,
-    )
-
-
-def _alpha_by_subsets(
-    edges: list[Edge], zmat: np.ndarray, zero_tolerance: float
-) -> AlphaReport:
-    zcols = dict(zip(edges, zmat.T))
-    table = [
-        AlphaCandidate(e, combo, value, value <= zero_tolerance)
-        for e in edges
-        for size in range(len(edges))
-        for combo in itertools.combinations([f for f in edges if f != e], size)
-        for value in [_distance_to_span(zcols[e], [zcols[f] for f in combo])]
-    ]
-    positive = [c for c in table if not c.is_zero]
-    if not positive:
-        raise AllZeroError("no strictly positive candidate values")
-    best = min(positive, key=lambda c: c.value)  # the first of equal values
-    return AlphaReport(
-        best.value, best.edge, tuple(sorted((best.edge,) + best.others)),
-        zero_tolerance, len(table), len(table) - len(positive), tuple(table),
+        int(positive.sum()), m - int(positive[: coloops.size].sum()), table,
     )
 
 

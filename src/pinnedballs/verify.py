@@ -188,7 +188,7 @@ def check_tree_alpha_floor(rng, rounds=25, n_max=6) -> CheckResult:
         n = int(rng.integers(2, n_max + 1))
         d = int(rng.integers(1, 4))
         trees.append(configs.random_contact_configuration(n, d, rng, style="tree"))
-    values = [rigidity.alpha(config, collect_table=False).alpha for config in trees]
+    values = [rigidity.alpha(config).alpha for config in trees]
     slack = min(value - math.sqrt(2.0) / c.n for value, c in zip(values, trees))
     flagged = [value < 4.0 / c.n - 1e-9 for value, c in zip(values, trees)]
     chain = "incl. the 3-chain" if flagged[0] else "not the 3-chain"
@@ -397,7 +397,7 @@ def check_search_bound_sanity(
     attained = []
     for name, config in battery:
         n, d = config.n, config.dimension
-        alpha_value = rigidity.alpha(config, collect_table=False).alpha
+        alpha_value = rigidity.alpha(config).alpha
         report = bounds.max_collisions_bound(n, d, alpha_value, bounds.resolve_tau(d)[0])
         starts = [search.sample_unit_state(n, d, rng) for _ in range(states)]
         if d == 1:

@@ -137,7 +137,21 @@ class TestAlpha:
     def test_verbose_includes_table(self, capsys, chain_config):
         code, out, _ = _run(capsys, ["alpha", chain_config, "--verbose"])
         report = json.loads(out)
-        assert len(report["candidates"]) == report["n_candidates"] == 4
+        assert len(report["candidates"]) == report["n_candidates"] == 2
+
+    def test_verbose_lists_every_candidate(self, capsys, flower_config, tmp_path):
+        p13 = str(tmp_path / "p13.json")
+        assert main(["lattice", "--radius", "3.5", "--save-config", p13]) == 0
+        capsys.readouterr()
+        for path, rows in [(flower_config, 132), (p13, 144)]:
+            code, out, _ = _run(capsys, ["alpha", path, "--verbose"])
+            report = json.loads(out)
+            assert code == 0
+            assert len(report["candidates"]) == report["n_candidates"] == rows
+            first = min(report["candidates"], key=lambda row: row["value"])
+            assert first["value"] == report["alpha"]
+            assert first["edge"] == report["argmin_edge"]
+            assert sorted(first["others"] + [first["edge"]]) == report["argmin_edges"]
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-9"])
     def test_malformed_zero_tolerance_fails(self, capsys, flower_config, tolerance):
@@ -150,7 +164,7 @@ class TestAlpha:
         "argv", [["--budget", "0"], ["--budget", "66"], ["--budget", "9", "--verbose"]]
     )
     def test_budget(self, capsys, flower_config, argv):
-        # the flower takes 66 cocircuits and one search node, its table 24576 solves
+        # the flower takes 66 cocircuits and one search node, with or without --verbose
         code, out, err = _run(capsys, ["alpha", flower_config, *argv])
         assert code == 1
         assert out == ""

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pinnedballs.geometry import (
     pair_offsets,
     raw_collision_vector,
     require_touching,
+    split_chosen_edge,
     validate_configuration,
 )
 
@@ -87,6 +89,15 @@ class TestContactGraph:
         assert graph.has_edge(2, 1)
         with pytest.raises(ValueError):
             canonical_edge(1, 1)
+
+    @pytest.mark.parametrize("bad", [(0, 7), (-1, 2)])
+    def test_ball_outside_range_named_one_based(self, bad):
+        # the contact graph and the chosen-edge split print the same 1-based text
+        message = f"edge ({min(bad) + 1}, {max(bad) + 1}) names a ball outside 1..7"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ContactGraph(7, ((0, 1), bad))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            split_chosen_edge(7, [(0, 1), bad], (0, 1))
 
 
 def _per_row_pairs(centers, tolerance):

@@ -24,7 +24,6 @@ from pinnedballs.lattice import (
     exact_alpha_certificate,
     exact_collision_vector,
     exact_determinant,
-    exact_rank,
     is_lattice_point,
     lattice_alpha_lower_bound,
     lattice_alpha_lower_bound_log2,
@@ -158,14 +157,6 @@ class TestExactDeterminant:
 
     def test_numpy_integer_matrix(self):
         assert exact_determinant(np.array([[1, 2], [3, 4]])) == QuadraticInteger(-2)
-
-    def test_rank(self):
-        v1 = [QI_ONE, QI_ZERO, SQRT3]
-        v2 = [QI_ZERO, QI_ONE, QI_ZERO]
-        v3 = [QuadraticInteger(2, 0), QI_ZERO, QuadraticInteger(0, 2)]  # 2*v1
-        assert exact_rank([v1, v2]) == 2
-        assert exact_rank([v1, v2, v3]) == 2
-        assert exact_rank([]) == 0
 
 
 class TestColumnConditions:

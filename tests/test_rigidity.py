@@ -30,7 +30,6 @@ from pinnedballs.rigidity import (
     RANK_TOLERANCE,
     AlphaReport,
     _alpha_by_cocircuits,
-    _alpha_by_subsets,
     _distance_to_span,
     alpha,
     alpha_star,
@@ -124,11 +123,13 @@ class TestAlpha:
     def test_chain_alpha_with_candidate_table(self):
         report = alpha(configs.collinear_chain(3), collect_table=True)
         assert report.alpha == pytest.approx(SQRT3 / 2.0, abs=1e-12)
-        # candidates: each of the 2 edges alone (value 1) and with the other
-        assert report.n_candidates == 4
+        # candidates: the 2 coloops, each against the span of the other edge
+        assert report.n_candidates == 2
         assert report.n_zero == 0
-        values = sorted(c.value for c in report.candidates)
-        assert values == pytest.approx([SQRT3 / 2, SQRT3 / 2, 1.0, 1.0], abs=1e-12)
+        rows = [(c.edge, c.others) for c in report.candidates]
+        assert rows == [((0, 1), ((1, 2),)), ((1, 2), ((0, 1),))]
+        values = [c.value for c in report.candidates]
+        assert values == pytest.approx([SQRT3 / 2, SQRT3 / 2], abs=1e-12)
 
     def test_flower_has_zero_candidates(self):
         # 12 contacts among 7 discs exceed the 11-dimensional span: some
@@ -145,9 +146,6 @@ class TestAlpha:
         with pytest.raises(BudgetExceededError, match="budget of 66 ") as exc:
             alpha(flower, budget=66)
         assert exc.value.best is None
-        # the table's 12 * 2^11 solves are counted before the first one
-        with pytest.raises(BudgetExceededError, match="24576 solves exceed"):
-            alpha(flower, budget=24575, collect_table=True)
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-12])
     def test_malformed_zero_tolerance_rejected(self, tolerance):
@@ -234,6 +232,43 @@ def _alpha_by_hyperplanes(edges, zmat, zero_tolerance):
     )
 
 
+def _alpha_by_subsets(edges, zmat, zero_tolerance):
+    """Oracle: a row alpha_star(S + e, e) for every edge e and subset S of the others.
+
+    The rows run over e, then |S|, then S in lexicographic order, and
+    ``n_candidates``/``n_zero`` count rows and zero rows (m 2^(m-1) in all).
+    One stacked SVD per subset size k gives each k-subset's span, from the
+    singular values above lstsq's ``rcond=None`` cutoff eps max(N, k) s_max,
+    and every column is projected onto it at once.
+    """
+    n, m = zmat.shape
+    subsets, dists, insides = [], [], []
+    for k in range(m):
+        group = np.array([*itertools.combinations(range(m), k)], int).reshape(math.comb(m, k), k)
+        if k:
+            u, s, _ = np.linalg.svd(zmat[:, group].transpose(1, 0, 2), full_matrices=False)
+            u = u * (s > np.finfo(float).eps * max(n, k) * s[:, :1])[:, None, :]
+            dists.append(np.linalg.norm(zmat - u @ (u.transpose(0, 2, 1) @ zmat), axis=1))
+        else:
+            dists.append(np.ones((1, m)))  # distance from a unit vector to {0}
+        inside = np.zeros((len(group), m), bool)
+        np.put_along_axis(inside, group, True, axis=1)
+        subsets += group.tolist()
+        insides.append(inside)
+    edge_ids, subset_ids = np.nonzero(~np.vstack(insides).T)
+    values = np.vstack(dists)[subset_ids, edge_ids]
+    zero = values <= zero_tolerance
+    if zero.all():
+        raise AllZeroError("no strictly positive candidate values")
+    best = np.flatnonzero(~zero)[values[~zero].argmin()]  # the first of equal values
+    edge = edges[edge_ids[best]]
+    others = [edges[f] for f in subsets[subset_ids[best]]]
+    return AlphaReport(
+        float(values[best]), edge, tuple(sorted([edge, *others])), zero_tolerance,
+        values.size, int(zero.sum()), None,
+    )
+
+
 def _cocircuits_against_references(edges, zmat, with_oracle=True):
     """The cocircuit path against the subset oracle and the hyperplane reference."""
     fast = _alpha_by_cocircuits(edges, zmat, DEFAULT_ZERO_TOLERANCE, 1 << 15)
@@ -255,13 +290,13 @@ def _cocircuits_against_references(edges, zmat, with_oracle=True):
 
 def _hyperplanes_against_subsets(config):
     """alpha (cocircuits) against the subset oracle, on the full contact graph."""
-    fast = alpha(config, collect_table=False)
-    oracle = alpha(config, collect_table=True)
+    fast = alpha(config)
+    edges = list(full_contact_graph(config).edges)
+    oracle = _alpha_by_subsets(edges, collision_matrix(config, edges), DEFAULT_ZERO_TOLERANCE)
     assert abs(fast.alpha - oracle.alpha) <= 1e-12
     direct = alpha_star(config, fast.argmin_edges, fast.argmin_edge)
     assert abs(direct - fast.alpha) <= 1e-12
     assert (fast.n_zero > 0) == (oracle.n_zero > 0)
-    edges = list(full_contact_graph(config).edges)
     per_edge = np.column_stack([collision_direction(config, e).vector for e in edges])
     assert np.array_equal(collision_matrix(config, edges), per_edge)
     reference = _alpha_by_hyperplanes(edges, per_edge, DEFAULT_ZERO_TOLERANCE)
@@ -386,6 +421,45 @@ class TestCocircuitsAgainstSubsets:
         reference = _alpha_by_hyperplanes(edges, zmat, DEFAULT_ZERO_TOLERANCE)
         assert abs(fast.alpha - reference.alpha) <= 1e-12
         assert (fast.n_candidates, fast.n_zero) == (reference.n_candidates, reference.n_zero)
+
+
+def _rows_against_alpha_star(config):
+    """The candidate rows of ``collect_table`` against alpha_star and the plain report."""
+    plain = alpha(config)
+    report = alpha(config, collect_table=True)
+    fields = ("alpha", "argmin_edge", "argmin_edges", "n_candidates", "n_zero")
+    assert [getattr(report, f) for f in fields] == [getattr(plain, f) for f in fields]
+    assert len(report.candidates) == report.n_candidates
+    for row in report.candidates:
+        assert row.value > DEFAULT_ZERO_TOLERANCE and row.edge not in row.others
+        assert abs(alpha_star(config, row.others + (row.edge,), row.edge) - row.value) <= 1e-12
+    first = next(row for row in report.candidates if row.value == report.alpha)
+    assert first.edge == plain.argmin_edge
+    assert tuple(sorted(first.others + (first.edge,))) == plain.argmin_edges
+
+
+class TestCandidateRows:
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named(self, name):
+        _rows_against_alpha_star(NAMED[name]())
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        d=st.integers(1, 3),
+        style=st.sampled_from(["mixed", "tree"]),
+    )
+    def test_random(self, seed, n, d, style):
+        rng = np.random.default_rng(seed)
+        config = configs.random_contact_configuration(
+            n, d, rng, style=style if d >= 2 else "tree"
+        )
+        _rows_against_alpha_star(config)
+
+    def test_p13(self):
+        config, _ = _patch(P13)
+        _rows_against_alpha_star(config)
 
 
 class TestCocircuitPath:
