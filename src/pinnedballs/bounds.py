@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidAlphaError, TooFewBallsError
+from .lattice import lattice_alpha_lower_bound
 
 #: log2 of the constant 2^{21/2} in the general bound base.
 GENERAL_BASE_EXPONENT = Fraction(21, 2)
@@ -271,11 +272,9 @@ def lattice_bound(n: int) -> LatticeBoundReport:
         + 8.0 * n
     )
     rounded_log2_base = 6.0 * math.log2(10.0) + 5.5 * math.log2(n) + 8.0 * n
-    alpha_floor = 2.0 ** (
-        0.5 * math.log2(3.0) - math.log2(432.0) - 8.0 * n - 0.5 * math.log2(n)
-    )
     exact = _report(
-        n, 2, alpha_floor, "lattice-bound", tau, tau_source, exponent, exact_log2_base
+        n, 2, lattice_alpha_lower_bound(n), "lattice-bound",
+        tau, tau_source, exponent, exact_log2_base,
     )
     rounded_log2 = float(exponent) * rounded_log2_base
     return LatticeBoundReport(

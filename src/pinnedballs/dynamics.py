@@ -6,13 +6,15 @@ totally elastic collision of equal masses; pairs that do not touch or are
 not approaching are left unchanged.  The same map is realized by folding the
 stacked state across the half-space of the pair's collision direction, and
 both implementations are exposed so they can be checked against each other.
-The exchange arithmetic is defined once, in ``_exchanges``, on Python floats
-with dot products summed in component order: :func:`collide` and every
-schedule loop share it, and no BLAS build can change their bits.  It reads a
-state as one list of floats per ball, and each touching pair by ball index,
-so an exchange replaces two blocks and shares the rest with its input.  A run
-records change points, the distinct states and the steps they appear at, so
-an explicit run stops stepping once every edge of its schedule is idle.
+Whether a pair collides and the exchange it makes are defined once, in
+``_exchanges``, on Python floats with dot products summed in component order:
+:func:`collide`, every schedule loop, walk and search share it, so a step
+changes the state exactly when it counts as a collision, and no BLAS build can
+change the bits.  It reads a state as one list of floats per ball, and each
+touching pair by ball index, so an exchange replaces two blocks and shares the
+rest with its input.  A run records change points, the distinct states and the
+steps they appear at, so an explicit run stops once every edge of its schedule
+is idle.
 
 Along any schedule the energy and total momentum are conserved and the
 functional F = sum_{i,j} (v_j - v_i) . (x_j - x_i) never decreases; it is
@@ -43,23 +45,13 @@ from .geometry import (
     full_contact_graph,
     pair_offsets,
     require_touching,
+    span_basis,
 )
 
-#: Max-norm threshold below which two consecutive states count as equal.
+#: An exchange that moves no velocity component by more than this is no collision.
 CHANGE_TOLERANCE = 1e-14
 #: Seeded-random schedule indices drawn per call to the generator.
 _DRAW_BLOCK = 256
-
-
-def _moved(before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """The collision predicate: the state moved by more than CHANGE_TOLERANCE
-    in max norm.  Stacked states are compared row by row."""
-    return np.max(np.abs(after - before), axis=-1) > CHANGE_TOLERANCE
-
-
-def _exchange_moved(before: list, after: list) -> bool:
-    """:func:`_moved` on the 2d components (lists of floats) one exchange replaced."""
-    return max(map(abs, map(float.__sub__, after, before))) > CHANGE_TOLERANCE
 
 
 def _pairs(config: BallConfiguration, edges: Sequence[Edge]) -> list[tuple | None]:
@@ -74,9 +66,10 @@ def _pairs(config: BallConfiguration, edges: Sequence[Edge]) -> list[tuple | Non
 
 
 def _exchanges(blocks: list, pairs: Iterable[tuple], tolerance: float) -> Iterator[tuple]:
-    """The pair exchange, defined once: (index, new v_i, new v_j) for each of
-    ``pairs`` (see :func:`_pairs`), in order, that approaches in ``blocks``:
-    (v_i - v_j) . (x_i - x_j) < -tolerance, dot products summed in component order."""
+    """The collision predicate and exchange: (index, new v_i, new v_j) for each of ``pairs``
+    (see :func:`_pairs`), in order, that approaches in ``blocks``, (v_i - v_j) . (x_i - x_j)
+    < -tolerance summed in component order, and whose exchange moves some component of
+    v_i or v_j by more than CHANGE_TOLERANCE."""
     for k, (i, j, dx, u) in enumerate(pairs):
         vi, vj = blocks[i], blocks[j]
         approach = t = 0.0
@@ -86,11 +79,14 @@ def _exchanges(blocks: list, pairs: Iterable[tuple], tolerance: float) -> Iterat
             continue
         for a, b, c in zip(vi, vj, u):
             t += (b - a) * c
-        yield k, [a + t * c for a, c in zip(vi, u)], [b - t * c for b, c in zip(vj, u)]
+        new_i, new_j = [a + t * c for a, c in zip(vi, u)], [b - t * c for b, c in zip(vj, u)]
+        if (max(map(abs, map(float.__sub__, new_i, vi))) > CHANGE_TOLERANCE
+                or max(map(abs, map(float.__sub__, new_j, vj))) > CHANGE_TOLERANCE):
+            yield k, new_i, new_j
 
 
 def _exchanged(blocks: list, pair: tuple | None, tolerance: float) -> list | None:
-    """A new state after the exchange on ``pair``; None when it is None or not approaching."""
+    """A new state after the exchange on ``pair``; None when it is None or makes no collision."""
     found = pair and next(_exchanges(blocks, (pair,), tolerance), None)
     if not found:
         return None
@@ -116,24 +112,10 @@ class _PairKernel:
         self.pairs = {e: p for e, p in zip(graph.edges, _pairs(config, graph.edges)) if p}
         self._edges, self._pairs = list(self.pairs), list(self.pairs.values())
 
-    def children(self, blocks: list) -> Iterator[tuple[Edge, list]]:
-        """(edge, next state) for each graph edge, in order, whose exchange
-        moves ``blocks`` by :func:`_exchange_moved`."""
-        for k, new_i, new_j in _exchanges(blocks, self._pairs, self.tolerance):
-            i, j = edge = self._edges[k]
-            if _exchange_moved(blocks[i] + blocks[j], new_i + new_j):
-                nxt = blocks.copy()
-                nxt[i], nxt[j] = new_i, new_j
-                yield edge, nxt
-
-    def moves(self, blocks: list, key) -> list:
-        """Per pair of ``_pairs``: (new v_i, new v_j, key(new v_i), key(new v_j))
-        when its exchange moves ``blocks`` by :func:`_exchange_moved`, else None."""
-        return self.child_moves([None] * len(self._pairs), blocks, None, key)
-
     def child_moves(self, moves: list, blocks: list, k: int | None, key) -> list:
-        """:meth:`moves` of ``blocks``, reached by pair k's entry of ``moves``; only pair k and
-        those sharing a ball with it (all, for k None) are redone, the rest read the same blocks."""
+        """Per pair of ``_pairs``: (new v_i, new v_j, key(new v_i), key(new v_j)) if it collides
+        in ``blocks``, else None.  Only pair k, whose entry of ``moves`` led to ``blocks``, and
+        those sharing a ball with it are redone (all, for k None and ``moves`` all None)."""
         if self._near is None:
             self._near = {None: (range(len(self._pairs)), self._pairs)}
         if (near := self._near.get(k)) is None:
@@ -148,9 +130,7 @@ class _PairKernel:
         for m in ks:
             out[m] = None
         for c, new_i, new_j in _exchanges(blocks, pairs, self.tolerance):
-            i, j, _, _ = pairs[c]
-            if _exchange_moved(blocks[i] + blocks[j], new_i + new_j):
-                out[ks[c]] = (new_i, new_j, key(new_i), key(new_j))
+            out[ks[c]] = (new_i, new_j, key(new_i), key(new_j))
         return out
 
     def walk(
@@ -160,14 +140,16 @@ class _PairKernel:
         them, until none is left (third result True) or after max_steps; returns
         the edges and the states, the start included."""
         edges, states = [], [blocks]
+        moves, k = [None] * len(self._pairs), None
         while len(edges) < max_steps:
-            options = self.children(states[-1])
-            if rng is not None and (drawn := list(options)):
-                options = iter(drawn[int(rng.integers(len(drawn))) :])
-            if (step := next(options, None)) is None:
+            moves = self.child_moves(moves, states[-1], k, lambda block: None)
+            if not (options := list(itertools.compress(range(len(moves)), moves))):
                 return edges, states, True
-            edges.append(step[0])
-            states.append(step[1])
+            k = options[0 if rng is None else int(rng.integers(len(options)))]
+            (i, j), out = self._edges[k], states[-1].copy()
+            out[i], out[j] = moves[k][:2]
+            edges.append(self._edges[k])
+            states.append(out)
         return edges, states, False
 
 
@@ -179,11 +161,13 @@ def collide(
 ) -> StateVector:
     """Pseudo-collision transform for one pair.
 
-    Returns the state unchanged when the pair does not touch or when
+    Returns the state unchanged when the pair does not touch, when
     (v_i - v_j) . (x_i - x_j) >= -approach_tolerance (the pair is separating
-    or at rest relative to the contact line).  The default tolerance 0 means
-    an exact IEEE comparison; a positive value widens the no-collision band
-    for robustness studies.  This is the reference for the loops' kernel.
+    or at rest relative to the contact line), or when the exchange would move
+    no component of v_i or v_j by more than :data:`CHANGE_TOLERANCE`.  Every
+    other call is a collision, as the kernel of traces, walks and searches
+    counts it.  The default tolerance 0 means an exact IEEE comparison; a
+    positive value widens the no-collision band for robustness studies.
     """
     i, j = edge
     if i == j:
@@ -195,7 +179,8 @@ def collide(
 def collide_as_folding(
     config: BallConfiguration, state: StateVector, edge: Edge
 ) -> StateVector:
-    """Same contract as :func:`collide`, realized by folding across the pair's half-space."""
+    """The map of :func:`collide` to rounding, realized by folding across the
+    pair's half-space; it folds whenever the pair approaches, with no change tolerance."""
     i, j = edge
     if i == j:
         raise ValueError("a ball cannot collide with itself")
@@ -394,7 +379,7 @@ def run_schedule(
     distinct = np.array(rows).reshape(len(rows), -1)
     counts = np.diff(starts + [len(applied) + 1])
     changed = np.zeros(len(applied), dtype=bool)
-    changed[np.array(starts[1:], dtype=int) - 1] = _moved(distinct[:-1], distinct[1:])
+    changed[np.array(starts[1:], dtype=int) - 1] = True
     return SimulationTrace(
         n=config.n,
         d=config.dimension,
@@ -422,8 +407,6 @@ def decompose_state(
     if not graph.edges:
         return state, state.with_values(np.zeros_like(state.values))
     require_touching(config, graph.edges)
-    u, s, _ = np.linalg.svd(collision_matrix(config, graph.edges), full_matrices=False)
-    rank = int(np.count_nonzero(s > 1e-12 * s[0]))
-    basis = u[:, :rank]
+    basis = span_basis(collision_matrix(config, graph.edges))
     v_span = basis @ (basis.T @ state.values)
     return state.with_values(state.values - v_span), state.with_values(v_span)

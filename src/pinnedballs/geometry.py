@@ -38,6 +38,10 @@ from .errors import (
 )
 
 CONTACT_DISTANCE = 2.0
+#: Default slack of the touching test: centers within 2 +- this touch.
+DEFAULT_CONTACT_TOLERANCE = 1e-9
+#: Singular values at or below this fraction of the largest are zero in :func:`span_basis`.
+SPAN_CUTOFF = 1e-12
 #: Rows of the all-pairs distance pass evaluated per array operation.
 _ROW_BLOCK = 64
 
@@ -85,7 +89,7 @@ class BallConfiguration:
 
     dimension: int
     centers: np.ndarray
-    contact_tolerance: float = 1e-9
+    contact_tolerance: float = DEFAULT_CONTACT_TOLERANCE
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -237,7 +241,7 @@ class StateVector:
 def validate_configuration(
     centers: Iterable[Sequence[float]],
     dimension: int | None = None,
-    contact_tolerance: float = 1e-9,
+    contact_tolerance: float = DEFAULT_CONTACT_TOLERANCE,
 ) -> BallConfiguration:
     """Build a validated configuration from raw center coordinates.
 
@@ -328,6 +332,13 @@ def collision_matrix(
     if unit:
         raw /= _row_norms(raw)[:, None]
     return np.ascontiguousarray(raw.T)
+
+
+def span_basis(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span of a non-empty matrix, from its thin SVD:
+    the left singular vectors whose singular value exceeds SPAN_CUTOFF times the largest."""
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    return u[:, : int(np.count_nonzero(s > SPAN_CUTOFF * s[0]))]
 
 
 def raw_collision_vector(config: BallConfiguration, edge: Edge) -> np.ndarray:

@@ -13,7 +13,13 @@ import numpy as np
 
 from .dynamics import Schedule, SimulationTrace
 from .foldings import HalfSpace
-from .geometry import BallConfiguration, Edge, StateVector, validate_configuration
+from .geometry import (
+    DEFAULT_CONTACT_TOLERANCE,
+    BallConfiguration,
+    Edge,
+    StateVector,
+    validate_configuration,
+)
 
 
 def load_configuration(
@@ -27,7 +33,7 @@ def load_configuration(
     config = validate_configuration(
         data["centers"],
         dimension=data.get("dimension"),
-        contact_tolerance=data.get("contact_tolerance", 1e-9),
+        contact_tolerance=data.get("contact_tolerance", DEFAULT_CONTACT_TOLERANCE),
     )
     state = None
     if data.get("velocities") is not None:
@@ -60,7 +66,11 @@ def save_configuration(
 
 
 def load_schedule(path: str | Path) -> Schedule:
-    """Read a JSON array of 1-based [i, j] pairs into an explicit schedule."""
+    """Read a JSON array of 1-based [i, j] pairs into an explicit schedule.
+
+    Ball indices must be JSON integers: a fraction, a bool or a string raises
+    ValueError rather than being rounded or cast to a ball.
+    """
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list):
@@ -69,7 +79,9 @@ def load_schedule(path: str | Path) -> Schedule:
     for entry in data:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError(f"{path}: schedule entries must be [i, j] pairs")
-        i, j = int(entry[0]), int(entry[1])
+        if not all(type(k) is int for k in entry):
+            raise ValueError(f"{path}: ball indices must be integers, got {entry}")
+        i, j = entry
         if i < 1 or j < 1:
             raise ValueError(f"{path}: ball indices are 1-based, got {entry}")
         edges.append((i - 1, j - 1))

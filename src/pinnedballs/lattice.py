@@ -22,7 +22,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NonconformingColumnError, NotTouchingError
-from .geometry import BallConfiguration, Edge, canonical_edge, split_chosen_edge
+from .geometry import (
+    DEFAULT_CONTACT_TOLERANCE,
+    BallConfiguration,
+    Edge,
+    canonical_edge,
+    split_chosen_edge,
+)
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,7 @@ def contact_edges(points: Sequence[LatticePoint]) -> tuple[Edge, ...]:
 
 
 def lattice_configuration(
-    points: Sequence[LatticePoint], contact_tolerance: float = 1e-9
+    points: Sequence[LatticePoint], contact_tolerance: float = DEFAULT_CONTACT_TOLERANCE
 ) -> BallConfiguration:
     """Floating-point view of a lattice configuration."""
     centers = np.array([p.xy() for p in points])

@@ -40,6 +40,7 @@ from .geometry import (
     full_contact_graph,
     raw_collision_vector,
     require_touching,
+    span_basis,
     split_chosen_edge,
 )
 
@@ -345,9 +346,7 @@ def spherical_vertex_check(
     vertex_margins = np.max(zcols.T @ vertices, axis=0)
 
     graph_cols = collision_matrix(config, graph.edges)
-    u_mat, s, _ = np.linalg.svd(graph_cols, full_matrices=False)
-    rank = int(np.count_nonzero(s > 1e-12 * s[0]))
-    basis = u_mat[:, :rank]
+    basis = span_basis(graph_cols)
 
     # one draw of all samples gives the same numbers as one draw per sample
     raw = np.random.default_rng(seed).standard_normal((samples, config.n * config.dimension))

@@ -1,7 +1,7 @@
 """Brute-force and greedy exploration of collision schedules.
 
-The exhaustive search enumerates, depth first, which approaching pair
-collides next; only steps that actually change the state branch.  Because
+The exhaustive search enumerates, depth first, which pair collides next, by
+the predicate of ``dynamics._exchanges`` that every trace shares.  Because
 every collision strictly increases the monotone pair functional, no chain of
 collisions can revisit a state, so the search tree is finite even without
 the depth cap.  Results are lower envelopes of the true supremum: sampling
@@ -13,7 +13,8 @@ key per block, each the bytes of the block rounded to 12 decimals by
 byte for byte.  A node also carries its moves: per touching pair, the blocks
 its exchange gives and their keys, or None.  A collision on pair (i, j) changes
 only v_i and v_j, so a child recomputes only the pairs that share ball i or j,
-reuses the rest, and never re-keys an inherited move.
+reuses the rest, and never re-keys an inherited move.  The greedy walk and
+the depth-cap check expand a node the same way.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .dynamics import _exchange_moved, _exchanged, _PairKernel
+from .dynamics import _exchanged, _PairKernel
 from .errors import BudgetExceededError, NotNormalizedError, TooManyEdgesError
 from .foldings import _point_key
 from .geometry import (
@@ -112,12 +113,12 @@ def greedy_schedule(
     seed: int | None = None,
     graph: ContactGraph | None = None,
 ) -> SearchResult:
-    """Collide one approaching pair per step until none remains.
+    """Collide one pair per step until none collides.
 
-    policy "lexicographic" always takes the first approaching pair;
-    "random" draws uniformly among them (requires a seed).  Pairs whose
-    collision would not change the state beyond the change tolerance are
-    treated as not approaching.  A negative ``max_steps`` raises ValueError.
+    policy "lexicographic" always takes the first colliding pair; "random"
+    draws uniformly among them (requires a seed).  A pair collides exactly
+    when :func:`~pinnedballs.dynamics.collide` would change the state.  A
+    negative ``max_steps`` raises ValueError.
     """
     _require_normalized(config, state0)
     if max_steps < 0:
@@ -151,7 +152,7 @@ def exhaustive_max_collisions(
 ) -> SearchResult:
     """Depth-first maximum of the collision count over all schedules.
 
-    Branches on every approaching pair whose collision changes the state, in
+    Branches on every pair that collides in the node's state, in
     graph order, from the moves each node carries (see the module docstring).
     Subtree results are memoized on the (quantized state, depth) pair, which
     is sound because the dynamics are deterministic.  Raises
@@ -189,7 +190,7 @@ def exhaustive_max_collisions(
             return memo[memo_key]
         best: tuple[int, tuple[Edge, ...]] = (0, ())
         if depth == depth_cap:
-            truncated = truncated or next(kernel.children(blocks), None) is not None
+            truncated = truncated or any(kernel.child_moves(moves, blocks, k, key))
         moves = kernel.child_moves(moves, blocks, k, key) if depth < depth_cap else ()
         for m, move in enumerate(moves):
             if move is None:
@@ -213,10 +214,9 @@ def exhaustive_max_collisions(
 
     # replay makes the reported count authoritative for the witness
     state, collisions = start, 0
-    for i, j in tail:
-        if (out := _exchanged(state, kernel.pairs[i, j], 0.0)) is not None:
-            collisions += _exchange_moved(state[i] + state[j], out[i] + out[j])
-            state = out
+    for edge in tail:
+        if (out := _exchanged(state, kernel.pairs[edge], 0.0)) is not None:
+            collisions, state = collisions + 1, out
     if collisions != found:
         raise RuntimeError(f"witness replays to {collisions} collisions, {found} found")
     result = SearchResult(

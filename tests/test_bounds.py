@@ -161,6 +161,7 @@ class TestLatticeBound:
             report = lattice_bound(n)
             substituted = general_base_log2(n, 2, lattice_alpha_lower_bound(n))
             assert report.exact.log2_base == pytest.approx(substituted, abs=1e-9)
+            assert report.exact.alpha == lattice_alpha_lower_bound(n)
 
 
 class TestReferenceBounds:

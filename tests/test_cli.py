@@ -116,6 +116,12 @@ class TestSimulate:
         assert code == 1
         assert "not in the governing graph" in err
 
+    def test_fractional_index_fails(self, capsys, chain_config, tmp_path):
+        schedule = _write(tmp_path / "schedule.json", [[1.7, 2], [2, 3.9]])
+        code, out, err = _run(capsys, ["simulate", chain_config, schedule])
+        assert code == 1 and out == ""
+        assert "must be integers" in err
+
     def test_negative_max_steps_fails(self, capsys, chain_config, tmp_path):
         schedule = _write(tmp_path / "schedule.json", [[1, 2], [2, 3]])
         code, out, err = _run(

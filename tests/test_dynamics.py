@@ -458,10 +458,10 @@ class TestKernelProperties:
         # follow random collisions, so later checks see states the loops reach
         for _ in range(8):
             blocks = state.blocks().tolist()
-            children = dict(kernel.children(blocks))
-            assert list(children) == [e for e in graph.edges if e in children]
-            first = next(kernel.children(blocks), None)
-            assert first == (next(iter(children.items())) if children else None)
+            children = _children(kernel, blocks)
+            colliding = [e for e in graph.edges if collide(config, state, e, tolerance) is not state]
+            assert list(children) == colliding
+            assert kernel.walk(blocks, 1)[0] == colliding[:1]
             for e in graph.edges:
                 collided = collide(config, state, e, tolerance)
                 expected = collided.blocks().tolist()
@@ -484,6 +484,18 @@ class TestKernelProperties:
                 break
             edges = list(children)
             state = state.with_values(np.ravel(children[edges[int(rng.integers(len(edges)))]]))
+
+
+def _children(kernel, blocks):
+    """Edge -> next state for each kernel pair that collides in ``blocks``, in
+    graph order, from the moves of a node with no parent."""
+    out = {}
+    fresh = kernel.child_moves([None] * len(kernel.pairs), blocks, None, lambda block: None)
+    for (i, j), move in zip(kernel.pairs, fresh):
+        if move:
+            out[i, j] = blocks.copy()
+            out[i, j][i], out[i, j][j] = move[:2]
+    return out
 
 
 def _move_bits(moves):
@@ -518,17 +530,64 @@ class TestChildMoves:
         def key(block):
             return _point_key(block, pack)
 
-        moves = kernel.moves(blocks, key)
+        moves = kernel.child_moves([None] * len(edges), blocks, None, key)
         for _ in range(12):
             options = [m for m, move in enumerate(moves) if move]
-            assert [edges[m] for m in options] == [e for e, _ in kernel.children(blocks)]
+            state = StateVector.from_blocks(blocks)
+            assert [edges[m] for m in options] == [
+                e for e in edges if collide(config, state, e, tolerance) is not state
+            ]
             if not options:
                 break
             k = options[int(rng.integers(len(options)))]
             (i, j), blocks = edges[k], blocks.copy()
             blocks[i], blocks[j] = moves[k][:2]
             moves = kernel.child_moves(moves, blocks, k, key)
-            assert _move_bits(moves) == _move_bits(kernel.moves(blocks, key))
+            fresh = kernel.child_moves([None] * len(edges), blocks, None, key)
+            assert _move_bits(moves) == _move_bits(fresh)
+
+
+class TestCollisionPredicate:
+    """A step changes the state exactly when it counts as a collision."""
+
+    def test_sub_tolerance_exchange_is_no_collision(self):
+        # the pair approaches, but its exchange would move v by 1e-15 < CHANGE_TOLERANCE
+        config, graph = configs.touching_pair(), ContactGraph(2, [(0, 1)])
+        for speed, collides in ((1e-15, False), (1e-13, True)):
+            state = _state([[speed], [0.0]])
+            after = collide(config, state, (0, 1))
+            assert (after is not state) == collides
+            if collides:
+                assert after.blocks().tolist() == [[0.0], [speed]]
+            for schedule in (
+                Schedule.explicit([(0, 1)] * 3), Schedule.round_robin(),
+                Schedule.greedy(), Schedule.seeded_random(5),
+            ):
+                trace = run_schedule(config, state, schedule, max_steps=3, graph=graph)
+                moved = np.any(trace.states[1:] != trace.states[:-1], axis=1)
+                assert list(moved) == list(trace.changed)
+                if schedule.kind == "explicit":
+                    assert trace.collisions == collides
+            walked = _PairKernel(config, graph, 0.0).walk(state.blocks().tolist(), 3)
+            assert walked[0] == [(0, 1)] * collides
+
+    def test_changed_flags_mark_state_changes(self, rng):
+        for k in range(30):
+            config, state = random_system(rng, n_max=8)
+            graph = full_contact_graph(config)
+            picks = tuple(graph.edges[m] for m in rng.integers(len(graph.edges), size=300))
+            # at 3e-14 many exchanges move the state by less than CHANGE_TOLERANCE
+            for scale in (1.0, 3e-14):
+                start = state.with_values(state.values * scale)
+                for schedule in (
+                    Schedule.explicit(picks), Schedule.round_robin(),
+                    Schedule.greedy(), Schedule.seeded_random(k),
+                ):
+                    trace = run_schedule(config, start, schedule, max_steps=2000)
+                    moved = np.any(trace.states[1:] != trace.states[:-1], axis=1)
+                    assert np.array_equal(moved, trace.changed)
+                    expected = _collide_replay(config, start, trace.edges)
+                    assert np.array_equal(trace.states, expected)
 
 
 class TestChangePoints:

@@ -28,6 +28,7 @@ from pinnedballs.geometry import (
     pair_offsets,
     raw_collision_vector,
     require_touching,
+    span_basis,
     split_chosen_edge,
     validate_configuration,
 )
@@ -212,6 +213,20 @@ class TestCollisionMatrix:
     def test_no_edges(self):
         config = configs.touching_pair()
         assert collision_matrix(config, []).shape == (2, 0)
+
+    def test_span_basis(self, rng):
+        # a repeated direction adds nothing to the span
+        zmat = collision_matrix(configs.triangle(), [(0, 1), (0, 1), (1, 2)])
+        basis = span_basis(zmat)
+        assert basis.shape == (6, 2)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(basis @ (basis.T @ zmat), zmat, atol=1e-12)
+        for _ in range(20):
+            config, _ = random_system(rng, n_max=8)
+            zmat = collision_matrix(config, full_contact_graph(config).edges)
+            u, s, _ = np.linalg.svd(zmat, full_matrices=False)
+            rank = int(np.count_nonzero(s > 1e-12 * s[0]))
+            assert np.array_equal(span_basis(zmat), u[:, :rank])
 
     def test_require_touching_names_first_offender(self):
         config = validate_configuration([[0.0], [2.0], [5.0], [8.0]])

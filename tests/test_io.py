@@ -50,6 +50,16 @@ class TestScheduleFiles:
         with pytest.raises(ValueError):
             io.load_schedule(path)
 
+    @pytest.mark.parametrize(
+        "entries", ["[[1.7, 2], [2, 3.9]]", "[[1, 2.0]]", "[[true, 2]]", '[["1", 2]]']
+    )
+    def test_non_integer_index_rejected(self, tmp_path, entries):
+        # before, int() truncated 1.7 and 3.9 into the edges (1, 2), (2, 3)
+        path = tmp_path / "schedule.json"
+        path.write_text(entries)
+        with pytest.raises(ValueError, match="must be integers"):
+            io.load_schedule(path)
+
 
 class TestHalfspaceFiles:
     def test_round_trip_normalizes(self, tmp_path):

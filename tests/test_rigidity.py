@@ -72,9 +72,8 @@ class TestAlphaStar:
         # brute-force one-dimensional least squares over the coefficient
         z01 = collision_direction(config, (0, 1)).vector
         z12 = collision_direction(config, (1, 2)).vector
-        brute = min(
-            np.linalg.norm(z01 - a * z12) for a in np.linspace(-2.0, 2.0, 400001)
-        )
+        a = np.linspace(-2.0, 2.0, 400001)[:, None]
+        brute = np.linalg.norm(z01 - a * z12, axis=1).min()
         assert value == pytest.approx(brute, abs=1e-9)
 
     def test_triangle_against_gram_oracle(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pinnedballs import configs, search
 from pinnedballs.bounds import max_collisions_bound, resolve_tau
-from pinnedballs.dynamics import CHANGE_TOLERANCE, Schedule, run_schedule
+from pinnedballs.dynamics import CHANGE_TOLERANCE, Schedule, collide, run_schedule
 from pinnedballs.errors import (
     BudgetExceededError,
     NotNormalizedError,
@@ -60,6 +60,16 @@ class TestGreedy:
         greedy = greedy_schedule(config, state)
         exhaustive = exhaustive_max_collisions(config, state)
         assert greedy.collisions == exhaustive.collisions == 3
+
+    def test_sub_tolerance_exchange_collides_nowhere(self):
+        # balls 1 and 2 approach at relative speed 1e-15, balls 2 and 3 separate
+        config, _ = _chain3_system()
+        w = -1.0 / math.sqrt(6.0)
+        state = StateVector.from_blocks([[w + 1e-15], [w], [-2.0 * w - 1e-15]])
+        assert collide(config, state, (0, 1)) is state
+        assert run_schedule(config, state, Schedule.explicit([(0, 1)])).collisions == 0
+        assert greedy_schedule(config, state).collisions == 0
+        assert exhaustive_max_collisions(config, state).collisions == 0
 
     def test_negative_max_steps_rejected(self):
         config, state = _chain3_system()
