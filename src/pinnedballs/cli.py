@@ -2,8 +2,9 @@
 
 Every emitted report embeds a run manifest (command, inputs, seeds,
 tolerances, version, wall clock).  Exit codes: 0 success, 1 domain error,
-2 usage error.  Randomized commands without an explicit --seed draw one from
-entropy and record it in the manifest; a run that uses no seed records null.
+2 usage error, 141 when the reader of stdout closes it early.  Randomized
+commands without an explicit --seed draw one from entropy and record it in
+the manifest; a run that uses no seed records null.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import secrets
 import sys
 import time
@@ -350,10 +352,28 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        return _closed_stdout()
     except (PinnedBallsError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _closed_stdout() -> int:
+    """The reader of stdout went away, as ``| head`` does: not a domain error.
+    Points stdout at the null device, so the flush at exit raises nothing, and
+    returns 141 (128 + SIGPIPE), the status a shell reports for coreutils."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a stdout with no descriptor
+        return 141
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+    return 141
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -204,11 +204,14 @@ def functional_value(config: BallConfiguration, values: np.ndarray) -> float | n
 
 @dataclass(frozen=True)
 class Schedule:
-    """Explicit edge list or a policy generating one on the fly."""
+    """Explicit edge list or a policy generating one on the fly.  An explicit
+    schedule finds its distinct edges once, when it is built."""
 
     kind: str
     edges: tuple[Edge, ...] = ()
     seed: int | None = None
+    #: The set of ``edges``, canonical; empty for a policy.
+    distinct_edges: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
     KINDS = ("explicit", "round-robin", "lexicographic-greedy", "seeded-random")
 
@@ -216,9 +219,9 @@ class Schedule:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "explicit":
-            object.__setattr__(
-                self, "edges", tuple(canonical_edge(*e) for e in self.edges)
-            )
+            edges = tuple(canonical_edge(*e) for e in self.edges)
+            object.__setattr__(self, "edges", edges)
+            object.__setattr__(self, "distinct_edges", frozenset(edges))
         elif self.edges:
             raise ValueError("only explicit schedules carry an edge list")
         if self.kind == "seeded-random" and self.seed is None:
@@ -308,7 +311,9 @@ def run_schedule(
     stops folding orbits; otherwise they run until max_steps (default 10^6
     for policies).  A negative max_steps raises ValueError.  Graph edges
     whose balls do not touch never change the state.  An explicit run stops
-    stepping once every edge of its schedule leaves the state as it is.
+    stepping once every edge of its schedule leaves the state as it is; that
+    count and the graph check read the distinct edges found when the schedule
+    was built.
     """
     if graph is None:
         graph = full_contact_graph(config)
@@ -320,7 +325,7 @@ def run_schedule(
 
     stable = None
     if schedule.kind == "explicit":
-        used = set(schedule.edges)
+        used = schedule.distinct_edges
         if not used.issubset(graph.edges):
             i, j = next(e for e in schedule.edges if not graph.has_edge(*e))
             raise ScheduleError(f"edge ({i + 1}, {j + 1}) is not in the governing graph")

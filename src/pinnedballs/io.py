@@ -22,14 +22,23 @@ from .geometry import (
 )
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is a boolean or a list that holds one at any depth."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def load_configuration(
     path: str | Path,
 ) -> tuple[BallConfiguration, StateVector | None]:
     """Read {"dimension", "centers", "velocities"?, "contact_tolerance"?}."""
     with open(path) as fh:
         data = json.load(fh)
-    if "centers" not in data:
-        raise ValueError(f"{path}: missing 'centers'")
+    if not isinstance(data, dict) or "centers" not in data:
+        raise ValueError(f"{path}: need a JSON object with 'centers'")
+    # JSON true and false would otherwise pass as the numbers 1 and 0
+    for name in ("dimension", "contact_tolerance", "centers", "velocities"):
+        if _holds_bool(data.get(name)):
+            raise ValueError(f"{path}: '{name}' must hold numbers, not booleans")
     config = validate_configuration(
         data["centers"],
         dimension=data.get("dimension"),

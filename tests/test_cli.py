@@ -1,4 +1,5 @@
 import ctypes
+import io
 import json
 import math
 import os
@@ -313,6 +314,20 @@ class TestNonFiniteInput:
         assert code == 1
         assert "contact_tolerance" in err
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"dimension": True, "centers": [[0.0], [2.0]], "contact_tolerance": True}, "dimension"),
+            ({"dimension": 1, "centers": [[False], [True]]}, "centers"),
+        ],
+    )
+    def test_boolean_number_fails(self, capsys, tmp_path, payload, field):
+        # before, validate exited 0 and printed "dimension": true
+        path = _write(tmp_path / "bool.json", payload)
+        code, out, err = _run(capsys, ["validate", path])
+        assert code == 1 and out == ""
+        assert f"'{field}' must hold numbers" in err
+
     def test_infinite_velocity(self, capsys, tmp_path):
         path = _write(
             tmp_path / "inf.json",
@@ -371,6 +386,44 @@ class TestLatticeCommand:
         code, out, err = _run(capsys, ["lattice", "--radius", radius])
         assert code == 1 and out == ""
         assert err.startswith("error:") and "finite" in err
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: ``method`` raises BrokenPipeError."""
+
+    def __init__(self, method):
+        super().__init__()
+        setattr(self, method, self._broken)
+
+    def _broken(self, *args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A closed stdout ends the command with 141, as SIGPIPE does, and no error line."""
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_in_process(self, capsys, monkeypatch, method):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(method))
+        code = main(["lattice", "--radius", "6"])
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
+    def test_nothing_reported_at_exit(self):
+        # buffered, the report fits in stdout's buffer and is first written by
+        # the interpreter's exit flush, which printed "Exception ignored" before
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(pinnedballs.__file__).resolve().parent.parent)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pinnedballs.cli", "lattice", "--radius", "2"],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
 
 
 class TestSearchCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -206,6 +207,46 @@ class TestRunSchedule:
                 "energy": pytest.approx(1.0),
             }
         ]
+
+
+class TestScheduleDistinctEdges:
+    """An explicit schedule finds its distinct edges once, when it is built."""
+
+    SQUARE_CONTACTS = [(0, 1), (0, 2), (1, 3), (2, 3)]
+
+    def _square(self):
+        config = configs.square()
+        assert full_contact_graph(config).edges == tuple(self.SQUARE_CONTACTS)
+        return config, _state([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+
+    @pytest.mark.parametrize("max_steps", [None, 12])
+    def test_edge_after_the_run_goes_quiet_is_checked(self, max_steps):
+        # the loop goes quiet long before the non-contact (1, 4), and with
+        # max_steps=12 never reaches it; the run is refused all the same
+        config, state = self._square()
+        schedule = Schedule.explicit(self.SQUARE_CONTACTS * 5000 + [(0, 3)])
+        with pytest.raises(ScheduleError, match=r"edge \(1, 4\) is not in the governing graph"):
+            run_schedule(config, state, schedule, max_steps=max_steps)
+
+    def test_stored_set(self):
+        schedule = Schedule.explicit([(1, 0), (2, 3), (0, 1), (3, 2)])
+        assert schedule.edges == ((0, 1), (2, 3), (0, 1), (2, 3))
+        assert schedule.distinct_edges == {(0, 1), (2, 3)}
+        for policy in (Schedule.round_robin(), Schedule.greedy(), Schedule.seeded_random(1)):
+            assert policy.distinct_edges == frozenset()
+
+    def test_equality_and_hash_ignore_the_set(self):
+        a, b = Schedule.explicit([(1, 0), (2, 3)]), Schedule.explicit([(0, 1), (3, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert a != Schedule.explicit([(2, 3), (0, 1)])
+        assert "distinct_edges" not in repr(a)
+        with pytest.raises(TypeError):
+            Schedule("explicit", ((0, 1),), distinct_edges=frozenset())
+
+    def test_replace_recomputes_the_set(self):
+        schedule = dataclasses.replace(Schedule.explicit([(0, 1)]), edges=((3, 2), (0, 1)))
+        assert schedule.edges == ((2, 3), (0, 1))
+        assert schedule.distinct_edges == {(0, 1), (2, 3)}
 
 
 class TestSeededRandomDraws:

@@ -35,6 +35,38 @@ class TestConfigurationFiles:
         with pytest.raises(ValueError):
             io.load_configuration(path)
 
+    @pytest.mark.parametrize(
+        "field, payload",
+        [
+            ("dimension", {"dimension": True, "centers": [[0.0], [2.0]], "contact_tolerance": True}),
+            ("contact_tolerance", {"centers": [[0.0], [2.0]], "contact_tolerance": True}),
+            ("centers", {"centers": [[False], [True]]}),
+            ("velocities", {"centers": [[0.0], [2.0]], "velocities": [[0.5], [False]]}),
+        ],
+    )
+    def test_boolean_rejected(self, tmp_path, field, payload):
+        # before, true and false loaded as the numbers 1 and 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"'{field}' must hold numbers, not booleans"):
+            io.load_configuration(path)
+
+    @pytest.mark.parametrize("text", ['"centers"', '[["centers"]]', '{"dimension": 1}'])
+    def test_object_with_centers_required(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="need a JSON object with 'centers'"):
+            io.load_configuration(path)
+
+    def test_integers_still_load(self, tmp_path):
+        path = tmp_path / "config.json"
+        payload = {"centers": [[0], [2]], "velocities": [[1], [0]], "contact_tolerance": 0}
+        path.write_text(json.dumps(payload))
+        config, velocities = io.load_configuration(path)
+        assert config.dimension == 1 and config.contact_tolerance == 0.0
+        np.testing.assert_array_equal(config.centers, [[0.0], [2.0]])
+        np.testing.assert_array_equal(velocities.values, [1.0, 0.0])
+
 
 class TestScheduleFiles:
     def test_round_trip_is_one_based_on_disk(self, tmp_path):
