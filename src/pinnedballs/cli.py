@@ -37,13 +37,27 @@ def _manifest(args: argparse.Namespace, started: float, **extra) -> dict:
     return manifest
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout went away, as ``| head`` does: not a domain error."""
+
+
+def _print(text: str) -> None:
+    """Print a line to stdout and flush it.  A closed stdout raises
+    :class:`_StdoutClosed` here, not in the flush at exit, so that ``main``
+    tells it apart from a broken pipe in any other file."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError as exc:
+        raise _StdoutClosed from exc
+
+
 def _emit(report: dict, output: str | None) -> None:
     text = json.dumps(report, indent=2)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        _print(text)
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -241,7 +255,7 @@ def _cmd_verify(args) -> int:
     results = verify_mod.run_all(seed=seed, quick=args.quick)
     failures = [r for r in results if not r.passed]
     for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
+        _print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     summary = {
         "checks": len(results),
         "failures": len(failures),
@@ -352,10 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
-        return code
-    except BrokenPipeError:
+        return args.func(args)
+    except _StdoutClosed:
         return _closed_stdout()
     except (PinnedBallsError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -363,9 +375,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _closed_stdout() -> int:
-    """The reader of stdout went away, as ``| head`` does: not a domain error.
-    Points stdout at the null device, so the flush at exit raises nothing, and
-    returns 141 (128 + SIGPIPE), the status a shell reports for coreutils."""
+    """Points the closed stdout at the null device, so the flush at exit
+    raises nothing, and returns 141 (128 + SIGPIPE), the status a shell
+    reports for coreutils."""
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):  # a stdout with no descriptor

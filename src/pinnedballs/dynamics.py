@@ -219,9 +219,11 @@ class Schedule:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "explicit":
-            edges = tuple(canonical_edge(*e) for e in self.edges)
-            object.__setattr__(self, "edges", edges)
-            object.__setattr__(self, "distinct_edges", frozenset(edges))
+            edges = tuple(self.edges)
+            # each distinct pair is made canonical once; its repeats are looked up
+            canon = {e: canonical_edge(*e) for e in dict.fromkeys(edges)}
+            object.__setattr__(self, "edges", tuple(map(canon.__getitem__, edges)))
+            object.__setattr__(self, "distinct_edges", frozenset(canon.values()))
         elif self.edges:
             raise ValueError("only explicit schedules carry an edge list")
         if self.kind == "seeded-random" and self.seed is None:
@@ -311,9 +313,8 @@ def run_schedule(
     stops folding orbits; otherwise they run until max_steps (default 10^6
     for policies).  A negative max_steps raises ValueError.  Graph edges
     whose balls do not touch never change the state.  An explicit run stops
-    stepping once every edge of its schedule leaves the state as it is; that
-    count and the graph check read the distinct edges found when the schedule
-    was built.
+    stepping once every edge of its schedule leaves the state as it is; both
+    that count and the graph check read the schedule's ``distinct_edges``.
     """
     if graph is None:
         graph = full_contact_graph(config)

@@ -22,9 +22,12 @@ from .geometry import (
 )
 
 
-def _holds_bool(value) -> bool:
-    """Whether a JSON value is a boolean or a list that holds one at any depth."""
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+def _numbers_only(value) -> bool:
+    """Whether a JSON value is a number or a list of numbers at any depth.  JSON
+    true, false and strings are not numbers, though float() would take them."""
+    if isinstance(value, list):
+        return all(map(_numbers_only, value))
+    return type(value) in (int, float)
 
 
 def load_configuration(
@@ -35,10 +38,9 @@ def load_configuration(
         data = json.load(fh)
     if not isinstance(data, dict) or "centers" not in data:
         raise ValueError(f"{path}: need a JSON object with 'centers'")
-    # JSON true and false would otherwise pass as the numbers 1 and 0
     for name in ("dimension", "contact_tolerance", "centers", "velocities"):
-        if _holds_bool(data.get(name)):
-            raise ValueError(f"{path}: '{name}' must hold numbers, not booleans")
+        if data.get(name) is not None and not _numbers_only(data[name]):
+            raise ValueError(f"{path}: '{name}' must hold JSON numbers only")
     config = validate_configuration(
         data["centers"],
         dimension=data.get("dimension"),

@@ -14,7 +14,8 @@ import pinnedballs
 from pinnedballs import configs
 from pinnedballs.cli import main
 from pinnedballs.foldings import adversarial_two_halfplanes
-from pinnedballs.io import save_configuration, save_halfspaces
+from pinnedballs.geometry import StateVector, full_contact_graph
+from pinnedballs.io import save_configuration, save_halfspaces, save_schedule
 
 
 def _openblas(name):
@@ -319,14 +320,17 @@ class TestNonFiniteInput:
         [
             ({"dimension": True, "centers": [[0.0], [2.0]], "contact_tolerance": True}, "dimension"),
             ({"dimension": 1, "centers": [[False], [True]]}, "centers"),
+            ({"centers": [["0"], ["2"]], "velocities": [["1"], ["-1"]]}, "centers"),
+            ({"centers": [[0.0], [2.0]], "velocities": [["1"], ["-1"]]}, "velocities"),
         ],
     )
-    def test_boolean_number_fails(self, capsys, tmp_path, payload, field):
-        # before, validate exited 0 and printed "dimension": true
+    def test_non_number_fails(self, capsys, tmp_path, payload, field):
+        # before, validate exited 0 and printed "dimension": true, and string
+        # coordinates loaded as numbers
         path = _write(tmp_path / "bool.json", payload)
         code, out, err = _run(capsys, ["validate", path])
         assert code == 1 and out == ""
-        assert f"'{field}' must hold numbers" in err
+        assert f"'{field}' must hold JSON numbers only" in err
 
     def test_infinite_velocity(self, capsys, tmp_path):
         path = _write(
@@ -424,6 +428,29 @@ class TestClosedStdout:
         finally:
             os.close(write)
         assert (done.returncode, done.stderr) == (141, b"")
+
+    def test_closed_trace_pipe_is_an_error(self, tmp_path):
+        # only a closed stdout ends with 141; a --trace pipe whose reader went
+        # away (as with --trace >(head -c 100)) is an I/O error, exit 1
+        config = configs.square()
+        state = StateVector.from_blocks([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+        save_configuration(tmp_path / "square.json", config, state)
+        save_schedule(tmp_path / "long.json", full_contact_graph(config).edges * 5000)
+        env = dict(os.environ, PYTHONPATH=str(Path(pinnedballs.__file__).resolve().parent.parent))
+        read, write = os.pipe()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "pinnedballs.cli", "simulate", str(tmp_path / "square.json"),
+             str(tmp_path / "long.json"), "--trace", f"/dev/fd/{write}"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, pass_fds=(write,),
+        )
+        os.close(write)
+        try:
+            assert os.read(read, 100)  # the trace has begun; its 20,000 lines fill the pipe
+        finally:
+            os.close(read)
+        out, err = child.communicate(timeout=120)
+        assert (child.returncode, out) == (1, b"")
+        assert err.startswith(b"error: ") and b"Broken pipe" in err
 
 
 class TestSearchCommand:

@@ -243,6 +243,13 @@ class TestScheduleDistinctEdges:
         with pytest.raises(TypeError):
             Schedule("explicit", ((0, 1),), distinct_edges=frozenset())
 
+    def test_each_distinct_pair_made_canonical_once(self):
+        # the first pair of one ball raises, and an iterator of edges is read once
+        with pytest.raises(ValueError, match=r"got \(2, 2\)"):
+            Schedule.explicit([(0, 1), (2, 2), (1, 0), (3, 3)])
+        schedule = Schedule("explicit", iter([(1, 0), (0, 1), (3, 2)]))
+        assert schedule.edges == ((0, 1), (0, 1), (2, 3))
+
     def test_replace_recomputes_the_set(self):
         schedule = dataclasses.replace(Schedule.explicit([(0, 1)]), edges=((3, 2), (0, 1)))
         assert schedule.edges == ((2, 3), (0, 1))

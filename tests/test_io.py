@@ -42,13 +42,19 @@ class TestConfigurationFiles:
             ("contact_tolerance", {"centers": [[0.0], [2.0]], "contact_tolerance": True}),
             ("centers", {"centers": [[False], [True]]}),
             ("velocities", {"centers": [[0.0], [2.0]], "velocities": [[0.5], [False]]}),
+            ("dimension", {"dimension": "1", "centers": [[0.0], [2.0]]}),
+            ("contact_tolerance", {"centers": [[0.0], [2.0]], "contact_tolerance": "1e-9"}),
+            ("centers", {"centers": [["0"], ["2"]]}),
+            ("velocities", {"centers": [[0.0], [2.0]], "velocities": [["1"], ["-1"]]}),
+            ("centers", {"centers": [[0.0], [None]]}),
         ],
     )
-    def test_boolean_rejected(self, tmp_path, field, payload):
-        # before, true and false loaded as the numbers 1 and 0
+    def test_non_number_rejected(self, tmp_path, field, payload):
+        # before, true and false loaded as the numbers 1 and 0, and float()
+        # parsed numeric strings
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=f"'{field}' must hold numbers, not booleans"):
+        with pytest.raises(ValueError, match=f"'{field}' must hold JSON numbers only"):
             io.load_configuration(path)
 
     @pytest.mark.parametrize("text", ['"centers"', '[["centers"]]', '{"dimension": 1}'])
