@@ -163,8 +163,8 @@ def _cmd_bound(args) -> int:
 def _cmd_orbit(args) -> int:
     started = time.monotonic()
     halfspaces = io.load_halfspaces(args.halfspaces)
-    start = json.loads(args.start)
-    witness = json.loads(args.witness)
+    start = io.parse_point("--start", args.start)
+    witness = io.parse_point("--witness", args.witness)
     seed = None
     if args.policy == "seeded-random":
         seed = _resolve_seed(args.seed)

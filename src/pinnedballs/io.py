@@ -22,25 +22,50 @@ from .geometry import (
 )
 
 
-def _numbers_only(value) -> bool:
-    """Whether a JSON value is a number or a list of numbers at any depth.  JSON
+#: The shape that each nesting depth of a numeric field names in error messages.
+_SHAPES = ("a number", "a flat list", "a list of lists")
+
+
+def _numbers_only(value, depth: int) -> bool:
+    """Whether a JSON value is a number nested in exactly ``depth`` lists.  JSON
     true, false and strings are not numbers, though float() would take them."""
-    if isinstance(value, list):
-        return all(map(_numbers_only, value))
+    if depth:
+        return isinstance(value, list) and all(_numbers_only(v, depth - 1) for v in value)
     return type(value) in (int, float)
+
+
+def _require_numbers(where: str, name: str, value, depth: int) -> None:
+    if not _numbers_only(value, depth):
+        raise ValueError(f"{where}'{name}' must hold JSON numbers only, as {_SHAPES[depth]}")
+
+
+def _load_object(path: str | Path, required: tuple[str, ...], depths: dict[str, int]) -> dict:
+    """Read a JSON object whose ``required`` keys are not null; every field
+    named in ``depths`` that is present must hold numbers nested that deep."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or any(data.get(name) is None for name in required):
+        raise ValueError(f"{path}: need a JSON object with {' and '.join(map(repr, required))}")
+    for name, depth in depths.items():
+        if data.get(name) is not None:
+            _require_numbers(f"{path}: ", name, data[name], depth)
+    return data
+
+
+def parse_point(name: str, text: str) -> list[float]:
+    """A command-line point such as ``--start '[1, 0]'``: a JSON list of numbers."""
+    point = json.loads(text)
+    _require_numbers("", name, point, 1)
+    return point
 
 
 def load_configuration(
     path: str | Path,
 ) -> tuple[BallConfiguration, StateVector | None]:
     """Read {"dimension", "centers", "velocities"?, "contact_tolerance"?}."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "centers" not in data:
-        raise ValueError(f"{path}: need a JSON object with 'centers'")
-    for name in ("dimension", "contact_tolerance", "centers", "velocities"):
-        if data.get(name) is not None and not _numbers_only(data[name]):
-            raise ValueError(f"{path}: '{name}' must hold JSON numbers only")
+    data = _load_object(
+        path, ("centers",), {"dimension": 0, "contact_tolerance": 0, "centers": 2, "velocities": 2}
+    )
     config = validate_configuration(
         data["centers"],
         dimension=data.get("dimension"),
@@ -107,14 +132,9 @@ def save_schedule(path: str | Path, edges: Sequence[Edge]) -> None:
 
 def load_halfspaces(path: str | Path) -> list[HalfSpace]:
     """Read {"dimension": m, "normals": [[...], ...]}; normals are normalized."""
-    with open(path) as fh:
-        data = json.load(fh)
-    m = data.get("dimension")
-    normals = data.get("normals")
-    if m is None or normals is None:
-        raise ValueError(f"{path}: need 'dimension' and 'normals'")
-    out = []
-    for idx, normal in enumerate(normals):
+    data = _load_object(path, ("dimension", "normals"), {"dimension": 0, "normals": 2})
+    m, out = data["dimension"], []
+    for idx, normal in enumerate(data["normals"]):
         if len(normal) != m:
             raise ValueError(f"{path}: normal {idx} has wrong dimension")
         out.append(HalfSpace.from_vector(normal))

@@ -56,8 +56,7 @@ def _edge_list(edges: Iterable[Edge] | ContactGraph) -> list[Edge]:
 
 
 def _distance_to_span(target: np.ndarray, columns: list[np.ndarray]) -> float:
-    if not columns:
-        # distance from a unit vector to the zero subspace
+    if not columns:  # distance from a unit vector to the zero subspace
         return 1.0
     cols = np.column_stack(columns)
     coef, *_ = np.linalg.lstsq(cols, target, rcond=None)
@@ -126,15 +125,14 @@ def alpha(
     """Minimum of the alpha_star values above zero_tolerance over all subgraphs.
 
     Values at or below zero_tolerance count as zero and are never the answer.
-    The minimum runs over the cocircuits (module docstring), from
-    one SVD whose rank counts singular values above RANK_TOLERANCE: coloops
-    (zero rows of K; every edge when m = r) alone, each pair in a series class
-    (parallel rows of K), and the larger circuits of the dual found by a
-    depth-first search over independent sets of class representatives, with
-    one edge per class.  ``n_candidates`` counts the (C*, e) pairs above
-    zero_tolerance, ``n_zero`` the edges in the span of the others (all but
-    the coloops above it), ``argmin_edges`` is H + e, and equal values go to
-    the smaller cocircuit, then to the one found first.
+    The minimum runs over the cocircuits (module docstring), from one SVD whose
+    rank counts singular values above RANK_TOLERANCE: coloops (zero rows of K)
+    alone, each pair in a series class (parallel rows of K), and the larger
+    circuits of the dual found by a depth-first search over independent sets of
+    class representatives, with one edge per class.  ``n_candidates`` counts
+    the (C*, e) pairs above zero_tolerance, ``n_zero`` the edges in the span of
+    the others (all but the coloops above it), ``argmin_edges`` is H + e, and
+    equal values go to the smaller cocircuit, then to the one found first.
 
     ``collect_table`` lists those pairs in ``candidates`` as e, H (where the
     cocircuit vector is 0) and the value, in the order the minimum scans them:
@@ -143,9 +141,11 @@ def alpha(
     cocircuits other than coloops; past it :class:`BudgetExceededError` names
     the budget.  A negative or non-finite ``zero_tolerance`` or a budget < 1 raises ValueError.
 
-    The search grows with the dual rank m - r: generic dense direction
-    matrices (16 columns, dual rank 6-9) exceed the default budget, which the
-    contact graphs in the test suite (dual rank at most 7) stay within.
+    The dual work grows with the dual rank m - r.  Independent directions
+    (m = r) leave the dual no circuits: every edge is a coloop, and the
+    classes, pairs and search are skipped.  Generic dense direction matrices
+    (16 columns, dual rank 6-9) exceed the default budget, which the contact
+    graphs in the test suite (dual rank at most 7) stay within.
     """
     if not (math.isfinite(zero_tolerance) and zero_tolerance >= 0.0):
         raise ValueError(f"zero_tolerance must be finite and >= 0, got {zero_tolerance!r}")
@@ -165,60 +165,7 @@ def _alpha_by_cocircuits(
     m = len(edges)
     _, s, vt = np.linalg.svd(zmat)
     rank = int(np.count_nonzero(s > RANK_TOLERANCE))
-    knorm = np.linalg.norm(vt[rank:], axis=0)  # norms of the rows of K
-    unit = vt[rank:].T / np.maximum(knorm, RANK_TOLERANCE)[:, None]
-    coloops = np.flatnonzero(knorm <= RANK_TOLERANCE)
-    # scale[f] turns a relation coefficient on the unit row of f's class into x_f
-    scale, classes, free = np.ones(m), [], np.flatnonzero(knorm > RANK_TOLERANCE)
-    while free.size:
-        head, rest = free[0], free[1:]
-        dots = unit[rest] @ unit[head]
-        par = np.linalg.norm(unit[rest] - dots[:, None] * unit[head], axis=1) <= RANK_TOLERANCE
-        classes.append(np.append(head, rest[par]))
-        scale[classes[-1]] = np.append(1.0, np.sign(dots[par])) / knorm[classes[-1]]
-        free = rest[~par]
-    spent = [0]
-
-    def charge(count: int) -> None:
-        spent[0] += count
-        if spent[0] > budget:
-            counts = f"{m} edges, rank {rank}, {len(classes)} series classes"
-            raise BudgetExceededError(
-                f"alpha ({counts}) exceeds its budget of {budget} search nodes and cocircuits", None
-            )
-
-    pairs = np.array([p for c in classes for p in itertools.combinations(c, 2)], int).reshape(-1, 2)
-    charge(len(pairs))
-    # cocircuit vectors, one per row: a relation's coefficient times scale[f] at each pick f
-    found = [np.eye(m)[coloops], np.zeros((len(pairs), m))]
-    np.put_along_axis(found[1], pairs, [1.0, -1.0] * scale[pairs], axis=1)
-    reps, k = unit[[c[0] for c in classes]], m - rank
-    basis, dependent = np.zeros((k, k)), []  # basis[:d] spans reps[chosen]
-
-    def visit(chosen: tuple[int, ...]) -> None:
-        d = len(chosen)
-        cand = np.arange(chosen[-1] + 1 if d else 0, len(reps))
-        charge(cand.size)
-        resid = reps[cand] - (reps[cand] @ basis[:d].T) @ basis[:d]
-        norms = np.linalg.norm(resid, axis=1)
-        dependent.extend(chosen + (j,) for j in cand[norms <= RANK_TOLERANCE].tolist())
-        for i in np.flatnonzero(norms > RANK_TOLERANCE) if d < k else ():
-            basis[d] = resid[i] / norms[i]
-            visit(chosen + (int(cand[i]),))
-
-    if classes:
-        visit(())
-    for size in sorted({len(c) for c in dependent}):
-        group = np.array([c for c in dependent if len(c) == size])
-        null = np.linalg.svd(reps[group].transpose(0, 2, 1))[2][:, -1]
-        # of the dependent sets, the circuits are those whose null vector has full support
-        full = np.all(np.abs(null) > RANK_TOLERANCE, axis=1)
-        charge(sum(math.prod(classes[i].size for i in c) for c in group[full]))
-        for coefs, c in zip(null[full], group[full]):
-            picks = np.array([*itertools.product(*(classes[i] for i in c))])
-            found.append(np.zeros((len(picks), m)))
-            np.put_along_axis(found[-1], picks, coefs * scale[picks], axis=1)
-
+    found = _dual_cocircuits(vt[rank:], budget) if rank < m else [np.eye(m)]  # m = r: coloops
     x = np.concatenate(found)
     values = np.abs(x) / np.linalg.norm(x @ (vt[:rank].T / s[:rank]), axis=1)[:, None]
     values[values <= zero_tolerance] = math.inf  # and every edge outside the cocircuit
@@ -235,8 +182,61 @@ def _alpha_by_cocircuits(
     )
     return AlphaReport(
         float(values[row, col]), edges[col], tuple(sorted(hyperplane)), zero_tolerance,
-        int(positive.sum()), m - int(positive[: coloops.size].sum()), table,
+        int(positive.sum()), m - int(positive[: len(found[0])].sum()), table,
     )
+
+
+def _dual_cocircuits(kt: np.ndarray, budget: int) -> list[np.ndarray]:
+    """Cocircuit vectors (rows) for K = kt.T != 0: coloops, series pairs, larger by size."""
+    k, m = kt.shape
+    knorm = np.linalg.norm(kt, axis=0)  # norms of the rows of K
+    unit = kt.T / np.maximum(knorm, RANK_TOLERANCE)[:, None]
+    # scale[f] turns a relation coefficient on the unit row of f's class into x_f
+    scale, classes, free = np.ones(m), [], np.flatnonzero(knorm > RANK_TOLERANCE)
+    while free.size:  # free[0] heads its class
+        dots = unit[free] @ unit[free[0]]
+        par = np.linalg.norm(unit[free] - dots[:, None] * unit[free[0]], axis=1) <= RANK_TOLERANCE
+        classes.append(free[par])
+        scale[free[par]] = np.sign(dots[par]) / knorm[free[par]]
+        free = free[~par]
+    spent = [0]
+
+    def charge(count: int) -> None:
+        spent[0] += count
+        if spent[0] > budget:
+            raise BudgetExceededError(f"alpha ({m} edges, rank {m - k}, {len(classes)} series "
+                f"classes) exceeds its budget of {budget} search nodes and cocircuits", None)
+
+    pairs = np.array([p for c in classes for p in itertools.combinations(c, 2)], int).reshape(-1, 2)
+    charge(len(pairs))
+    # cocircuit vectors, one per row: a relation's coefficient times scale[f] at each pick f
+    found = [np.eye(m)[knorm <= RANK_TOLERANCE], np.zeros((len(pairs), m))]
+    np.put_along_axis(found[1], pairs, [1.0, -1.0] * scale[pairs], axis=1)
+    reps, basis, dependent = unit[[c[0] for c in classes]], np.zeros((k, k)), []
+
+    def visit(chosen: tuple[int, ...]) -> None:
+        d = len(chosen)
+        cand = np.arange(chosen[-1] + 1 if d else 0, len(reps))  # basis[:d] spans reps[chosen]
+        charge(cand.size)
+        resid = reps[cand] - (reps[cand] @ basis[:d].T) @ basis[:d]
+        norms = np.linalg.norm(resid, axis=1)
+        dependent.extend(chosen + (j,) for j in cand[norms <= RANK_TOLERANCE].tolist())
+        for i in np.flatnonzero(norms > RANK_TOLERANCE) if d < k else ():
+            basis[d] = resid[i] / norms[i]
+            visit(chosen + (int(cand[i]),))
+
+    visit(())  # K != 0, so there is at least one class
+    for size in sorted({len(c) for c in dependent}):
+        group = np.array([c for c in dependent if len(c) == size])
+        null = np.linalg.svd(reps[group].transpose(0, 2, 1))[2][:, -1]
+        # of the dependent sets, the circuits are those whose null vector has full support
+        full = np.all(np.abs(null) > RANK_TOLERANCE, axis=1)
+        charge(sum(math.prod(classes[i].size for i in c) for c in group[full]))
+        for coefs, c in zip(null[full], group[full]):
+            picks = np.array([*itertools.product(*(classes[i] for i in c))])
+            found.append(np.zeros((len(picks), m)))
+            np.put_along_axis(found[-1], picks, coefs * scale[picks], axis=1)
+    return found
 
 
 @dataclass(frozen=True, eq=False)

@@ -322,6 +322,9 @@ class TestNonFiniteInput:
             ({"dimension": 1, "centers": [[False], [True]]}, "centers"),
             ({"centers": [["0"], ["2"]], "velocities": [["1"], ["-1"]]}, "centers"),
             ({"centers": [[0.0], [2.0]], "velocities": [["1"], ["-1"]]}, "velocities"),
+            ({"centers": [0, 2]}, "centers"),
+            ({"centers": 5}, "centers"),
+            ({"centers": [[[0]], [[2]]]}, "centers"),
         ],
     )
     def test_non_number_fails(self, capsys, tmp_path, payload, field):
@@ -370,6 +373,43 @@ class TestNonFiniteInput:
         )
         assert code == 1
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1.0, 0.0], "need a JSON object with 'dimension' and 'normals'"),
+            (5, "need a JSON object with 'dimension' and 'normals'"),
+            ({"dimension": 2, "normals": 5}, "'normals' must hold JSON numbers only"),
+            ({"dimension": 2, "normals": [1.0, 0.0]}, "'normals' must hold JSON numbers only"),
+            ({"dimension": 2, "normals": [[True, 0.0]]}, "'normals' must hold JSON numbers only"),
+            ({"dimension": 2, "normals": [["1", 0.0]]}, "'normals' must hold JSON numbers only"),
+            ({"dimension": True, "normals": [[1.0, 0.0]]}, "'dimension' must hold JSON numbers only"),
+        ],
+    )
+    def test_malformed_halfspaces(self, capsys, tmp_path, payload, message):
+        # before, a bool or string normal ran as a number, and a non-object
+        # file or a flat normals list left a traceback
+        path = _write(tmp_path / "halfspaces.json", payload)
+        code, out, err = _run(
+            capsys, ["orbit", path, "--start", "[-1, -1]", "--witness", "[0.7, 0.7]"]
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "start, witness",
+        [("[true, 1]", "[0.7, 0.7]"), ('["1", 0]', "[0.7, 0.7]"), ("[-1, -1]", "[[0.7], [0.7]]")],
+    )
+    def test_non_number_orbit_point(self, capsys, tmp_path, start, witness):
+        path = _write(
+            tmp_path / "halfspaces.json",
+            {"dimension": 2, "normals": [[1.0, 0.0], [0.0, 1.0]]},
+        )
+        code, _, err = _run(
+            capsys, ["orbit", path, "--start", start, "--witness", witness]
+        )
+        assert code == 1
+        assert "must hold JSON numbers only" in err
 
 
 class TestLatticeCommand:

@@ -47,6 +47,11 @@ class TestConfigurationFiles:
             ("centers", {"centers": [["0"], ["2"]]}),
             ("velocities", {"centers": [[0.0], [2.0]], "velocities": [["1"], ["-1"]]}),
             ("centers", {"centers": [[0.0], [None]]}),
+            # a flat or over-nested list, or a bare number, where rows belong
+            ("centers", {"centers": [0, 2]}),
+            ("centers", {"centers": 5}),
+            ("centers", {"centers": [[[0]], [[2]]]}),
+            ("velocities", {"centers": [[0.0], [2.0]], "velocities": [0.5, 0.0]}),
         ],
     )
     def test_non_number_rejected(self, tmp_path, field, payload):
@@ -57,7 +62,9 @@ class TestConfigurationFiles:
         with pytest.raises(ValueError, match=f"'{field}' must hold JSON numbers only"):
             io.load_configuration(path)
 
-    @pytest.mark.parametrize("text", ['"centers"', '[["centers"]]', '{"dimension": 1}'])
+    @pytest.mark.parametrize(
+        "text", ['"centers"', '[["centers"]]', '{"dimension": 1}', '{"centers": null}']
+    )
     def test_object_with_centers_required(self, tmp_path, text):
         path = tmp_path / "config.json"
         path.write_text(text)
