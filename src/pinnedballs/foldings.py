@@ -95,9 +95,12 @@ def fold_into_cone(
     columns.  Every row repeats the scalar loop on its own: per pass, take the
     margins against all columns, then for each column k that was negative at
     the start of the pass, in ascending order, recompute m = v . z_k and apply
-    :func:`fold` (v - 2 m z_k when m < 0).  A row leaves the active set once
-    no margin is negative.  Raises RuntimeError when rows are still active
-    after ``max_passes`` passes.  Returns a new (B, N) array.
+    :func:`fold` (v - 2 m z_k when m < 0).  A pass copies the rows with a
+    negative margin into one block; a column step adds -2 min(m, 0) z_k to
+    the rows negative at k at the start of the pass, zero to the others, and
+    the block is written back.  Raises ValueError for ``max_passes`` < 1 and
+    RuntimeError when rows are still active after ``max_passes`` passes.
+    Returns a new (B, N) array.
     """
     v = np.array(points, dtype=float)
     z = np.asarray(normals, dtype=float)
@@ -109,20 +112,20 @@ def fold_into_cone(
         raise ValueError("points and normals must be finite")
     if np.any(np.abs(np.linalg.norm(z, axis=0) - 1.0) > UNIT_TOLERANCE):
         raise ValueError("normals must have unit length")
-    active = np.arange(v.shape[0])
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be >= 1, got {max_passes!r}")
+    active, block = np.arange(v.shape[0]), v
     for _ in range(max_passes):
-        bad = v[active] @ z < 0.0
+        bad = block @ z < 0.0
         keep = bad.any(axis=1)
-        active, bad = active[keep], bad[keep]
+        active, block, bad = active[keep], block[keep], bad[keep]
         if active.size == 0:
             return v
+        scale = -2.0 * bad
         for k in np.flatnonzero(bad.any(axis=0)):
-            rows = active[bad[:, k]]
-            zk = z[:, k]
-            m = v[rows] @ zk
-            neg = m < 0.0
-            rows = rows[neg]
-            v[rows] = v[rows] - 2.0 * m[neg, None] * zk
+            m = np.minimum(block @ z[:, k], 0.0) * scale[:, k]
+            block += m[:, None] * z[:, k]
+        v[active] = block
     raise RuntimeError("folding did not stabilize within the pass budget")
 
 

@@ -73,11 +73,12 @@ def load_configuration(
     )
     state = None
     if data.get("velocities") is not None:
+        # checked first: np.array rejects ragged rows naming neither file nor field
+        lengths = [len(row) for row in data["velocities"]]
+        if lengths != [config.dimension] * config.n:
+            raise ValueError(f"{path}: velocities rows of lengths {lengths} do not match "
+                             f"centers ({config.n} rows of {config.dimension})")
         blocks = np.array(data["velocities"], dtype=float)
-        if blocks.shape != (config.n, config.dimension):
-            raise ValueError(
-                f"{path}: velocities shape {blocks.shape} does not match centers"
-            )
         if not np.all(np.isfinite(blocks)):
             raise ValueError(f"{path}: velocities must be finite numbers")
         state = StateVector(config.n, config.dimension, blocks.reshape(-1))

@@ -34,6 +34,7 @@ from .geometry import (
     BallConfiguration,
     ContactGraph,
     Edge,
+    _require_balls,
     canonical_edge,
     collision_direction,
     collision_matrix,
@@ -313,13 +314,16 @@ def spherical_vertex_check(
     residual of one direction against the span of the others) must clear some
     facet hyperplane by at least alpha; and every sampled unit state of the
     feasible cone within the span of the graph's directions must clear some
-    facet by at least alpha / (n d).  The samples are standard normal draws
-    projected onto that span (draws shorter than 1e-9 are dropped), folded
-    into the cone together by :func:`~pinnedballs.foldings.fold_into_cone`
-    and normalized.  Raises :class:`DependentEdgesError` when the subset's
-    directions are linearly dependent, :class:`NotTouchingError` when a
-    subset or graph edge joins balls that do not touch, and ValueError for
-    a negative ``samples`` or a subset edge that is not an edge of ``graph``.
+    facet by at least alpha / (n d).  One thin SVD zcols = U S V^T of the subset
+    decides independence (singular values above RANK_TOLERANCE) and gives the
+    w_k as the normalized columns of U S^-1 V^T = zcols (zcols^T zcols)^-1.
+    The samples are standard normal draws in the coordinates of an orthonormal
+    basis B of the span (draws shorter than 1e-9 are dropped), folded together
+    by :func:`~pinnedballs.foldings.fold_into_cone` against the normalized
+    B^T z_k and normalized.  Raises ValueError for a negative ``samples``; then, in
+    this order, ValueError for an edge with a ball outside 1..n, NotTouchingError
+    for a subset or graph edge whose balls do not touch, ValueError for a subset
+    edge not in ``graph`` and :class:`DependentEdgesError` for dependent ones.
     """
     subset = _edge_list(edge_subset)
     if not subset:
@@ -328,33 +332,34 @@ def spherical_vertex_check(
         raise ValueError("graph must have at least one edge")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    _require_balls(config.n, subset + list(graph.edges))
     require_touching(config, subset + list(graph.edges))
     for i, j in subset:
         if not graph.has_edge(i, j):
             raise ValueError(f"subset edge ({i + 1}, {j + 1}) is not an edge of the graph")
-    zcols = collision_matrix(config, subset)
-    if np.linalg.matrix_rank(zcols, tol=RANK_TOLERANCE) < len(subset):
+    graph_cols = collision_matrix(config, graph.edges)
+    zcols = graph_cols[:, [graph.edges.index(e) for e in subset]]
+    u, s, vt = np.linalg.svd(zcols, full_matrices=False)
+    if np.count_nonzero(s > RANK_TOLERANCE) < len(subset):
         raise DependentEdgesError("subset directions are linearly dependent")
     if alpha_value is None:
         alpha_value = alpha(config).alpha
 
-    # column k of Q R^{-T} is orthogonal to every other column of zcols and has
-    # inner product 1 with z_k: the residual of z_k against the others, scaled
-    q, r = np.linalg.qr(zcols)
-    vertices = q @ np.linalg.inv(r).T
+    # column k is orthogonal to every other column of zcols and has inner
+    # product 1 with z_k: the residual of z_k against the others, scaled
+    vertices = (u / s) @ vt
     vertices /= np.linalg.norm(vertices, axis=0)
     vertex_margins = np.max(zcols.T @ vertices, axis=0)
 
-    graph_cols = collision_matrix(config, graph.edges)
     basis = span_basis(graph_cols)
-
+    normals = basis.T @ graph_cols
+    normals /= np.linalg.norm(normals, axis=0)
     # one draw of all samples gives the same numbers as one draw per sample
     raw = np.random.default_rng(seed).standard_normal((samples, config.n * config.dimension))
-    states = (raw @ basis) @ basis.T
-    states = states[np.linalg.norm(states, axis=1) >= 1e-9]
-    states = fold_into_cone(states, graph_cols)
-    states /= np.linalg.norm(states, axis=1)[:, None]
-    sample_margins = np.max(states @ graph_cols, axis=1)
+    coords = raw @ basis
+    coords = fold_into_cone(coords[np.linalg.norm(coords, axis=1) >= 1e-9], normals)
+    coords /= np.linalg.norm(coords, axis=1)[:, None]
+    sample_margins = np.max(coords @ normals, axis=1)
 
     floor = alpha_value / (config.n * config.dimension)
     return SphericalVertexReport(

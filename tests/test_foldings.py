@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from pinnedballs import configs
 from pinnedballs.errors import BudgetExceededError, NoInteriorWitnessError
 from pinnedballs.foldings import (
     FoldingSchedule,
@@ -14,6 +15,8 @@ from pinnedballs.foldings import (
     fold_into_cone,
     orbit,
 )
+from pinnedballs.geometry import collision_matrix, full_contact_graph, span_basis
+from pinnedballs.verify import random_system
 
 
 def _random_family(rng, d=None, m=None):
@@ -319,3 +322,50 @@ class TestFoldIntoCone:
     def test_malformed_input_rejected(self, points, normals):
         with pytest.raises(ValueError):
             fold_into_cone(points, normals)
+
+
+class TestFoldIntoConePassBudget:
+    @pytest.mark.parametrize("max_passes", [0, -1])
+    def test_budget_below_one_rejected(self, max_passes):
+        # before, even a point already inside raised "folding did not stabilize"
+        with pytest.raises(ValueError, match="max_passes"):
+            fold_into_cone(np.array([[1.0, 1.0]]), np.eye(2), max_passes=max_passes)
+
+
+def _fold_in_span_and_ambient(points, normals):
+    """The fold of the coordinates c = P B against the unit columns of B^T Z,
+    mapped back by B^T, and the fold of the projections P B B^T against Z."""
+    basis = span_basis(normals)
+    coordinate_normals = basis.T @ normals
+    coordinate_normals /= np.linalg.norm(coordinate_normals, axis=0)
+    in_span = fold_into_cone(points @ basis, coordinate_normals) @ basis.T
+    return in_span, fold_into_cone(points @ basis @ basis.T, normals)
+
+
+class TestFoldInSpanCoordinates:
+    def test_random_rank_deficient_normals(self):
+        # m > r unit normals in a random r-dimensional subspace of R^N, with an
+        # interior witness there
+        rng = np.random.default_rng(20261019)
+        for _ in range(40):
+            n = int(rng.integers(3, 10))
+            r = int(rng.integers(1, n))
+            halfspaces, _ = _random_family(rng, r, int(rng.integers(r + 1, 2 * r + 3)))
+            normals = np.linalg.qr(rng.standard_normal((n, r)))[0] @ np.column_stack(
+                [h.normal for h in halfspaces]
+            )
+            normals /= np.linalg.norm(normals, axis=0)
+            assert np.linalg.matrix_rank(normals) == r
+            in_span, ambient = _fold_in_span_and_ambient(rng.standard_normal((50, n)), normals)
+            np.testing.assert_allclose(in_span, ambient, rtol=0.0, atol=1e-12)
+
+    def test_contact_graph_directions(self):
+        # the flower's 12 directions have rank 11 in R^14; a random system's
+        # directions span a proper subspace of R^{nd} too
+        rng = np.random.default_rng(20261019)
+        systems = [configs.hexagonal_flower()] + [random_system(rng, 7, 3)[0] for _ in range(10)]
+        for config in systems:
+            normals = collision_matrix(config, full_contact_graph(config).edges)
+            points = rng.standard_normal((100, normals.shape[0]))
+            in_span, ambient = _fold_in_span_and_ambient(points, normals)
+            np.testing.assert_allclose(in_span, ambient, rtol=0.0, atol=1e-12)

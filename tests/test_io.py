@@ -35,6 +35,15 @@ class TestConfigurationFiles:
         with pytest.raises(ValueError):
             io.load_configuration(path)
 
+    @pytest.mark.parametrize("velocities", [[[1], [1, 2]], [[1, 2], [1]], [[1, 2]], []])
+    def test_ragged_or_short_velocities_name_file_and_field(self, tmp_path, velocities):
+        # before, ragged rows reached np.array, whose "inhomogeneous shape"
+        # error named neither the file nor the field
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"centers": [[0, 0], [2, 0]], "velocities": velocities}))
+        with pytest.raises(ValueError, match=r"config\.json: velocities rows of lengths .* do not"):
+            io.load_configuration(path)
+
     @pytest.mark.parametrize(
         "field, payload",
         [

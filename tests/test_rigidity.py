@@ -667,9 +667,9 @@ def _cone_check_per_sample(config, graph, subset, alpha_value, samples=200, seed
     )
 
 
-def _cone_check_against_per_sample(config, seed):
+def _cone_check_against_per_sample(config, seed, subset=None):
     graph = full_contact_graph(config)
-    subset = _independent_subset(config, graph)
+    subset = _independent_subset(config, graph) if subset is None else subset
     value = alpha(config).alpha
     report = spherical_vertex_check(config, graph, subset, alpha_value=value, seed=seed)
     vertex_margins, vertices_ok, sample_margins, samples_ok = _cone_check_per_sample(
@@ -704,6 +704,43 @@ class TestConeCheckAgainstPerSample:
         for _ in range(30):
             config, _ = random_system(rng, n_max=7, d_max=3)
             _cone_check_against_per_sample(config, seed=int(rng.integers(2**31)))
+
+
+class TestConeCheckOnSmallerSubsets:
+    def test_random_non_maximal_subsets(self):
+        # prefixes of sizes 1..r of a shuffled maximal independent subset: the
+        # vertex directions then span less than the graph's directions
+        rng = np.random.default_rng(20261019)
+        named = [configs.square(), configs.rhombus(), configs.hexagonal_flower()]
+        systems = named + [random_system(rng, n_max=7, d_max=3)[0] for _ in range(8)]
+        for config in systems:
+            maximal = _independent_subset(config, full_contact_graph(config))
+            maximal = [maximal[k] for k in rng.permutation(len(maximal))]
+            for size in range(1, len(maximal) + 1):
+                seed = int(rng.integers(2**31))
+                _cone_check_against_per_sample(config, seed, subset=sorted(maximal[:size]))
+
+
+class TestSphericalVertexCheckBallRange:
+    # each is checked before any indexing: before, (0, 99) raised IndexError,
+    # (2, -1) wrapped to ball 3 ("balls 0 and 3 do not touch") and (-1, 1)
+    # was reported as "subset edge (0, 2)" not in the graph
+    @pytest.mark.parametrize(
+        "subset, shown",
+        [([(0, 99)], r"\(1, 100\)"), ([(2, -1)], r"\(0, 3\)"), ([(-1, 1)], r"\(0, 2\)")],
+    )
+    def test_subset_ball_outside_rejected(self, subset, shown):
+        config = configs.collinear_chain(3)
+        graph = full_contact_graph(config)
+        with pytest.raises(ValueError, match=rf"edge {shown} names a ball outside 1\.\.3"):
+            spherical_vertex_check(config, graph, subset, alpha_value=0.5)
+
+    def test_graph_on_more_balls_rejected(self):
+        # before, the graph edge (4, 5) of a 3-ball configuration raised IndexError
+        config = configs.collinear_chain(3)
+        graph = ContactGraph(5, ((0, 1), (3, 4)))
+        with pytest.raises(ValueError, match=r"edge \(4, 5\) names a ball outside 1\.\.3"):
+            spherical_vertex_check(config, graph, [(0, 1)], alpha_value=0.5)
 
 
 def _segment_entry_point(config, graph, u, v):
