@@ -92,24 +92,6 @@ class BoundReport:
     value: float | None
     decimal: str | None
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "alpha": self.alpha,
-            "alpha_source": self.alpha_source,
-            "tau": self.tau,
-            "tau_source": self.tau_source,
-            "exponent": str(self.exponent),
-            "exponent_value": float(self.exponent),
-            "log2_base": self.log2_base,
-            "log2_bound": self.log2_bound,
-            "exponent_conservative": self.exponent_conservative,
-            "log2_bound_conservative": self.log2_bound_conservative,
-            "value": self.value,
-            "decimal": self.decimal,
-        }
-
 
 def _representable(log2_bound: float) -> tuple[float | None, str | None]:
     value = 2.0**log2_bound if log2_bound < 1023.0 else None
@@ -244,12 +226,6 @@ class LatticeBoundReport:
     exact: BoundReport
     rounded_log2: float
     exact_below_rounded: bool
-
-    def as_dict(self) -> dict:
-        out = self.exact.as_dict()
-        out["rounded_log2"] = self.rounded_log2
-        out["exact_below_rounded"] = self.exact_below_rounded
-        return out
 
 
 def lattice_bound(n: int) -> LatticeBoundReport:

@@ -1,10 +1,12 @@
 """Command-line front end: validate | simulate | alpha | bound | orbit | lattice | search | verify.
 
-Every emitted report embeds a run manifest (command, inputs, seeds,
-tolerances, version, wall clock).  Exit codes: 0 success, 1 domain error,
-2 usage error, 141 when the reader of stdout closes it early.  Randomized
-commands without an explicit --seed draw one from entropy and record it in
-the manifest; a run that uses no seed records null.
+Each subcommand returns its report and the fields of its run manifest;
+``main`` stamps the manifest (command, version, wall clock, then inputs,
+seeds and tolerances) into every report and emits it.  Reports use 1-based
+ball indices.  Exit codes: 0 success, 1 domain error, 2 usage error, 141 when
+the reader of stdout closes it early.  Randomized commands without an
+explicit --seed draw one from entropy and record it in the manifest; a run
+that uses no seed records null.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ from .errors import BudgetExceededError, PinnedBallsError
 
 
 def _manifest(args: argparse.Namespace, started: float, **extra) -> dict:
-    manifest = {
+    return {
         "command": args.command,
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "wall_clock_s": round(time.monotonic() - started, 6),
+        **extra,
     }
-    manifest.update(extra)
-    return manifest
 
 
 class _StdoutClosed(Exception):
@@ -64,8 +65,33 @@ def _resolve_seed(seed: int | None) -> int:
     return secrets.randbelow(2**31) if seed is None else seed
 
 
-def _cmd_validate(args) -> int:
-    started = time.monotonic()
+def _bound_report(bound: bounds.BoundReport) -> dict:
+    """The bound's fields in declaration order; the exponent as a fraction and a float."""
+    out = {}
+    for name, value in vars(bound).items():
+        if name == "exponent":
+            out.update(exponent=str(value), exponent_value=float(value))
+        else:
+            out[name] = value
+    return out
+
+
+def _search_report(result: search.SearchResult) -> dict:
+    """The result's fields in declaration order; the bound comparison only when made."""
+    out = dict(vars(result), witness=io.one_based(result.witness))
+    if (bound := out.pop("bound")) is not None:
+        out["bound"] = dict(vars(bound))
+    return out
+
+
+def _require_flags(args, *names: str) -> None:
+    """Raise a domain error naming each of these flags that was not given."""
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise PinnedBallsError(f"{args.mode} mode needs {' and '.join(missing)}")
+
+
+def _cmd_validate(args) -> tuple[dict, dict]:
     config, state = io.load_configuration(args.config)
     graph = geometry.full_contact_graph(config)
     report = {
@@ -73,17 +99,14 @@ def _cmd_validate(args) -> int:
         "n": config.n,
         "dimension": config.dimension,
         "contact_tolerance": config.contact_tolerance,
-        "touching_pairs": [[i + 1, j + 1] for i, j in graph.edges],
+        "touching_pairs": io.one_based(graph.edges),
         "connected": graph.is_connected,
         "has_velocities": state is not None,
-        "manifest": _manifest(args, started, inputs=[args.config]),
     }
-    _emit(report, args.output)
-    return 0
+    return report, {"inputs": [args.config]}
 
 
-def _cmd_simulate(args) -> int:
-    started = time.monotonic()
+def _cmd_simulate(args) -> tuple[dict, dict]:
     config, state = io.load_configuration(args.config)
     if state is None:
         raise PinnedBallsError("configuration file has no velocities")
@@ -100,68 +123,61 @@ def _cmd_simulate(args) -> int:
         "initial": {"F": float(trace.functional[0]), "energy": float(trace.energies[0])},
         "final": {"F": float(trace.functional[-1]), "energy": float(trace.energies[-1])},
         "trace_file": args.trace,
-        "manifest": _manifest(
-            args, started, inputs=[args.config, args.schedule]
-        ),
     }
-    _emit(report, args.output)
-    return 0
+    return report, {"inputs": [args.config, args.schedule]}
 
 
-def _cmd_alpha(args) -> int:
-    started = time.monotonic()
+def _cmd_alpha(args) -> tuple[dict, dict]:
     config, _ = io.load_configuration(args.config)
-    report_obj = rigidity.alpha(
-        config,
-        zero_tolerance=args.zero_tolerance,
-        budget=args.budget,
-        collect_table=args.verbose,
-    )
-    report = report_obj.as_dict(verbose=args.verbose)
-    report["manifest"] = _manifest(
-        args,
-        started,
-        inputs=[args.config],
-        tolerances={"zero_tolerance": args.zero_tolerance},
-    )
-    _emit(report, args.output)
-    return 0
+    result = rigidity.alpha(config, zero_tolerance=args.zero_tolerance, budget=args.budget,
+                            collect_table=args.verbose)
+    # the result's fields in declaration order; the candidates only when collected
+    report = dict(vars(result), argmin_edge=io.one_based([result.argmin_edge])[0],
+                  argmin_edges=io.one_based(result.argmin_edges))
+    if (candidates := report.pop("candidates")) is not None:
+        report["candidates"] = [
+            dict(vars(c), edge=io.one_based([c.edge])[0], others=io.one_based(c.others))
+            for c in candidates
+        ]
+    return report, {"inputs": [args.config], "tolerances": {"zero_tolerance": args.zero_tolerance}}
 
 
-def _cmd_bound(args) -> int:
-    started = time.monotonic()
+def _cmd_bound(args) -> tuple[dict, dict]:
     inputs = []
     if args.mode == "tree":
-        report_obj = bounds.tree_bound(args.n, args.d, args.tree_constant, args.tau)
-        report = report_obj.as_dict()
+        _require_flags(args, "n", "d")
+        report = _bound_report(bounds.tree_bound(args.n, args.d, args.tree_constant, args.tau))
     elif args.mode == "lattice":
-        report = bounds.lattice_bound(args.n).as_dict()
+        _require_flags(args, "n")
+        result = bounds.lattice_bound(args.n)
+        report = _bound_report(result.exact)
+        # the floor is subnormal from n = 127 and 0.0 from n = 133: its log2 stands for it
+        if report["alpha"] < sys.float_info.min:
+            report["alpha"] = None
+        report.update(alpha_log2=lattice.lattice_alpha_lower_bound_log2(args.n),
+                      rounded_log2=result.rounded_log2,
+                      exact_below_rounded=result.exact_below_rounded)
     else:
         if args.alpha_from:
             config, _ = io.load_configuration(args.alpha_from)
             inputs.append(args.alpha_from)
-            alpha_value = rigidity.alpha(config).alpha
-            alpha_source = "hyperplanes"
+            alpha_value, alpha_source = rigidity.alpha(config).alpha, "hyperplanes"
             n, d = config.n, config.dimension
         else:
             if args.alpha is None:
                 raise PinnedBallsError("general mode needs --alpha or --alpha-from")
-            if args.n is None or args.d is None:
-                raise PinnedBallsError("general mode needs --n and --d")
+            _require_flags(args, "n", "d")
             alpha_value, alpha_source = args.alpha, "user-value"
             n, d = args.n, args.d
         tau, tau_source = bounds.resolve_tau(d, args.tau)
-        report = bounds.max_collisions_bound(
+        report = _bound_report(bounds.max_collisions_bound(
             n, d, alpha_value, tau, alpha_source=alpha_source, tau_source=tau_source
-        ).as_dict()
+        ))
     report["mode"] = args.mode
-    report["manifest"] = _manifest(args, started, inputs=inputs)
-    _emit(report, args.output)
-    return 0
+    return report, {"inputs": inputs}
 
 
-def _cmd_orbit(args) -> int:
-    started = time.monotonic()
+def _cmd_orbit(args) -> tuple[dict, dict]:
     halfspaces = io.load_halfspaces(args.halfspaces)
     start = io.parse_point("--start", args.start)
     witness = io.parse_point("--witness", args.witness)
@@ -174,100 +190,77 @@ def _cmd_orbit(args) -> int:
     else:
         word = tuple(int(x) for x in args.word.split(","))
         schedule = foldings.FoldingSchedule.periodic(word)
-    result = foldings.orbit(
-        start, halfspaces, schedule, budget=args.budget, witness=witness
-    )
-    report = result.as_dict()
-    report["manifest"] = _manifest(
-        args, started, inputs=[args.halfspaces], seed=seed
-    )
-    _emit(report, args.output)
-    return 0
+    result = foldings.orbit(start, halfspaces, schedule, budget=args.budget, witness=witness)
+    report = {
+        "size": result.size,
+        "stabilization_index": result.stabilization_index,
+        "steps": result.steps,
+        "final": result.final.tolist(),
+        "points": result.points.tolist(),
+    }
+    return report, {"inputs": [args.halfspaces], "seed": seed}
 
 
-def _cmd_lattice(args) -> int:
-    started = time.monotonic()
+def _cmd_lattice(args) -> tuple[dict, dict]:
     points = lattice.lattice_points_in_radius(args.radius)
     edges = lattice.contact_edges(points)
+    if args.save_config:
+        io.save_configuration(args.save_config, lattice.lattice_configuration(points))
     report = {
         "radius": args.radius,
         "count": len(points),
         "points_exact": [[p.a, p.b] for p in points],
         "centers": [p.xy().tolist() for p in points],
-        "touching_pairs": [[i + 1, j + 1] for i, j in edges],
-        "alpha_floor_log2": lattice.lattice_alpha_lower_bound_log2(len(points))
-        if points
-        else None,
-        "manifest": _manifest(args, started, inputs=[]),
+        "touching_pairs": io.one_based(edges),
+        "alpha_floor_log2": lattice.lattice_alpha_lower_bound_log2(len(points)) if points else None,
     }
-    _emit(report, args.output)
-    if args.save_config:
-        io.save_configuration(
-            args.save_config, lattice.lattice_configuration(points)
-        )
-    return 0
+    return report, {"inputs": []}
 
 
-def _cmd_search(args) -> int:
-    started = time.monotonic()
+def _cmd_search(args) -> tuple[dict, dict]:
     if args.depth_cap < 0:
         raise ValueError(f"--depth-cap must be non-negative, got {args.depth_cap}")
     config, state = io.load_configuration(args.config)
     # only a sweep, or a start state drawn for a file without velocities, is random
     seed = _resolve_seed(args.seed) if args.method == "sweep" or state is None else None
+    fields = {"inputs": [args.config], "seed": seed}
     if args.method == "sweep":
-        sweep = search.velocity_sweep(
-            config, args.samples, seed, depth_cap=args.depth_cap
-        )
-        report = sweep.as_dict()
+        sweep = search.velocity_sweep(config, args.samples, seed, depth_cap=args.depth_cap)
+        rows = [_search_report(r) for r in sweep.rows]
+        return {"samples": len(rows), "best": sweep.best, "rows": rows}, fields
+    if state is None:
+        state = search.sample_unit_state(config.n, config.dimension, np.random.default_rng(seed))
+    config, state = geometry.normalize_system(config, state)
+    if args.method == "greedy":
+        result = search.greedy_schedule(config, state)
     else:
-        if state is None:
-            state = search.sample_unit_state(config.n, config.dimension, np.random.default_rng(seed))
-        config, state = geometry.normalize_system(config, state)
-        if args.method == "greedy":
-            result = search.greedy_schedule(config, state)
-        else:
-            try:
-                result = search.exhaustive_max_collisions(
-                    config, state, depth_cap=args.depth_cap
-                )
-            except BudgetExceededError as exc:
-                result = exc.best
-        if args.with_bound:
-            alpha_value = rigidity.alpha(config).alpha
-            tau, tau_source = bounds.resolve_tau(config.dimension)
-            result = search.compare_with_bound(
-                result,
-                bounds.max_collisions_bound(
-                    config.n, config.dimension, alpha_value, tau,
-                    alpha_source="hyperplanes", tau_source=tau_source,
-                ),
-            )
-        report = result.as_dict()
-    report["manifest"] = _manifest(args, started, inputs=[args.config], seed=seed)
-    _emit(report, args.output)
-    return 0
+        try:
+            result = search.exhaustive_max_collisions(config, state, depth_cap=args.depth_cap)
+        except BudgetExceededError as exc:
+            result = exc.best
+    if args.with_bound:
+        tau, tau_source = bounds.resolve_tau(config.dimension)
+        bound = bounds.max_collisions_bound(
+            config.n, config.dimension, rigidity.alpha(config).alpha, tau,
+            alpha_source="hyperplanes", tau_source=tau_source,
+        )
+        result = search.compare_with_bound(result, bound)
+    return _search_report(result), fields
 
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
+def _cmd_verify(args) -> tuple[dict, dict]:
+    """Prints one PASS or FAIL line per check; ``main`` writes the JSON
+    summary only to ``--output`` and exits 1 on any failure."""
     seed = _resolve_seed(args.seed)
     results = verify_mod.run_all(seed=seed, quick=args.quick)
-    failures = [r for r in results if not r.passed]
     for r in results:
         _print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-    summary = {
+    report = {
         "checks": len(results),
-        "failures": len(failures),
-        "manifest": _manifest(args, started, inputs=[], seed=seed),
+        "failures": sum(not r.passed for r in results),
+        "results": [dict(vars(r), passed=bool(r.passed)) for r in results],
     }
-    if args.output:
-        summary["results"] = [
-            {"name": r.name, "passed": bool(r.passed), "detail": r.detail}
-            for r in results
-        ]
-        _emit(summary, args.output)
-    return 1 if failures else 0
+    return report, {"inputs": [], "seed": seed}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,13 +358,19 @@ def main(argv: list[str] | None = None) -> int:
     _single_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
+    verify = args.command == "verify"  # its report on stdout is its PASS and FAIL lines
+    started = time.monotonic()
     try:
-        return args.func(args)
+        report, fields = args.func(args)
+        report["manifest"] = _manifest(args, started, **fields)
+        if args.output or not verify:
+            _emit(report, args.output)
     except _StdoutClosed:
         return _closed_stdout()
     except (PinnedBallsError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 1 if verify and report["failures"] else 0
 
 
 def _closed_stdout() -> int:

@@ -25,9 +25,8 @@ which coincides with the double sum for every input.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -278,21 +277,6 @@ class SimulationTrace:
 
     def state(self, t: int) -> StateVector:
         return StateVector(self.n, self.d, self.states[t])
-
-    def records(self) -> Iterator[dict]:
-        """One JSON-ready record per step, with 1-based ball indices."""
-        for t, (i, j) in enumerate(self.edges, start=1):
-            yield {
-                "t": t,
-                "edge": [i + 1, j + 1],
-                "changed": bool(self.changed[t - 1]),
-                "F": float(self.functional[t]),
-                "energy": float(self.energies[t]),
-            }
-
-    def write_jsonl(self, fh: IO[str]) -> None:
-        for record in self.records():
-            fh.write(json.dumps(record) + "\n")
 
 
 def run_schedule(

@@ -73,9 +73,6 @@ class HalfSpace:
             raise ValueError(f"point of dimension {len(vals)}, half-space of {self.dimension}")
         return _margin(vals, self.normal.tolist())
 
-    def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
-        return self.margin(point) >= -tol
-
 
 def fold(point: Sequence[float], halfspace: HalfSpace) -> np.ndarray:
     """Identity on the half-space, reflection in its boundary outside it."""
@@ -200,15 +197,6 @@ class OrbitResult:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def as_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "stabilization_index": self.stabilization_index,
-            "steps": self.steps,
-            "final": self.final.tolist(),
-            "points": self.points.tolist(),
-        }
-
 
 def _point_key(vals: list, pack) -> bytes:
     """The bytes of ``np.round(point, 12)`` (``pack`` packs d doubles).  Signed zeros
@@ -235,11 +223,14 @@ def orbit(
     >= STABILITY_MARGIN) in every half-space the schedule can still apply,
     and raises :class:`BudgetExceededError` carrying the partial orbit
     otherwise.  Points are told apart by ``_point_key``.  Start and witness
-    must be finite, of the normals' dimension.  An identity fold leaves the
-    point seen and not stable, so neither its key nor stability is rechecked.
+    must be finite, of the normals' dimension, and ``budget`` at least 1.  An
+    identity fold leaves the point seen and not stable, so neither its key nor
+    stability is rechecked.
     """
     if not halfspaces:
         raise ValueError("need at least one half-space")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget!r}")
     w = np.array(witness, dtype=float).reshape(-1)
     v = np.array(start, dtype=float).reshape(-1)
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):

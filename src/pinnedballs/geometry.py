@@ -125,9 +125,6 @@ class BallConfiguration:
     def n(self) -> int:
         return self.centers.shape[0]
 
-    def center(self, i: int) -> np.ndarray:
-        return self.centers[i]
-
     def distance(self, i: int, j: int) -> float:
         return float(np.linalg.norm(self.centers[i] - self.centers[j]))
 

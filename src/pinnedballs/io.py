@@ -1,13 +1,14 @@
 """JSON file formats: configurations, schedules, half-space families, traces.
 
-All on-disk formats use 1-based ball indices; the API is 0-based.
+All on-disk formats and every CLI report use 1-based ball indices; the API is
+0-based, and :func:`one_based` is where an edge changes from one to the other.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,6 +51,11 @@ def _load_object(path: str | Path, required: tuple[str, ...], depths: dict[str, 
         if data.get(name) is not None:
             _require_numbers(f"{path}: ", name, data[name], depth)
     return data
+
+
+def one_based(edges: Iterable[Edge]) -> list[list[int]]:
+    """Edges as the 1-based [i, j] pairs of the file formats and reports."""
+    return [[i + 1, j + 1] for i, j in edges]
 
 
 def parse_point(name: str, text: str) -> list[float]:
@@ -127,7 +133,7 @@ def load_schedule(path: str | Path) -> Schedule:
 
 def save_schedule(path: str | Path, edges: Sequence[Edge]) -> None:
     with open(path, "w") as fh:
-        json.dump([[i + 1, j + 1] for i, j in edges], fh)
+        json.dump(one_based(edges), fh)
         fh.write("\n")
 
 
@@ -155,6 +161,13 @@ def save_halfspaces(path: str | Path, halfspaces: Sequence[HalfSpace]) -> None:
 
 
 def write_trace_jsonl(path: str | Path, trace: SimulationTrace) -> None:
-    """One JSON record per step: {t, edge, changed, F, energy}."""
+    """One JSON record per step: {t, edge, changed, F, energy}, where step t
+    applied ``edge`` and F and energy are those of the state it left."""
+    rows = zip(
+        one_based(trace.edges), trace.changed.tolist(),
+        trace.functional[1:].tolist(), trace.energies[1:].tolist(),
+    )
     with open(path, "w") as fh:
-        trace.write_jsonl(fh)
+        for t, (edge, changed, f, energy) in enumerate(rows, 1):
+            record = {"t": t, "edge": edge, "changed": changed, "F": f, "energy": energy}
+            fh.write(json.dumps(record) + "\n")

@@ -51,9 +51,10 @@ RANK_TOLERANCE = 1e-10
 
 
 def _edge_list(edges: Iterable[Edge] | ContactGraph) -> list[Edge]:
+    """The canonical edges, each once, in the order they first appear."""
     if isinstance(edges, ContactGraph):
         return list(edges.edges)
-    return sorted({canonical_edge(*e) for e in edges})
+    return list(dict.fromkeys(canonical_edge(*e) for e in edges))
 
 
 def _distance_to_span(target: np.ndarray, columns: list[np.ndarray]) -> float:
@@ -95,26 +96,6 @@ class AlphaReport:
     n_candidates: int
     n_zero: int
     candidates: tuple[AlphaCandidate, ...] | None
-
-    def as_dict(self, verbose: bool = False) -> dict:
-        out = {
-            "alpha": self.alpha,
-            "argmin_edge": [self.argmin_edge[0] + 1, self.argmin_edge[1] + 1],
-            "argmin_edges": [[i + 1, j + 1] for i, j in self.argmin_edges],
-            "zero_tolerance": self.zero_tolerance,
-            "n_candidates": self.n_candidates,
-            "n_zero": self.n_zero,
-        }
-        if verbose and self.candidates is not None:
-            out["candidates"] = [
-                {
-                    "edge": [c.edge[0] + 1, c.edge[1] + 1],
-                    "others": [[i + 1, j + 1] for i, j in c.others],
-                    "value": c.value,
-                }
-                for c in self.candidates
-            ]
-        return out
 
 
 def alpha(
@@ -316,7 +297,8 @@ def spherical_vertex_check(
     feasible cone within the span of the graph's directions must clear some
     facet by at least alpha / (n d).  One thin SVD zcols = U S V^T of the subset
     decides independence (singular values above RANK_TOLERANCE) and gives the
-    w_k as the normalized columns of U S^-1 V^T = zcols (zcols^T zcols)^-1.
+    w_k as the normalized columns of U S^-1 V^T = zcols (zcols^T zcols)^-1;
+    ``vertex_margins`` follows the subset's edges in the order first passed.
     The samples are standard normal draws in the coordinates of an orthonormal
     basis B of the span (draws shorter than 1e-9 are dropped), folded together
     by :func:`~pinnedballs.foldings.fold_into_cone` against the normalized

@@ -58,23 +58,6 @@ class SearchResult:
     truncated: bool = False
     bound: BoundComparison | None = None
 
-    def as_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "collisions": self.collisions,
-            "witness": [[i + 1, j + 1] for i, j in self.witness],
-            "nodes_explored": self.nodes_explored,
-            "truncated": self.truncated,
-        }
-        if self.bound is not None:
-            out["bound"] = {
-                "log2_collisions": self.bound.log2_collisions,
-                "log2_bound": self.bound.log2_bound,
-                "within": self.bound.within,
-                "alpha_source": self.bound.alpha_source,
-            }
-        return out
-
 
 def compare_with_bound(result: SearchResult, report: BoundReport) -> SearchResult:
     """Attach the log2 comparison against a theoretical bound."""
@@ -249,13 +232,6 @@ class VelocitySweep:
 
     rows: tuple[SearchResult, ...]
     best: int
-
-    def as_dict(self) -> dict:
-        return {
-            "samples": len(self.rows),
-            "best": self.best,
-            "rows": [r.as_dict() for r in self.rows],
-        }
 
 
 def velocity_sweep(

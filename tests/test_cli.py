@@ -16,6 +16,7 @@ from pinnedballs.cli import main
 from pinnedballs.foldings import adversarial_two_halfplanes
 from pinnedballs.geometry import StateVector, full_contact_graph
 from pinnedballs.io import save_configuration, save_halfspaces, save_schedule
+from pinnedballs.lattice import lattice_alpha_lower_bound_log2
 
 
 def _openblas(name):
@@ -211,6 +212,39 @@ class TestBound:
         assert code == 1
         assert "alpha" in err
 
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["--mode", "tree", "--d", "2"], "--n"),
+            (["--mode", "tree", "--n", "4"], "--d"),
+            (["--mode", "tree"], "--n and --d"),
+            (["--mode", "lattice"], "--n"),
+            (["--alpha", "1", "--n", "2"], "--d"),
+        ],
+    )
+    def test_missing_size_flag_is_domain_error(self, capsys, argv, missing):
+        # before, tree and lattice modes left a TypeError traceback and no error line
+        code, out, err = _run(capsys, ["bound", *argv])
+        assert code == 1 and out == ""
+        mode = argv[1] if argv[0] == "--mode" else "general"
+        assert err == f"error: {mode} mode needs {missing}\n"
+
+    @pytest.mark.parametrize("n, normal", [(126, True), (127, False), (133, False)])
+    def test_lattice_floor_below_normal_floats(self, capsys, n, normal):
+        # the floor is subnormal from n = 127 and 0.0 from n = 133, an alpha that
+        # --alpha refuses: the report then gives it by its log2 alone
+        code, out, _ = _run(capsys, ["bound", "--mode", "lattice", "--n", str(n)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["alpha_log2"] == lattice_alpha_lower_bound_log2(n)
+        if normal:
+            assert report["alpha"] == 2.0 ** report["alpha_log2"] >= sys.float_info.min
+        else:
+            assert report["alpha"] is None
+        assert list(report)[-5:] == [
+            "alpha_log2", "rounded_log2", "exact_below_rounded", "mode", "manifest"
+        ]
+
 
 class TestOrbitCommand:
     def test_round_robin_orbit(self, capsys, tmp_path):
@@ -278,6 +312,18 @@ class TestOrbitCommand:
         assert out == ""
         assert "budget exhausted after 10 folds" in err
         assert _run(capsys, argv)[0] == 0
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_fails(self, capsys, tmp_path, budget):
+        # before, both reported "orbit budget exhausted after 1 folds"
+        path = _write(
+            tmp_path / "halfspaces.json",
+            {"dimension": 2, "normals": [[1.0, 0.0], [0.0, 1.0]]},
+        )
+        argv = ["orbit", path, "--start", "[-1, -1]", "--witness", "[0.7, 0.7]", "--budget", budget]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == f"error: budget must be >= 1, got {budget}\n"
 
     def test_start_of_wrong_dimension(self, capsys, tmp_path):
         path = _write(

@@ -192,22 +192,6 @@ class TestRunSchedule:
             )
             assert again.collisions == 0
 
-    def test_trace_records_schema(self):
-        config, state = normalize_system(
-            configs.touching_pair(), _state([[1.0], [-1.0]])
-        )
-        trace = run_schedule(config, state, Schedule.explicit([(0, 1)]))
-        records = list(trace.records())
-        assert records == [
-            {
-                "t": 1,
-                "edge": [1, 2],
-                "changed": True,
-                "F": pytest.approx(4 * math.sqrt(2)),
-                "energy": pytest.approx(1.0),
-            }
-        ]
-
 
 class TestScheduleDistinctEdges:
     """An explicit schedule finds its distinct edges once, when it is built."""

@@ -136,6 +136,16 @@ class TestOrbit:
         assert exc.value.best.stabilization_index is None
         assert exc.value.best.size >= 2
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        # before, a budget of 0 or -5 still applied one fold and reported
+        # "orbit budget exhausted after 1 folds"; a start already inside is refused too
+        halfspaces, start, schedule = adversarial_two_halfplanes(50)
+        witness = halfspaces[0].normal + halfspaces[1].normal
+        for point in (start, witness):
+            with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+                orbit(point, halfspaces, schedule, budget=budget, witness=witness)
+
     def test_distance_to_witness_never_increases(self, rng):
         for _ in range(100):
             halfspaces, witness = _random_family(rng)

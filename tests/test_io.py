@@ -1,11 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from pinnedballs import configs, io
+from pinnedballs.dynamics import Schedule, run_schedule
 from pinnedballs.foldings import HalfSpace
-from pinnedballs.geometry import StateVector
+from pinnedballs.geometry import StateVector, normalize_system
 
 
 class TestConfigurationFiles:
@@ -113,6 +115,41 @@ class TestScheduleFiles:
         path.write_text(entries)
         with pytest.raises(ValueError, match="must be integers"):
             io.load_schedule(path)
+
+
+class TestTraceFiles:
+    def test_trace_records_schema(self, tmp_path):
+        config, state = normalize_system(
+            configs.touching_pair(), StateVector.from_blocks([[1.0], [-1.0]])
+        )
+        trace = run_schedule(config, state, Schedule.explicit([(0, 1)]))
+        path = tmp_path / "trace.jsonl"
+        io.write_trace_jsonl(path, trace)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [list(r) for r in records] == [["t", "edge", "changed", "F", "energy"]]
+        assert records == [
+            {
+                "t": 1,
+                "edge": [1, 2],
+                "changed": True,
+                "F": pytest.approx(4 * math.sqrt(2)),
+                "energy": pytest.approx(1.0),
+            }
+        ]
+
+    def test_records_follow_the_trace(self, tmp_path):
+        # step t applied edges[t - 1]; F and energy are those of states[t]
+        config = configs.collinear_chain(3)
+        state = StateVector.from_blocks([[1.0], [0.0], [-1.0]])
+        trace = run_schedule(config, state, Schedule.explicit([(1, 2), (0, 1), (1, 2), (0, 1)]))
+        path = tmp_path / "trace.jsonl"
+        io.write_trace_jsonl(path, trace)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["t"] for r in records] == [1, 2, 3, 4]
+        assert [r["edge"] for r in records] == io.one_based(trace.edges)
+        assert [r["changed"] for r in records] == trace.changed.tolist()
+        assert [r["F"] for r in records] == trace.functional[1:].tolist()
+        assert [r["energy"] for r in records] == trace.energies[1:].tolist()
 
 
 class TestHalfspaceFiles:

@@ -705,6 +705,18 @@ class TestConeCheckAgainstPerSample:
             config, _ = random_system(rng, n_max=7, d_max=3)
             _cone_check_against_per_sample(config, seed=int(rng.integers(2**31)))
 
+    def test_unsorted_subset_keeps_its_order(self):
+        # before, vertex_margins came in sorted order, those of (0, 2), (0, 3), (1, 2)
+        _cone_check_against_per_sample(configs.rhombus(), seed=7, subset=[(0, 3), (1, 2), (0, 2)])
+
+    def test_repeated_edge_counts_at_first_appearance(self):
+        config = configs.rhombus()
+        graph = full_contact_graph(config)
+        once = spherical_vertex_check(config, graph, [(0, 3), (1, 2), (0, 2)], samples=0)
+        again = spherical_vertex_check(config, graph, [(3, 0), (1, 2), (0, 3), (0, 2)], samples=0)
+        np.testing.assert_array_equal(again.vertex_margins, once.vertex_margins)
+        assert once.vertex_margins[2] < once.vertex_margins[0]
+
 
 class TestConeCheckOnSmallerSubsets:
     def test_random_non_maximal_subsets(self):
