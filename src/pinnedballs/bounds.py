@@ -70,8 +70,11 @@ def resolve_tau(d: int, policy: str = "exact") -> tuple[int, str]:
     if policy == "lower":
         return info.lower, "elementary-lower"
     if policy.startswith("value:"):
-        return int(policy.split(":", 1)[1]), "user-value"
-    raise ValueError(f"unknown tau policy {policy!r}")
+        try:
+            return int(policy[len("value:"):]), "user-value"
+        except ValueError:
+            pass
+    raise ValueError(f"tau policy must be exact, upper, lower or value:<int>, got {policy!r}")
 
 
 @dataclass(frozen=True)

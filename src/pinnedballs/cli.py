@@ -143,6 +143,11 @@ def _cmd_alpha(args) -> tuple[dict, dict]:
 
 
 def _cmd_bound(args) -> tuple[dict, dict]:
+    # --tau reads alike for every d; checked before any alpha is computed
+    try:
+        bounds.resolve_tau(1, args.tau)
+    except ValueError as exc:
+        raise PinnedBallsError(f"--tau: {exc}") from None
     inputs = []
     if args.mode == "tree":
         _require_flags(args, "n", "d")
@@ -188,7 +193,12 @@ def _cmd_orbit(args) -> tuple[dict, dict]:
     elif args.policy == "round-robin":
         schedule = foldings.FoldingSchedule.round_robin()
     else:
-        word = tuple(int(x) for x in args.word.split(","))
+        try:
+            word = tuple(int(x) for x in args.word.split(","))
+        except ValueError:
+            raise PinnedBallsError(
+                f"--policy periodic needs --word, comma-separated integers; got {args.word!r}"
+            ) from None
         schedule = foldings.FoldingSchedule.periodic(word)
     result = foldings.orbit(start, halfspaces, schedule, budget=args.budget, witness=witness)
     report = {

@@ -7,14 +7,14 @@ collisions can revisit a state, so the search tree is finite even without
 the depth cap.  Results are lower envelopes of the true supremum: sampling
 initial states can never certify it.
 
-A node is a list of per-ball velocity blocks, and its memo key joins one
-key per block, each the bytes of the block rounded to 12 decimals by
-``foldings._point_key``; the joined key equals ``np.round(state, 12).tobytes()``
-byte for byte.  A node also carries its moves: per touching pair, the blocks
-its exchange gives and their keys, or None.  A collision on pair (i, j) changes
-only v_i and v_j, so a child recomputes only the pairs that share ball i or j,
-reuses the rest, and never re-keys an inherited move.  The greedy walk and
-the depth-cap check expand a node the same way.
+A node is a list of per-ball velocity blocks.  Its memo key joins the raw
+bytes of each block (:func:`_block_key`), which equals
+``np.asarray(state).tobytes()``: two nodes merge exactly when their states are
+bit-identical, signed zeros apart.  A node also carries its moves: per touching
+pair, the blocks its exchange gives and their keys, or None.  A collision on
+pair (i, j) changes only v_i and v_j, so a child recomputes only the pairs
+that share ball i or j, reuses the rest, and never re-keys an inherited move.
+The greedy walk and the depth-cap check expand a node the same way.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from .bounds import BoundReport
 from .dynamics import _exchanged, _PairKernel
 from .errors import BudgetExceededError, NotNormalizedError, TooManyEdgesError
-from .foldings import _point_key
 from .geometry import (
     BallConfiguration,
     ContactGraph,
@@ -80,6 +79,11 @@ def _require_normalized(config: BallConfiguration, state: StateVector) -> None:
         raise NotNormalizedError("state has non-zero total momentum")
     if abs(state.energy - 1.0) > 1e-9:
         raise NotNormalizedError("state does not have unit energy")
+
+
+def _block_key(d: int):
+    """The memo key of a block of d floats: the raw bytes of its doubles."""
+    return lambda block, pack=struct.Struct(f"{d}d").pack: pack(*block)
 
 
 def _require_depth_cap(depth_cap: int) -> None:
@@ -137,8 +141,8 @@ def exhaustive_max_collisions(
 
     Branches on every pair that collides in the node's state, in
     graph order, from the moves each node carries (see the module docstring).
-    Subtree results are memoized on the (quantized state, depth) pair, which
-    is sound because the dynamics are deterministic.  Raises
+    Subtree results are memoized on the (state's float bits, depth) pair,
+    which is sound because the dynamics are deterministic.  Raises
     :class:`BudgetExceededError` carrying the best result found when the
     depth cap truncates a branch or the node budget runs out; the carried
     result is then a lower envelope.  ``nodes_explored`` counts the calls of
@@ -157,11 +161,7 @@ def exhaustive_max_collisions(
 
     kernel = _PairKernel(config, graph, 0.0)
     edges = list(kernel.pairs)
-    pack = struct.Struct(f"{config.dimension}d").pack
-
-    def key(block: list) -> bytes:
-        return _point_key(block, pack)
-
+    key = _block_key(config.dimension)
     nodes, truncated = 0, False
     memo: dict[tuple[bytes, int], tuple[int, tuple[Edge, ...]]] = {}
 

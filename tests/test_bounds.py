@@ -56,6 +56,11 @@ class TestKissingNumber:
         assert resolve_tau(2, "lower") == (4, "elementary-lower")
         assert resolve_tau(2, "value:7") == (7, "user-value")
 
+    @pytest.mark.parametrize("policy", ["value:x", "value:1e3", "value:", "sideways"])
+    def test_malformed_policy_rejected(self, policy):
+        with pytest.raises(ValueError, match="exact, upper, lower or value:<int>"):
+            resolve_tau(2, policy)
+
 
 class TestMaxCollisionsBound:
     def test_minimal_case(self):

@@ -229,6 +229,16 @@ class TestBound:
         mode = argv[1] if argv[0] == "--mode" else "general"
         assert err == f"error: {mode} mode needs {missing}\n"
 
+    @pytest.mark.parametrize("tau", ["value:x", "value:1e3", "value:", "sideways"])
+    @pytest.mark.parametrize("mode", [
+        ["--n", "2", "--d", "1", "--alpha", "1"], ["--mode", "tree", "--n", "4", "--d", "2"],
+    ])
+    def test_malformed_tau_names_the_flag(self, capsys, tau, mode):
+        # before, value:x printed int()'s "invalid literal for int() with base 10"
+        code, out, err = _run(capsys, ["bound", *mode, "--tau", tau])
+        assert code == 1 and out == ""
+        assert err.startswith("error: --tau: ") and repr(tau) in err
+
     @pytest.mark.parametrize("n, normal", [(126, True), (127, False), (133, False)])
     def test_lattice_floor_below_normal_floats(self, capsys, n, normal):
         # the floor is subnormal from n = 127 and 0.0 from n = 133, an alpha that
@@ -294,6 +304,19 @@ class TestOrbitCommand:
         assert code == 1
         assert out == ""
         assert "out of range" in err
+
+    @pytest.mark.parametrize("word", [None, "0,,1", "0,a", "1.5"])
+    def test_malformed_word_names_the_flag(self, capsys, tmp_path, word):
+        # before, a missing --word printed int()'s "invalid literal for int() with base 10: ''"
+        path = _write(
+            tmp_path / "halfspaces.json",
+            {"dimension": 2, "normals": [[1.0, 0.0], [0.0, 1.0]]},
+        )
+        argv = ["orbit", path, "--start", "[-1.0, -1.0]", "--witness", "[0.7, 0.7]",
+                "--policy", "periodic"]
+        code, out, err = _run(capsys, argv + (["--word", word] if word else []))
+        assert code == 1 and out == ""
+        assert err.startswith("error: --policy periodic needs --word") and repr(word or "") in err
 
     def test_budget_exceeded(self, capsys, tmp_path):
         halfspaces, start, _ = adversarial_two_halfplanes(50)
