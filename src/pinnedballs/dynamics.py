@@ -10,11 +10,11 @@ Whether a pair collides and the exchange it makes are defined once, in
 ``_exchanges``, on Python floats with dot products summed in component order:
 :func:`collide`, every schedule loop, walk and search share it, so a step
 changes the state exactly when it counts as a collision, and no BLAS build can
-change the bits.  It reads a state as one list of floats per ball, and each
-touching pair by ball index, so an exchange replaces two blocks and shares the
-rest with its input.  A run records change points, the distinct states and the
-steps they appear at, so an explicit run stops once every edge of its schedule
-is idle.
+change the bits; a policy run tests stability on the same floats and pairs.  A
+state is one list of floats per ball and a touching pair is read by ball index,
+so an exchange replaces two blocks and shares the rest with its input.  A run
+records change points, the distinct states and the steps they appear at, so an
+explicit run stops once every edge of its schedule is idle.
 
 Along any schedule the energy and total momentum are conserved and the
 functional F = sum_{i,j} (v_j - v_i) . (x_j - x_i) never decreases; it is
@@ -166,11 +166,13 @@ def collide(
     no component of v_i or v_j by more than :data:`CHANGE_TOLERANCE`.  Every
     other call is a collision, as the kernel of traces, walks and searches
     counts it.  The default tolerance 0 means an exact IEEE comparison; a
-    positive value widens the no-collision band for robustness studies.
+    positive value widens the no-collision band for robustness studies.  A
+    NaN, infinite or negative tolerance raises ValueError.
     """
-    i, j = edge
-    if i == j:
+    if edge[0] == edge[1]:
         raise ValueError("a ball cannot collide with itself")
+    if not 0.0 <= approach_tolerance < float("inf"):
+        raise ValueError(f"approach_tolerance must be finite and >= 0, got {approach_tolerance!r}")
     out = _exchanged(state.blocks().tolist(), _pairs(config, [edge])[0], approach_tolerance)
     return state if out is None else state.with_values(out)
 
@@ -291,11 +293,12 @@ def run_schedule(
 
     Explicit schedules run for min(len(schedule), max_steps) steps and must
     reference only edges of the governing graph (:class:`ScheduleError`
-    otherwise).  Policy schedules stop early once the state lies in every
-    half-space of the graph's touching pairs, with margin at least
-    :data:`~pinnedballs.foldings.STABILITY_MARGIN`, the tolerance that also
-    stops folding orbits; otherwise they run until max_steps (default 10^6
-    for policies).  A negative max_steps raises ValueError.  Graph edges
+    otherwise).  Policy schedules stop early once every touching pair of the
+    graph has margin z_e . v = ((v_i - v_j) . u) / sqrt(2) >=
+    :data:`~pinnedballs.foldings.STABILITY_MARGIN`, summed in component
+    order, the pair that failed last tested first; otherwise they run until
+    max_steps (default 10^6 for policies).  A negative max_steps or a NaN,
+    infinite or negative approach_tolerance raises ValueError.  Graph edges
     whose balls do not touch never change the state.  An explicit run stops
     stepping once every edge of its schedule leaves the state as it is; both
     that count and the graph check read the schedule's ``distinct_edges``.
@@ -306,6 +309,8 @@ def run_schedule(
         raise ValueError("state shape does not match configuration")
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+    if not 0.0 <= approach_tolerance < float("inf"):
+        raise ValueError(f"approach_tolerance must be finite and >= 0, got {approach_tolerance!r}")
     kernel = _PairKernel(config, graph, approach_tolerance)
 
     stable = None
@@ -332,11 +337,17 @@ def run_schedule(
                 for k in rng.integers(count, size=min(_DRAW_BLOCK, max_steps - done)).tolist()
             )
         applied, quiet = [], None
-        if schedule.kind != "lexicographic-greedy":
-            zmat_t = collision_matrix(config, list(kernel.pairs)).T  # unit rows, F-ordered
+        pairs, bound = list(kernel.pairs.values()), STABILITY_MARGIN * 2**0.5
 
-            def stable(values: list) -> bool:
-                return bool(np.all(zmat_t @ values >= STABILITY_MARGIN))
+        def stable(blocks: list) -> bool:
+            for k, (i, j, _, u) in enumerate(pairs):
+                margin = 0.0  # sqrt(2) z_e . v
+                for a, b, c in zip(blocks[i], blocks[j], u):
+                    margin += (a - b) * c
+                if margin < bound:
+                    pairs.insert(0, pairs.pop(k))  # tested first next time
+                    return False
+            return True
 
     vals = state0.blocks().tolist()
     if schedule.kind == "lexicographic-greedy":
@@ -347,7 +358,7 @@ def run_schedule(
         rows, starts = [state0.values.tolist()], [0]
         # edges whose exchange is known to leave the current state as it is
         idle: set[Edge] = set()
-        stabilized = stable is not None and stable(rows[0])
+        stabilized = stable is not None and stable(vals)
         for t, e in enumerate(() if stabilized else planned, 1):
             if stable is not None:
                 applied.append(e)
@@ -362,8 +373,7 @@ def run_schedule(
             starts.append(t)
             idle.clear()
             # an unchanged state that was not stable stays not stable
-            if stable is not None and stable(rows[-1]):
-                stabilized = True
+            if stable is not None and (stabilized := stable(vals)):
                 break
 
     distinct = np.array(rows).reshape(len(rows), -1)

@@ -71,6 +71,13 @@ class TestCollide:
         with pytest.raises(ValueError):
             collide(config, _state([[1.0], [-1.0]]), (1, 1))
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -5.0, -1e-300, math.inf])
+    def test_bad_approach_tolerance_rejected(self, tolerance):
+        # with a NaN or negative tolerance the separating pair would collide
+        config = configs.touching_pair()
+        with pytest.raises(ValueError, match="approach_tolerance"):
+            collide(config, _state([[-1.0], [1.0]]), (0, 1), tolerance)
+
 
 class TestCollideAsFolding:
     def test_matches_collide_on_examples(self):
@@ -124,21 +131,19 @@ class TestRunSchedule:
         assert trace.collisions == 3
         assert trace.stabilized
 
-    def test_only_policy_runs_build_stability_rows(self, monkeypatch):
+    def test_no_schedule_builds_a_collision_matrix(self, monkeypatch):
+        # stability is tested on the kernel's pairs, so no run needs the matrix
         config, state = normalize_system(
             configs.collinear_chain(3), _state([[1.0], [0.0], [-1.0]])
         )
-        built = []
-        real = dynamics.collision_matrix
-        monkeypatch.setattr(
-            dynamics, "collision_matrix", lambda *args: built.append(args) or real(*args)
-        )
-        for schedule in (Schedule.greedy(), Schedule.explicit([(0, 1)] * 3)):
-            run_schedule(config, state, schedule)
-        assert built == []
-        for schedule in (Schedule.round_robin(), Schedule.seeded_random(3)):
+
+        def refuse(*args):
+            raise AssertionError("run_schedule built a collision matrix")
+
+        monkeypatch.setattr(dynamics, "collision_matrix", refuse)
+        run_schedule(config, state, Schedule.explicit([(0, 1)] * 3))
+        for schedule in (Schedule.greedy(), Schedule.round_robin(), Schedule.seeded_random(3)):
             assert run_schedule(config, state, schedule).stabilized
-        assert len(built) == 2
 
     def test_foreign_edge_rejected(self):
         config, state = normalize_system(
@@ -176,6 +181,21 @@ class TestRunSchedule:
         )
         with pytest.raises(ValueError, match="max_steps"):
             run_schedule(config, state, schedule, max_steps=-1)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -5.0, -1e-300, math.inf])
+    def test_bad_approach_tolerance_rejected(self, tolerance):
+        # with a NaN or negative tolerance F would go 8 -> -8 -> 8 on this separating pair
+        config = configs.touching_pair()
+        for schedule in (Schedule.explicit([(0, 1)] * 3), Schedule.round_robin()):
+            with pytest.raises(ValueError, match="approach_tolerance"):
+                run_schedule(config, _state([[-1.0], [1.0]]), schedule, approach_tolerance=tolerance)
+
+    def test_large_approach_tolerance_allowed(self):
+        config = configs.touching_pair()
+        trace = run_schedule(
+            config, _state([[1.0], [-1.0]]), Schedule.explicit([(0, 1)]), approach_tolerance=1e300
+        )
+        assert trace.collisions == 0
 
     def test_round_robin_stabilizes(self, rng):
         for _ in range(30):
