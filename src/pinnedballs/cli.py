@@ -62,7 +62,12 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 def _resolve_seed(seed: int | None) -> int:
-    return secrets.randbelow(2**31) if seed is None else seed
+    """The --seed given, or one drawn from entropy; a negative one is a domain error."""
+    if seed is None:
+        return secrets.randbelow(2**31)
+    if seed < 0:
+        raise PinnedBallsError(f"--seed must be non-negative, got {seed}")
+    return seed
 
 
 def _bound_report(bound: bounds.BoundReport) -> dict:
@@ -377,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(report, args.output)
     except _StdoutClosed:
         return _closed_stdout()
-    except (PinnedBallsError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (PinnedBallsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1 if verify and report["failures"] else 0

@@ -7,14 +7,14 @@ not approaching are left unchanged.  The same map is realized by folding the
 stacked state across the half-space of the pair's collision direction, and
 both implementations are exposed so they can be checked against each other.
 Whether a pair collides and the exchange it makes are defined once, in
-``_exchanges``, on Python floats with dot products summed in component order:
-:func:`collide`, every schedule loop, walk and search share it, so a step
-changes the state exactly when it counts as a collision, and no BLAS build can
-change the bits; a policy run tests stability on the same floats and pairs.  A
-state is one list of floats per ball and a touching pair is read by ball index,
-so an exchange replaces two blocks and shares the rest with its input.  A run
-records change points, the distinct states and the steps they appear at, so an
-explicit run stops once every edge of its schedule is idle.
+``_exchanges``, on Python floats with dot products summed in component order,
+so no BLAS build can change the bits; :func:`collide`, every run, the greedy
+walk ``_walk`` and the schedule search all use it, so a step changes the state
+exactly when it counts as a collision.  A state is one list of floats per
+ball and ``_pair_table`` gives each touching edge its ball indices and
+geometry, so an exchange replaces two blocks and shares the rest.  A run
+records change points, the distinct states and the steps they appear at, so
+an explicit run stops once every edge of its schedule is idle.
 
 Along any schedule the energy and total momentum are conserved and the
 functional F = sum_{i,j} (v_j - v_i) . (x_j - x_i) never decreases; it is
@@ -94,62 +94,32 @@ def _exchanged(blocks: list, pair: tuple | None, tolerance: float) -> list | Non
     return out
 
 
-class _PairKernel:
-    """The pair exchange on the edges of one graph, each edge's geometry computed once.
+def _pair_table(config: BallConfiguration, graph: ContactGraph) -> dict[Edge, tuple]:
+    """Each touching edge of ``graph``, in graph order, mapped to its :func:`_pairs` tuple."""
+    return {e: p for e, p in zip(graph.edges, _pairs(config, graph.edges)) if p}
 
-    Every method goes through :func:`_exchanges`, as :func:`collide` does, so
-    the states agree bit for bit.  A state is a list of per-ball lists of floats;
-    no method mutates one, so a child shares the blocks its exchange left alone.
-    """
 
-    #: Pair index (None: all) -> (indices, pairs) of the pairs sharing a ball with it.
-    _near: dict[int | None, tuple[Sequence[int], list[tuple]]] | None = None
-
-    def __init__(self, config: BallConfiguration, graph: ContactGraph, tolerance: float):
-        self.tolerance = tolerance
-        #: :func:`_pairs` of the graph's touching edges, in graph order.
-        self.pairs = {e: p for e, p in zip(graph.edges, _pairs(config, graph.edges)) if p}
-        self._edges, self._pairs = list(self.pairs), list(self.pairs.values())
-
-    def child_moves(self, moves: list, blocks: list, k: int | None, key) -> list:
-        """Per pair of ``_pairs``: (new v_i, new v_j, key(new v_i), key(new v_j)) if it collides
-        in ``blocks``, else None.  Only pair k, whose entry of ``moves`` led to ``blocks``, and
-        those sharing a ball with it are redone (all, for k None and ``moves`` all None)."""
-        if self._near is None:
-            self._near = {None: (range(len(self._pairs)), self._pairs)}
-        if (near := self._near.get(k)) is None:
-            ij, near = self._pairs[k][:2], ([], [])
-            for m, p in enumerate(self._pairs):
-                if p[0] in ij or p[1] in ij:
-                    near[0].append(m)
-                    near[1].append(p)
-            self._near[k] = near
-        ks, pairs = near
-        out = moves.copy()
-        for m in ks:
-            out[m] = None
-        for c, new_i, new_j in _exchanges(blocks, pairs, self.tolerance):
-            out[ks[c]] = (new_i, new_j, key(new_i), key(new_j))
-        return out
-
-    def walk(
-        self, blocks: list, max_steps: int, rng: np.random.Generator | None = None
-    ) -> tuple[list[Edge], list[list], bool]:
-        """Collide the first colliding edge, or with ``rng`` a uniform draw among
-        them, until none is left (third result True) or after max_steps; returns
-        the edges and the states, the start included."""
-        edges, states = [], [blocks]
-        moves, k = [None] * len(self._pairs), None
-        while len(edges) < max_steps:
-            moves = self.child_moves(moves, states[-1], k, lambda block: None)
-            if not (options := list(itertools.compress(range(len(moves)), moves))):
-                return edges, states, True
-            k = options[0 if rng is None else int(rng.integers(len(options)))]
-            (i, j), out = self._edges[k], states[-1].copy()
-            out[i], out[j] = moves[k][:2]
-            edges.append(self._edges[k])
-            states.append(out)
-        return edges, states, False
+def _walk(table: dict[Edge, tuple], blocks: list, max_steps: int, tolerance: float,
+          rng: np.random.Generator | None = None) -> tuple[list[Edge], list[list], bool]:
+    """Collide the first colliding edge of ``table``, or with ``rng`` a uniform draw
+    among them, until none is left (third result True) or after max_steps; returns
+    the edges and the states, the start included."""
+    edges, pairs = list(table), list(table.values())
+    path, states = [], [blocks]
+    while len(path) < max_steps:
+        if rng is None:
+            found = next(_exchanges(blocks, pairs, tolerance), None)
+        else:
+            options = list(_exchanges(blocks, pairs, tolerance))
+            found = options[int(rng.integers(len(options)))] if options else None
+        if found is None:
+            return path, states, True
+        k, new_i, new_j = found
+        (i, j), blocks = edges[k], blocks.copy()
+        blocks[i], blocks[j] = new_i, new_j
+        path.append(edges[k])
+        states.append(blocks)
+    return path, states, False
 
 
 def collide(
@@ -164,10 +134,10 @@ def collide(
     (v_i - v_j) . (x_i - x_j) >= -approach_tolerance (the pair is separating
     or at rest relative to the contact line), or when the exchange would move
     no component of v_i or v_j by more than :data:`CHANGE_TOLERANCE`.  Every
-    other call is a collision, as the kernel of traces, walks and searches
-    counts it.  The default tolerance 0 means an exact IEEE comparison; a
-    positive value widens the no-collision band for robustness studies.  A
-    NaN, infinite or negative tolerance raises ValueError.
+    other call is a collision, as traces, walks and searches count it.  The
+    default tolerance 0 means an exact IEEE comparison; a positive value
+    widens the no-collision band for robustness studies.  A NaN, infinite or
+    negative tolerance raises ValueError.
     """
     if edge[0] == edge[1]:
         raise ValueError("a ball cannot collide with itself")
@@ -256,8 +226,9 @@ class SimulationTrace:
     ``energies`` are derived once from the run's distinct states, then
     repeated over the steps that leave the state as it is.  ``collisions``
     counts steps whose state changed.  ``stabilized`` is True when a policy
-    run stopped because the state lies in every half-space of the governing
-    graph, so all further pseudo-collisions would be identities.
+    run stopped before max_steps: a round-robin or seeded-random run because
+    every margin of the governing graph is at least ``STABILITY_MARGIN``, a
+    greedy run because no pair collides (see :func:`run_schedule`).
     """
 
     n: int
@@ -293,15 +264,19 @@ def run_schedule(
 
     Explicit schedules run for min(len(schedule), max_steps) steps and must
     reference only edges of the governing graph (:class:`ScheduleError`
-    otherwise).  Policy schedules stop early once every touching pair of the
-    graph has margin z_e . v = ((v_i - v_j) . u) / sqrt(2) >=
-    :data:`~pinnedballs.foldings.STABILITY_MARGIN`, summed in component
-    order, the pair that failed last tested first; otherwise they run until
-    max_steps (default 10^6 for policies).  A negative max_steps or a NaN,
-    infinite or negative approach_tolerance raises ValueError.  Graph edges
-    whose balls do not touch never change the state.  An explicit run stops
-    stepping once every edge of its schedule leaves the state as it is; both
-    that count and the graph check read the schedule's ``distinct_edges``.
+    otherwise).  Round-robin and seeded-random schedules stop early once
+    every touching pair of the graph has margin z_e . v = ((v_i - v_j) . u) /
+    sqrt(2) >= :data:`~pinnedballs.foldings.STABILITY_MARGIN`, summed in
+    component order, the pair that failed last tested first.  The
+    lexicographic-greedy schedule stops once no pair collides, as
+    ``search.greedy_schedule`` does, so it collides an approaching pair whose
+    margin lies between STABILITY_MARGIN and 0, where the other two stop.
+    Policies otherwise run until max_steps (default 10^6).  A negative
+    max_steps or a NaN, infinite or negative approach_tolerance raises
+    ValueError.  Graph edges whose balls do not touch never change the state.
+    An explicit run stops stepping once every edge of its schedule leaves the
+    state as it is; both that count and the graph check read the schedule's
+    ``distinct_edges``.
     """
     if graph is None:
         graph = full_contact_graph(config)
@@ -311,7 +286,7 @@ def run_schedule(
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     if not 0.0 <= approach_tolerance < float("inf"):
         raise ValueError(f"approach_tolerance must be finite and >= 0, got {approach_tolerance!r}")
-    kernel = _PairKernel(config, graph, approach_tolerance)
+    table = _pair_table(config, graph)
 
     stable = None
     if schedule.kind == "explicit":
@@ -337,7 +312,7 @@ def run_schedule(
                 for k in rng.integers(count, size=min(_DRAW_BLOCK, max_steps - done)).tolist()
             )
         applied, quiet = [], None
-        pairs, bound = list(kernel.pairs.values()), STABILITY_MARGIN * 2**0.5
+        pairs, bound = list(table.values()), STABILITY_MARGIN * 2**0.5
 
         def stable(blocks: list) -> bool:
             for k, (i, j, _, u) in enumerate(pairs):
@@ -351,7 +326,7 @@ def run_schedule(
 
     vals = state0.blocks().tolist()
     if schedule.kind == "lexicographic-greedy":
-        applied, rows, stabilized = kernel.walk(vals, max_steps)
+        applied, rows, stabilized = _walk(table, vals, max_steps, approach_tolerance)
         starts = list(range(len(rows)))
     else:
         # the distinct states, flat, and the step at which each one appears
@@ -362,7 +337,7 @@ def run_schedule(
         for t, e in enumerate(() if stabilized else planned, 1):
             if stable is not None:
                 applied.append(e)
-            out = None if e in idle else _exchanged(vals, kernel.pairs.get(e), approach_tolerance)
+            out = None if e in idle else _exchanged(vals, table.get(e), approach_tolerance)
             if out is None:
                 idle.add(e)
                 if len(idle) == quiet:

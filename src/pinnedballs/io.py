@@ -40,11 +40,19 @@ def _require_numbers(where: str, name: str, value, depth: int) -> None:
         raise ValueError(f"{where}'{name}' must hold JSON numbers only, as {_SHAPES[depth]}")
 
 
+def _parse_json(where: str, text: str | bytes):
+    """The JSON value of ``text``, bytes read as UTF-8; input that is not JSON,
+    or bytes that are not UTF-8, raise ValueError naming ``where``."""
+    try:
+        return json.loads(text if isinstance(text, str) else text.decode())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{where}: not valid JSON: {exc}") from None
+
+
 def _load_object(path: str | Path, required: tuple[str, ...], depths: dict[str, int]) -> dict:
     """Read a JSON object whose ``required`` keys are not null; every field
     named in ``depths`` that is present must hold numbers nested that deep."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _parse_json(str(path), Path(path).read_bytes())
     if not isinstance(data, dict) or any(data.get(name) is None for name in required):
         raise ValueError(f"{path}: need a JSON object with {' and '.join(map(repr, required))}")
     for name, depth in depths.items():
@@ -60,7 +68,7 @@ def one_based(edges: Iterable[Edge]) -> list[list[int]]:
 
 def parse_point(name: str, text: str) -> list[float]:
     """A command-line point such as ``--start '[1, 0]'``: a JSON list of numbers."""
-    point = json.loads(text)
+    point = _parse_json(name, text)
     _require_numbers("", name, point, 1)
     return point
 
@@ -114,8 +122,7 @@ def load_schedule(path: str | Path) -> Schedule:
     Ball indices must be JSON integers: a fraction, a bool or a string raises
     ValueError rather than being rounded or cast to a ball.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _parse_json(str(path), Path(path).read_bytes())
     if not isinstance(data, list):
         raise ValueError(f"{path}: schedule file must be a JSON array of pairs")
     edges: list[Edge] = []

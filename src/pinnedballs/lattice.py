@@ -231,46 +231,39 @@ def _cofactor_determinant(rows: list[list[QuadraticInteger]]) -> QuadraticIntege
     return QuadraticInteger(*rec((1 << m) - 1))
 
 
-def _echelon(mat: list[list[Pair]]) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) row echelon form of an int-pair matrix, in place.
+def _bareiss_determinant(rows: list[list[QuadraticInteger]]) -> QuadraticInteger:
+    """Fraction-free (Bareiss) elimination of a square matrix on int pairs.
 
-    Columns are scanned left to right and each pivot is the first non-zero
-    entry at or below the current row, so the pivot columns are the greedy
-    (leftmost) basis of the column space.  By Sylvester's identity each update
-    divides exactly by the previous pivot, and after k pivots the entry (i, j)
-    below them is the minor of the row-swapped matrix on the pivot rows plus
-    row i and the pivot columns plus column j.  A square matrix of full rank
-    thus ends with its determinant in the last pivot, up to the sign of the
-    row swaps.  Returns the pivot columns and that sign; stops once every row
-    holds a pivot.
+    Each column's pivot is its first non-zero entry at or below the diagonal;
+    a column with none makes the determinant 0.  By Sylvester's identity each
+    update divides exactly by the previous pivot, and after k pivots the entry
+    (i, j) below them is the minor of the row-swapped matrix on its first k
+    rows plus row i and its first k columns plus column j.  The last pivot is
+    thus the determinant, up to the sign of the row swaps.
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    pivots: list[int] = []
-    sign = 1
+    mat = [[(x.r1, x.r2) for x in row] for row in rows]
+    m, sign = len(mat), 1
     # previous pivot q1 + q2*sqrt(3); dividing by it is multiplying by its
     # conjugate and dividing by ``div``, its field norm (or q1 when q2 = 0)
     q1, q2, div = 1, 0, 1
-    for c in range(cols):
-        r = len(pivots)
-        k = r
-        while k < rows and mat[k][c] == _ZERO:
+    for c in range(m):
+        k = c
+        while k < m and mat[k][c] == _ZERO:
             k += 1
-        if k == rows:
-            continue
-        if k != r:
-            mat[r], mat[k] = mat[k], mat[r]
+        if k == m:
+            return QI_ZERO
+        if k != c:
+            mat[c], mat[k] = mat[k], mat[c]
             sign = -sign
-        top = mat[r]
+        top = mat[c]
         p1, p2 = top[c]
         p2x3 = 3 * p2
-        for i in range(r + 1, rows):
+        for i in range(c + 1, m):
             row = mat[i]
             l1, l2 = row[c]
-            row[c] = _ZERO
             lead = l1 or l2
             l2x3 = 3 * l2
-            for j in range(c + 1, cols):
+            for j in range(c + 1, m):
                 a1, a2 = row[j]
                 if lead:
                     b1, b2 = top[j]
@@ -288,17 +281,6 @@ def _echelon(mat: list[list[Pair]]) -> tuple[list[int], int]:
                 row[j] = (x1 // div, x2 // div)
         q1, q2 = p1, p2
         div = p1 if p2 == 0 else p1 * p1 - 3 * p2 * p2
-        pivots.append(c)
-        if r + 1 == rows:
-            break
-    return pivots, sign
-
-
-def _bareiss_determinant(rows: list[list[QuadraticInteger]]) -> QuadraticInteger:
-    mat = [[(x.r1, x.r2) for x in row] for row in rows]
-    pivots, sign = _echelon(mat)
-    if len(pivots) < len(mat):
-        return QI_ZERO
     r1, r2 = mat[-1][-1]
     return QuadraticInteger(sign * r1, sign * r2)
 

@@ -1,20 +1,20 @@
 """Brute-force and greedy exploration of collision schedules.
 
-The exhaustive search enumerates, depth first, which pair collides next, by
-the predicate of ``dynamics._exchanges`` that every trace shares.  Because
-every collision strictly increases the monotone pair functional, no chain of
-collisions can revisit a state, so the search tree is finite even without
-the depth cap.  Results are lower envelopes of the true supremum: sampling
+Both collide pairs by the predicate of ``dynamics._exchanges`` that every
+trace shares; the greedy search is the walk ``dynamics._walk``.  The
+exhaustive search enumerates, depth first, which pair collides next.  Every
+collision strictly increases the monotone pair functional, so no chain of
+collisions revisits a state and the search tree is finite even without the
+depth cap.  Results are lower envelopes of the true supremum: sampling
 initial states can never certify it.
 
 A node is a list of per-ball velocity blocks.  Its memo key joins the raw
 bytes of each block (:func:`_block_key`), which equals
 ``np.asarray(state).tobytes()``: two nodes merge exactly when their states are
-bit-identical, signed zeros apart.  A node also carries its moves: per touching
-pair, the blocks its exchange gives and their keys, or None.  A collision on
-pair (i, j) changes only v_i and v_j, so a child recomputes only the pairs
-that share ball i or j, reuses the rest, and never re-keys an inherited move.
-The greedy walk and the depth-cap check expand a node the same way.
+bit-identical, signed zeros apart.  A node also carries its moves
+(:func:`_child_moves`); a collision on pair (i, j) changes only v_i and v_j,
+so a child recomputes only the pairs that share ball i or j, reuses the rest,
+and never re-keys an inherited move.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .dynamics import _exchanged, _PairKernel
+from .dynamics import _exchanged, _exchanges, _pair_table, _walk
 from .errors import BudgetExceededError, NotNormalizedError, TooManyEdgesError
 from .geometry import (
     BallConfiguration,
@@ -86,6 +86,23 @@ def _block_key(d: int):
     return lambda block, pack=struct.Struct(f"{d}d").pack: pack(*block)
 
 
+def _child_moves(pairs: list, near: dict, moves: list, blocks: list, k: int | None, key) -> list:
+    """Per pair of ``pairs``: (new v_i, new v_j, key(new v_i), key(new v_j)) if it collides
+    in ``blocks``, else None.  Only pair k, whose entry of ``moves`` led to ``blocks``, and
+    those sharing a ball with it (cached in ``near``) are redone; all, for k None."""
+    if (hit := near.get(k)) is None:
+        ij = () if k is None else pairs[k][:2]
+        ks = [m for m, p in enumerate(pairs) if k is None or p[0] in ij or p[1] in ij]
+        near[k] = hit = (ks, [pairs[m] for m in ks])
+    ks, sub = hit
+    out = moves.copy()
+    for m in ks:
+        out[m] = None
+    for c, new_i, new_j in _exchanges(blocks, sub, 0.0):
+        out[ks[c]] = (new_i, new_j, key(new_i), key(new_j))
+    return out
+
+
 def _require_depth_cap(depth_cap: int) -> None:
     if depth_cap < 0:
         raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
@@ -118,7 +135,8 @@ def greedy_schedule(
     if policy == "random" and seed is None:
         raise ValueError("random policy needs a seed")
 
-    witness, _, _ = _PairKernel(config, graph, 0.0).walk(state0.blocks().tolist(), max_steps, rng)
+    table = _pair_table(config, graph)
+    witness, _, _ = _walk(table, state0.blocks().tolist(), max_steps, 0.0, rng)
     return SearchResult(
         method="greedy",
         collisions=len(witness),
@@ -159,8 +177,8 @@ def exhaustive_max_collisions(
     if len(graph.edges) > max_branch_edges:
         raise TooManyEdgesError(len(graph.edges), max_branch_edges)
 
-    kernel = _PairKernel(config, graph, 0.0)
-    edges = list(kernel.pairs)
+    table = _pair_table(config, graph)
+    edges, pairs, near = list(table), list(table.values()), {}
     key = _block_key(config.dimension)
     nodes, truncated = 0, False
     memo: dict[tuple[bytes, int], tuple[int, tuple[Edge, ...]]] = {}
@@ -173,8 +191,8 @@ def exhaustive_max_collisions(
             return memo[memo_key]
         best: tuple[int, tuple[Edge, ...]] = (0, ())
         if depth == depth_cap:
-            truncated = truncated or any(kernel.child_moves(moves, blocks, k, key))
-        moves = kernel.child_moves(moves, blocks, k, key) if depth < depth_cap else ()
+            truncated = truncated or any(_child_moves(pairs, near, moves, blocks, k, key))
+        moves = _child_moves(pairs, near, moves, blocks, k, key) if depth < depth_cap else ()
         for m, move in enumerate(moves):
             if move is None:
                 continue
@@ -198,7 +216,7 @@ def exhaustive_max_collisions(
     # replay makes the reported count authoritative for the witness
     state, collisions = start, 0
     for edge in tail:
-        if (out := _exchanged(state, kernel.pairs[edge], 0.0)) is not None:
+        if (out := _exchanged(state, table[edge], 0.0)) is not None:
             collisions, state = collisions + 1, out
     if collisions != found:
         raise RuntimeError(f"witness replays to {collisions} collisions, {found} found")

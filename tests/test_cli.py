@@ -481,6 +481,52 @@ class TestNonFiniteInput:
         assert "must hold JSON numbers only" in err
 
 
+class TestNotJson:
+    """Input that is not JSON exits 1 with an error naming its file or flag."""
+
+    @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{"])
+    def test_configuration_file(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = _run(capsys, ["validate", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: not valid JSON: ")
+
+    def test_schedule_file(self, capsys, chain_config, tmp_path):
+        path = tmp_path / "schedule.json"
+        path.write_text("[[1, 2],")
+        code, out, err = _run(capsys, ["simulate", chain_config, str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: not valid JSON: ")
+
+    @pytest.mark.parametrize("start, witness, flag", [
+        ("not json", "[1, 0]", "--start"), ("[1, 0]", "[1, 0", "--witness"),
+    ])
+    def test_orbit_point(self, capsys, tmp_path, start, witness, flag):
+        path = _write(tmp_path / "halfspaces.json", {"dimension": 2, "normals": [[1.0, 0.0]]})
+        code, out, err = _run(capsys, ["orbit", path, "--start", start, "--witness", witness])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag}: not valid JSON: ")
+
+
+class TestNegativeSeed:
+    """A negative --seed is a domain error naming the flag, before numpy sees it."""
+
+    def test_orbit(self, capsys, tmp_path):
+        path = _write(tmp_path / "halfspaces.json", {"dimension": 2, "normals": [[1.0, 0.0]]})
+        argv = ["orbit", path, "--start", "[-1, 0]", "--witness", "[1, 0]",
+                "--policy", "seeded-random", "--seed", "-1"]
+        assert _run(capsys, argv) == (1, "", "error: --seed must be non-negative, got -1\n")
+
+    def test_search_sweep(self, capsys, chain_config):
+        argv = ["search", chain_config, "--method", "sweep", "--seed", "-1"]
+        assert _run(capsys, argv) == (1, "", "error: --seed must be non-negative, got -1\n")
+
+    def test_verify(self, capsys):
+        argv = ["verify", "--quick", "--seed", "-1"]
+        assert _run(capsys, argv) == (1, "", "error: --seed must be non-negative, got -1\n")
+
+
 class TestLatticeCommand:
     def test_hexagonal_patch(self, capsys, tmp_path):
         out_cfg = str(tmp_path / "lattice.json")

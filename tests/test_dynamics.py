@@ -10,8 +10,10 @@ from pinnedballs import configs, dynamics
 from pinnedballs.dynamics import (
     CHANGE_TOLERANCE,
     Schedule,
-    _PairKernel,
     _exchanged,
+    _exchanges,
+    _pair_table,
+    _walk,
     collide,
     collide_as_folding,
     decompose_state,
@@ -29,7 +31,7 @@ from pinnedballs.geometry import (
     normalize_system,
     validate_configuration,
 )
-from pinnedballs.search import sample_unit_state
+from pinnedballs.search import _child_moves, sample_unit_state
 from pinnedballs.verify import TRACE_TOLERANCES, random_system, trace_deviations
 
 
@@ -132,7 +134,7 @@ class TestRunSchedule:
         assert trace.stabilized
 
     def test_no_schedule_builds_a_collision_matrix(self, monkeypatch):
-        # stability is tested on the kernel's pairs, so no run needs the matrix
+        # stability is tested on the pair table, so no run needs the matrix
         config, state = normalize_system(
             configs.collinear_chain(3), _state([[1.0], [0.0], [-1.0]])
         )
@@ -211,6 +213,17 @@ class TestRunSchedule:
                 Schedule.explicit(full_contact_graph(config).edges),
             )
             assert again.collisions == 0
+
+    def test_policy_stop_rules_on_a_margin_within_stability_margin(self):
+        # margin (v_1 - v_2) . u / sqrt(2) = -1.4e-13 lies between STABILITY_MARGIN and 0:
+        # greedy stops only once no pair collides, the other two policies once stable
+        config, state = configs.touching_pair(), _state([[1e-13], [-1e-13]])
+        greedy = run_schedule(config, state, Schedule.greedy())
+        assert (greedy.steps, greedy.collisions, greedy.stabilized) == (1, 1, True)
+        assert greedy.states[-1].tolist() == [-1e-13, 1e-13]
+        for schedule in (Schedule.round_robin(), Schedule.seeded_random(3)):
+            trace = run_schedule(config, state, schedule)
+            assert (trace.steps, trace.collisions, trace.stabilized) == (0, 0, True)
 
 
 class TestScheduleDistinctEdges:
@@ -410,7 +423,7 @@ def _stable(config, graph, values):
 
 
 class TestKernelAgainstCollide:
-    """run_schedule's precomputed kernel against a plain loop over collide."""
+    """run_schedule's precomputed pair table against a plain loop over collide."""
 
     def _check_trace(self, config, state, graph, trace):
         expected = _collide_replay(config, state, trace.edges)
@@ -486,7 +499,8 @@ class TestKernelAgainstCollide:
 
 
 class TestKernelProperties:
-    """Every kernel path against collide, exactly, and against collide_as_folding."""
+    """The pair table, the walk and the search's moves against collide, exactly,
+    and against collide_as_folding."""
 
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
     @given(
@@ -502,22 +516,22 @@ class TestKernelProperties:
         )
         state = sample_unit_state(n, d, rng)
         graph = full_contact_graph(config)
-        kernel = _PairKernel(config, graph, tolerance)
-        assert list(kernel.pairs) == [e for e in graph.edges if config.touches(*e)]
-        for (i, j), pair in kernel.pairs.items():
+        table = _pair_table(config, graph)
+        assert list(table) == [e for e in graph.edges if config.touches(*e)]
+        for (i, j), pair in table.items():
             dx = config.centers[i] - config.centers[j]
             assert pair == (i, j, dx.tolist(), (dx / np.linalg.norm(dx)).tolist())
         # follow random collisions, so later checks see states the loops reach
         for _ in range(8):
             blocks = state.blocks().tolist()
-            children = _children(kernel, blocks)
+            children = _children(table, blocks, tolerance)
             colliding = [e for e in graph.edges if collide(config, state, e, tolerance) is not state]
             assert list(children) == colliding
-            assert kernel.walk(blocks, 1)[0] == colliding[:1]
+            assert _walk(table, blocks, 1, tolerance)[0] == colliding[:1]
             for e in graph.edges:
                 collided = collide(config, state, e, tolerance)
                 expected = collided.blocks().tolist()
-                step = _exchanged(blocks, kernel.pairs[e], tolerance)
+                step = _exchanged(blocks, table[e], tolerance)
                 if step is None:
                     assert collided.values is state.values
                 else:
@@ -538,15 +552,20 @@ class TestKernelProperties:
             state = state.with_values(np.ravel(children[edges[int(rng.integers(len(edges)))]]))
 
 
-def _children(kernel, blocks):
-    """Edge -> next state for each kernel pair that collides in ``blocks``, in
-    graph order, from the moves of a node with no parent."""
-    out = {}
-    fresh = kernel.child_moves([None] * len(kernel.pairs), blocks, None, lambda block: None)
-    for (i, j), move in zip(kernel.pairs, fresh):
-        if move:
-            out[i, j] = blocks.copy()
-            out[i, j][i], out[i, j][j] = move[:2]
+def _children(table, blocks, tolerance):
+    """Edge -> next state for each pair of ``table`` that collides in ``blocks``,
+    in graph order; at tolerance 0 the search's moves of a node with no parent
+    must give the same blocks."""
+    edges, out = list(table), {}
+    for k, new_i, new_j in _exchanges(blocks, table.values(), tolerance):
+        i, j = edges[k]
+        out[i, j] = blocks.copy()
+        out[i, j][i], out[i, j][j] = new_i, new_j
+    if tolerance == 0.0:
+        fresh = _child_moves(list(table.values()), {}, [None] * len(table), blocks, None, id)
+        assert {e: list(move[:2]) for e, move in zip(edges, fresh) if move} == {
+            (i, j): [child[i], child[j]] for (i, j), child in out.items()
+        }
     return out
 
 
@@ -564,14 +583,13 @@ class TestChildMoves:
         n=st.integers(3, 9),
         d=st.integers(2, 3),
         ties=st.integers(0, 3),
-        tolerance=st.sampled_from([0.0, 1e-9]),
     )
-    def test_child_moves_match_fresh_moves(self, seed, n, d, ties, tolerance):
+    def test_child_moves_match_fresh_moves(self, seed, n, d, ties):
         rng = np.random.default_rng(seed)
         config = configs.random_contact_configuration(n, d, rng, style="mixed")
         graph = ContactGraph(n, full_contact_graph(config).edges[:10])
-        kernel = _PairKernel(config, graph, tolerance)
-        edges = list(kernel.pairs)
+        table = _pair_table(config, graph)
+        edges, pairs, near = list(table), list(table.values()), {}
         blocks = sample_unit_state(n, d, rng).blocks().tolist()
         for _ in range(ties):
             # equal velocities across a contact: an exact zero approach
@@ -582,20 +600,21 @@ class TestChildMoves:
         def key(block):
             return _point_key(block, pack)
 
-        moves = kernel.child_moves([None] * len(edges), blocks, None, key)
+        moves = _child_moves(pairs, near, [None] * len(edges), blocks, None, key)
         for _ in range(12):
             options = [m for m, move in enumerate(moves) if move]
             state = StateVector.from_blocks(blocks)
+            # the search collides at approach tolerance 0
             assert [edges[m] for m in options] == [
-                e for e in edges if collide(config, state, e, tolerance) is not state
+                e for e in edges if collide(config, state, e) is not state
             ]
             if not options:
                 break
             k = options[int(rng.integers(len(options)))]
             (i, j), blocks = edges[k], blocks.copy()
             blocks[i], blocks[j] = moves[k][:2]
-            moves = kernel.child_moves(moves, blocks, k, key)
-            fresh = kernel.child_moves([None] * len(edges), blocks, None, key)
+            moves = _child_moves(pairs, near, moves, blocks, k, key)
+            fresh = _child_moves(pairs, {}, [None] * len(edges), blocks, None, key)
             assert _move_bits(moves) == _move_bits(fresh)
 
 
@@ -620,7 +639,7 @@ class TestCollisionPredicate:
                 assert list(moved) == list(trace.changed)
                 if schedule.kind == "explicit":
                     assert trace.collisions == collides
-            walked = _PairKernel(config, graph, 0.0).walk(state.blocks().tolist(), 3)
+            walked = _walk(_pair_table(config, graph), state.blocks().tolist(), 3, 0.0)
             assert walked[0] == [(0, 1)] * collides
 
     def test_changed_flags_mark_state_changes(self, rng):
