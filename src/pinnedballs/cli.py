@@ -6,7 +6,8 @@ seeds and tolerances) into every report and emits it.  Reports use 1-based
 ball indices.  Exit codes: 0 success, 1 domain error, 2 usage error, 141 when
 the reader of stdout closes it early.  Randomized commands without an
 explicit --seed draw one from entropy and record it in the manifest; a run
-that uses no seed records null.
+that uses no seed records null.  A negative --seed is a domain error for every
+command that takes the flag, whether or not its run draws from it.
 """
 
 from __future__ import annotations
@@ -62,12 +63,8 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 def _resolve_seed(seed: int | None) -> int:
-    """The --seed given, or one drawn from entropy; a negative one is a domain error."""
-    if seed is None:
-        return secrets.randbelow(2**31)
-    if seed < 0:
-        raise PinnedBallsError(f"--seed must be non-negative, got {seed}")
-    return seed
+    """The --seed given, or one drawn from entropy."""
+    return secrets.randbelow(2**31) if seed is None else seed
 
 
 def _bound_report(bound: bounds.BoundReport) -> dict:
@@ -376,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     verify = args.command == "verify"  # its report on stdout is its PASS and FAIL lines
     started = time.monotonic()
     try:
+        # checked for every command that takes it, whether or not the run draws from it
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise PinnedBallsError(f"--seed must be non-negative, got {args.seed}")
         report, fields = args.func(args)
         report["manifest"] = _manifest(args, started, **fields)
         if args.output or not verify:

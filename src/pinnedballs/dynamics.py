@@ -6,15 +6,19 @@ totally elastic collision of equal masses; pairs that do not touch or are
 not approaching are left unchanged.  The same map is realized by folding the
 stacked state across the half-space of the pair's collision direction, and
 both implementations are exposed so they can be checked against each other.
-Whether a pair collides and the exchange it makes are defined once, in
-``_exchanges``, on Python floats with dot products summed in component order,
-so no BLAS build can change the bits; :func:`collide`, every run, the greedy
-walk ``_walk`` and the schedule search all use it, so a step changes the state
-exactly when it counts as a collision.  A state is one list of floats per
-ball and ``_pair_table`` gives each touching edge its ball indices and
-geometry, so an exchange replaces two blocks and shares the rest.  A run
-records change points, the distinct states and the steps they appear at, so
-an explicit run stops once every edge of its schedule is idle.
+Whether a pair collides and the exchange it makes are defined once, in the
+pair kernel ``_kernel(d)``: its source is generated once per dimension d from
+one template, with every component unpacked into a local and each dot product
+unrolled and summed in component order, on Python floats, so no BLAS build can
+change the bits and they equal those of a plain summing loop.  :func:`collide`,
+every run, the greedy walk ``_walk`` and the schedule search all look the
+kernel up once per call or run and use it, so a step changes the state exactly
+when it counts as a collision; the stability test of policy runs is generated
+from the same template.  A state is one list of floats per ball and
+``_pair_table`` gives each touching edge its ball indices and geometry, so an
+exchange replaces two blocks and shares the rest.  A run records change
+points, the distinct states and the steps they appear at, so an explicit run
+stops once every edge of its schedule is idle.
 
 Along any schedule the energy and total momentum are conserved and the
 functional F = sum_{i,j} (v_j - v_i) . (x_j - x_i) never decreases; it is
@@ -24,9 +28,10 @@ which coincides with the double sum for every input.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,29 +69,90 @@ def _pairs(config: BallConfiguration, edges: Sequence[Edge]) -> list[tuple | Non
     ]
 
 
-def _exchanges(blocks: list, pairs: Iterable[tuple], tolerance: float) -> Iterator[tuple]:
-    """The collision predicate and exchange: (index, new v_i, new v_j) for each of ``pairs``
-    (see :func:`_pairs`), in order, that approaches in ``blocks``, (v_i - v_j) . (x_i - x_j)
-    < -tolerance summed in component order, and whose exchange moves some component of
-    v_i or v_j by more than CHANGE_TOLERANCE."""
+# The source of the pair kernel for one dimension d: each {a}-style field names the
+# d components of one vector (a0, a1, ... for v_i), and each expression field writes
+# one sum or list over the components, in component order (see _kernel).
+_TEMPLATE = """
+def exchanges(blocks, pairs, tolerance):
+    limit, change = -tolerance, CHANGE_TOLERANCE
     for k, (i, j, dx, u) in enumerate(pairs):
-        vi, vj = blocks[i], blocks[j]
-        approach = t = 0.0
-        for a, b, c in zip(vi, vj, dx):
-            approach += (a - b) * c
-        if approach >= -tolerance:
+        {a} = blocks[i]
+        {b} = blocks[j]
+        {x} = dx
+        if {approach} >= limit:
             continue
-        for a, b, c in zip(vi, vj, u):
-            t += (b - a) * c
-        new_i, new_j = [a + t * c for a, c in zip(vi, u)], [b - t * c for b, c in zip(vj, u)]
-        if (max(map(abs, map(float.__sub__, new_i, vi))) > CHANGE_TOLERANCE
-                or max(map(abs, map(float.__sub__, new_j, vj))) > CHANGE_TOLERANCE):
-            yield k, new_i, new_j
+        {u} = u
+        t = {t}
+        {p} = {new_i}
+        {q} = {new_j}
+        if {moved}:
+            yield k, [{p}], [{q}]
 
 
-def _exchanged(blocks: list, pair: tuple | None, tolerance: float) -> list | None:
-    """A new state after the exchange on ``pair``; None when it is None or makes no collision."""
-    found = pair and next(_exchanges(blocks, (pair,), tolerance), None)
+def first_unstable(blocks, pairs, tolerance, bound):
+    limit = -tolerance
+    for k, (i, j, dx, u) in enumerate(pairs):
+        {a} = blocks[i]
+        {b} = blocks[j]
+        {u} = u
+        if {margin} < bound:
+            {x} = dx
+            if not {approach} >= limit:
+                return k
+    return None
+"""
+
+
+class _Kernel(NamedTuple):
+    """The pair kernel for blocks of one dimension, generated by :func:`_kernel`."""
+
+    #: (blocks, pairs, tolerance) -> (index, new v_i, new v_j) for each of ``pairs`` (see
+    #: :func:`_pairs`), in order, that approaches in ``blocks``, (v_i - v_j) . (x_i - x_j)
+    #: < -tolerance, and whose exchange moves some component of v_i or v_j by more than
+    #: CHANGE_TOLERANCE: the collision predicate and exchange.
+    exchanges: Callable[[list, Iterable[tuple], float], Iterator[tuple]]
+    #: (blocks, pairs, tolerance, bound) -> the index of the first pair whose margin
+    #: (v_i - v_j) . u is below ``bound`` and that approaches by the test of ``exchanges``;
+    #: None when there is none.
+    first_unstable: Callable[[list, Sequence[tuple], float, float], int | None]
+
+
+@functools.cache
+def _kernel(d: int) -> _Kernel:
+    """The pair kernel for blocks of d >= 1 floats, generated once per d from ``_TEMPLATE``.
+
+    Every block, offset and direction is unpacked into locals, and each dot product
+    is one unrolled sum in component order, so the results carry the bits of the
+    summing loop 0.0 + p_0 + ... + p_(d-1) (a zero sum may differ in sign only,
+    which no comparison here can see)."""
+
+    def names(letter: str) -> str:
+        return "".join(f"{letter}{c}, " for c in range(d))
+
+    def terms(form: str, sep: str = " + ") -> str:
+        return sep.join(form.format(c=c) for c in range(d))
+
+    source = _TEMPLATE.format(
+        a=names("a"), b=names("b"), x=names("x"), u=names("u"), p=names("p"), q=names("q"),
+        approach=terms("(a{c} - b{c}) * x{c}"),
+        margin=terms("(a{c} - b{c}) * u{c}"),
+        t=terms("(b{c} - a{c}) * u{c}"),
+        new_i=terms("a{c} + t * u{c}, ", ""),
+        new_j=terms("b{c} - t * u{c}, ", ""),
+        moved=terms("abs(p{c} - a{c}) > change", " or ") + " or "
+        + terms("abs(q{c} - b{c}) > change", " or "),
+    )
+    namespace = {"CHANGE_TOLERANCE": CHANGE_TOLERANCE}
+    exec(compile(source, f"<pair kernel, d={d}>", "exec"), namespace)
+    return _Kernel(namespace["exchanges"], namespace["first_unstable"])
+
+
+def _exchanged(
+    exchanges: Callable, blocks: list, pair: tuple | None, tolerance: float
+) -> list | None:
+    """A new state after the exchange on ``pair`` by ``exchanges`` (a kernel's); None
+    when ``pair`` is None or makes no collision."""
+    found = pair and next(exchanges(blocks, (pair,), tolerance), None)
     if not found:
         return None
     out = blocks.copy()
@@ -99,18 +165,19 @@ def _pair_table(config: BallConfiguration, graph: ContactGraph) -> dict[Edge, tu
     return {e: p for e, p in zip(graph.edges, _pairs(config, graph.edges)) if p}
 
 
-def _walk(table: dict[Edge, tuple], blocks: list, max_steps: int, tolerance: float,
-          rng: np.random.Generator | None = None) -> tuple[list[Edge], list[list], bool]:
-    """Collide the first colliding edge of ``table``, or with ``rng`` a uniform draw
-    among them, until none is left (third result True) or after max_steps; returns
-    the edges and the states, the start included."""
+def _walk(exchanges: Callable, table: dict[Edge, tuple], blocks: list, max_steps: int,
+          tolerance: float, rng: np.random.Generator | None = None
+          ) -> tuple[list[Edge], list[list], bool]:
+    """Collide, by ``exchanges`` (a kernel's), the first colliding edge of ``table``, or
+    with ``rng`` a uniform draw among them, until none is left (third result True) or
+    after max_steps; returns the edges and the states, the start included."""
     edges, pairs = list(table), list(table.values())
     path, states = [], [blocks]
     while len(path) < max_steps:
         if rng is None:
-            found = next(_exchanges(blocks, pairs, tolerance), None)
+            found = next(exchanges(blocks, pairs, tolerance), None)
         else:
-            options = list(_exchanges(blocks, pairs, tolerance))
+            options = list(exchanges(blocks, pairs, tolerance))
             found = options[int(rng.integers(len(options)))] if options else None
         if found is None:
             return path, states, True
@@ -143,7 +210,10 @@ def collide(
         raise ValueError("a ball cannot collide with itself")
     if not 0.0 <= approach_tolerance < float("inf"):
         raise ValueError(f"approach_tolerance must be finite and >= 0, got {approach_tolerance!r}")
-    out = _exchanged(state.blocks().tolist(), _pairs(config, [edge])[0], approach_tolerance)
+    out = _exchanged(
+        _kernel(config.dimension).exchanges, state.blocks().tolist(),
+        _pairs(config, [edge])[0], approach_tolerance,
+    )
     return state if out is None else state.with_values(out)
 
 
@@ -227,8 +297,9 @@ class SimulationTrace:
     repeated over the steps that leave the state as it is.  ``collisions``
     counts steps whose state changed.  ``stabilized`` is True when a policy
     run stopped before max_steps: a round-robin or seeded-random run because
-    every margin of the governing graph is at least ``STABILITY_MARGIN``, a
-    greedy run because no pair collides (see :func:`run_schedule`).
+    every touching pair of the governing graph has margin at least
+    ``STABILITY_MARGIN`` or approaches by no more than the approach tolerance,
+    a greedy run because no pair collides (see :func:`run_schedule`).
     """
 
     n: int
@@ -267,7 +338,8 @@ def run_schedule(
     otherwise).  Round-robin and seeded-random schedules stop early once
     every touching pair of the graph has margin z_e . v = ((v_i - v_j) . u) /
     sqrt(2) >= :data:`~pinnedballs.foldings.STABILITY_MARGIN`, summed in
-    component order, the pair that failed last tested first.  The
+    component order, or approaches by no more than approach_tolerance, so
+    that it never collides; the pair that failed last is tested first.  The
     lexicographic-greedy schedule stops once no pair collides, as
     ``search.greedy_schedule`` does, so it collides an approaching pair whose
     margin lies between STABILITY_MARGIN and 0, where the other two stop.
@@ -287,6 +359,7 @@ def run_schedule(
     if not 0.0 <= approach_tolerance < float("inf"):
         raise ValueError(f"approach_tolerance must be finite and >= 0, got {approach_tolerance!r}")
     table = _pair_table(config, graph)
+    exchanges, first_unstable = _kernel(config.dimension)
 
     stable = None
     if schedule.kind == "explicit":
@@ -315,18 +388,16 @@ def run_schedule(
         pairs, bound = list(table.values()), STABILITY_MARGIN * 2**0.5
 
         def stable(blocks: list) -> bool:
-            for k, (i, j, _, u) in enumerate(pairs):
-                margin = 0.0  # sqrt(2) z_e . v
-                for a, b, c in zip(blocks[i], blocks[j], u):
-                    margin += (a - b) * c
-                if margin < bound:
-                    pairs.insert(0, pairs.pop(k))  # tested first next time
-                    return False
-            return True
+            # margins are sqrt(2) z_e . v; a pair inside the tolerance band never collides
+            k = first_unstable(blocks, pairs, approach_tolerance, bound)
+            if k is None:
+                return True
+            pairs.insert(0, pairs.pop(k))  # tested first next time
+            return False
 
     vals = state0.blocks().tolist()
     if schedule.kind == "lexicographic-greedy":
-        applied, rows, stabilized = _walk(table, vals, max_steps, approach_tolerance)
+        applied, rows, stabilized = _walk(exchanges, table, vals, max_steps, approach_tolerance)
         starts = list(range(len(rows)))
     else:
         # the distinct states, flat, and the step at which each one appears
@@ -337,7 +408,9 @@ def run_schedule(
         for t, e in enumerate(() if stabilized else planned, 1):
             if stable is not None:
                 applied.append(e)
-            out = None if e in idle else _exchanged(vals, table.get(e), approach_tolerance)
+            out = None if e in idle else _exchanged(
+                exchanges, vals, table.get(e), approach_tolerance
+            )
             if out is None:
                 idle.add(e)
                 if len(idle) == quiet:

@@ -1,12 +1,14 @@
 """Brute-force and greedy exploration of collision schedules.
 
-Both collide pairs by the predicate of ``dynamics._exchanges`` that every
-trace shares; the greedy search is the walk ``dynamics._walk``.  The
-exhaustive search enumerates, depth first, which pair collides next.  Every
-collision strictly increases the monotone pair functional, so no chain of
-collisions revisits a state and the search tree is finite even without the
-depth cap.  Results are lower envelopes of the true supremum: sampling
-initial states can never certify it.
+Both collide pairs by the pair kernel that every trace shares, generated
+once per dimension from one template (``dynamics._kernel``), with the bits of
+a plain loop that sums in component order, and looked up once per search; the
+greedy search is the walk ``dynamics._walk``.  The exhaustive search
+enumerates, depth first, which pair collides next.  Every collision strictly
+increases the monotone pair functional, so no chain of collisions revisits a
+state and the search tree is finite even without the depth cap.  Results
+are lower envelopes of the true supremum: sampling initial states can never
+certify it.
 
 A node is a list of per-ball velocity blocks.  Its memo key joins the raw
 bytes of each block (:func:`_block_key`), which equals
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .dynamics import _exchanged, _exchanges, _pair_table, _walk
+from .dynamics import _exchanged, _kernel, _pair_table, _walk
 from .errors import BudgetExceededError, NotNormalizedError, TooManyEdgesError
 from .geometry import (
     BallConfiguration,
@@ -86,10 +88,12 @@ def _block_key(d: int):
     return lambda block, pack=struct.Struct(f"{d}d").pack: pack(*block)
 
 
-def _child_moves(pairs: list, near: dict, moves: list, blocks: list, k: int | None, key) -> list:
+def _child_moves(exchanges, pairs: list, near: dict, moves: list, blocks: list,
+                 k: int | None, key) -> list:
     """Per pair of ``pairs``: (new v_i, new v_j, key(new v_i), key(new v_j)) if it collides
-    in ``blocks``, else None.  Only pair k, whose entry of ``moves`` led to ``blocks``, and
-    those sharing a ball with it (cached in ``near``) are redone; all, for k None."""
+    in ``blocks`` by ``exchanges`` (a kernel's), else None.  Only pair k, whose entry of
+    ``moves`` led to ``blocks``, and those sharing a ball with it (cached in ``near``) are
+    redone; all, for k None."""
     if (hit := near.get(k)) is None:
         ij = () if k is None else pairs[k][:2]
         ks = [m for m, p in enumerate(pairs) if k is None or p[0] in ij or p[1] in ij]
@@ -98,7 +102,7 @@ def _child_moves(pairs: list, near: dict, moves: list, blocks: list, k: int | No
     out = moves.copy()
     for m in ks:
         out[m] = None
-    for c, new_i, new_j in _exchanges(blocks, sub, 0.0):
+    for c, new_i, new_j in exchanges(blocks, sub, 0.0):
         out[ks[c]] = (new_i, new_j, key(new_i), key(new_j))
     return out
 
@@ -135,8 +139,8 @@ def greedy_schedule(
     if policy == "random" and seed is None:
         raise ValueError("random policy needs a seed")
 
-    table = _pair_table(config, graph)
-    witness, _, _ = _walk(table, state0.blocks().tolist(), max_steps, 0.0, rng)
+    table, exchanges = _pair_table(config, graph), _kernel(config.dimension).exchanges
+    witness, _, _ = _walk(exchanges, table, state0.blocks().tolist(), max_steps, 0.0, rng)
     return SearchResult(
         method="greedy",
         collisions=len(witness),
@@ -179,7 +183,7 @@ def exhaustive_max_collisions(
 
     table = _pair_table(config, graph)
     edges, pairs, near = list(table), list(table.values()), {}
-    key = _block_key(config.dimension)
+    exchanges, key = _kernel(config.dimension).exchanges, _block_key(config.dimension)
     nodes, truncated = 0, False
     memo: dict[tuple[bytes, int], tuple[int, tuple[Edge, ...]]] = {}
 
@@ -191,8 +195,12 @@ def exhaustive_max_collisions(
             return memo[memo_key]
         best: tuple[int, tuple[Edge, ...]] = (0, ())
         if depth == depth_cap:
-            truncated = truncated or any(_child_moves(pairs, near, moves, blocks, k, key))
-        moves = _child_moves(pairs, near, moves, blocks, k, key) if depth < depth_cap else ()
+            truncated = truncated or any(
+                _child_moves(exchanges, pairs, near, moves, blocks, k, key)
+            )
+        moves = (
+            _child_moves(exchanges, pairs, near, moves, blocks, k, key) if depth < depth_cap else ()
+        )
         for m, move in enumerate(moves):
             if move is None:
                 continue
@@ -216,7 +224,7 @@ def exhaustive_max_collisions(
     # replay makes the reported count authoritative for the witness
     state, collisions = start, 0
     for edge in tail:
-        if (out := _exchanged(state, table[edge], 0.0)) is not None:
+        if (out := _exchanged(exchanges, state, table[edge], 0.0)) is not None:
             collisions, state = collisions + 1, out
     if collisions != found:
         raise RuntimeError(f"witness replays to {collisions} collisions, {found} found")

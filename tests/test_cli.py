@@ -526,6 +526,19 @@ class TestNegativeSeed:
         argv = ["verify", "--quick", "--seed", "-1"]
         assert _run(capsys, argv) == (1, "", "error: --seed must be non-negative, got -1\n")
 
+    def test_orbit_that_draws_nothing(self, capsys, tmp_path):
+        path = _write(tmp_path / "halfspaces.json", {"dimension": 2, "normals": [[1.0, 0.0]]})
+        argv = ["orbit", path, "--start", "[-1, 0]", "--witness", "[1, 0]", "--seed", "-1"]
+        assert _run(capsys, argv) == (1, "", "error: --seed must be non-negative, got -1\n")
+
+    def test_search_that_draws_nothing(self, capsys, tmp_path):
+        # the file supplies the velocities, so no start state is drawn
+        path = _write(
+            tmp_path / "pair.json", {"centers": [[0.0], [2.0]], "velocities": [[1.0], [-1.0]]}
+        )
+        argv = ["search", path, "--seed", "-1"]
+        assert _run(capsys, argv) == (1, "", "error: --seed must be non-negative, got -1\n")
+
 
 class TestLatticeCommand:
     def test_hexagonal_patch(self, capsys, tmp_path):

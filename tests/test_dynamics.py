@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinnedballs import configs, dynamics
+from pinnedballs import configs, dynamics, search
 from pinnedballs.dynamics import (
     CHANGE_TOLERANCE,
     Schedule,
     _exchanged,
-    _exchanges,
+    _kernel,
     _pair_table,
     _walk,
     collide,
@@ -31,12 +31,46 @@ from pinnedballs.geometry import (
     normalize_system,
     validate_configuration,
 )
-from pinnedballs.search import _child_moves, sample_unit_state
+from pinnedballs.search import _child_moves, exhaustive_max_collisions, sample_unit_state
 from pinnedballs.verify import TRACE_TOLERANCES, random_system, trace_deviations
 
 
 def _state(blocks):
     return StateVector.from_blocks(blocks)
+
+
+def _exchanges(blocks, pairs, tolerance):
+    """Reference collision predicate and exchange, one loop over the components: the
+    generated kernels of ``dynamics._kernel`` must yield the same bits."""
+    for k, (i, j, dx, u) in enumerate(pairs):
+        vi, vj = blocks[i], blocks[j]
+        approach = t = 0.0
+        for a, b, c in zip(vi, vj, dx):
+            approach += (a - b) * c
+        if approach >= -tolerance:
+            continue
+        for a, b, c in zip(vi, vj, u):
+            t += (b - a) * c
+        new_i, new_j = [a + t * c for a, c in zip(vi, u)], [b - t * c for b, c in zip(vj, u)]
+        if (max(map(abs, map(float.__sub__, new_i, vi))) > CHANGE_TOLERANCE
+                or max(map(abs, map(float.__sub__, new_j, vj))) > CHANGE_TOLERANCE):
+            yield k, new_i, new_j
+
+
+def _first_unstable(blocks, pairs, tolerance, bound):
+    """Reference stability test of policy runs: the first pair whose margin
+    (v_i - v_j) . u is below ``bound`` and whose approach fails the test of
+    :func:`_exchanges`."""
+    for k, (i, j, dx, u) in enumerate(pairs):
+        margin = approach = 0.0
+        for a, b, c in zip(blocks[i], blocks[j], u):
+            margin += (a - b) * c
+        if margin < bound:
+            for a, b, c in zip(blocks[i], blocks[j], dx):
+                approach += (a - b) * c
+            if not approach >= -tolerance:
+                return k
+    return None
 
 
 class TestCollide:
@@ -225,6 +259,18 @@ class TestRunSchedule:
             trace = run_schedule(config, state, schedule)
             assert (trace.steps, trace.collisions, trace.stabilized) == (0, 0, True)
 
+    def test_policy_stop_rules_inside_the_tolerance_band(self):
+        # the pair approaches, (v_1 - v_2) . (x_1 - x_2) = -0.04, but inside the band
+        # of approach_tolerance 0.05, so it never collides: every policy stops at once
+        config, state = configs.touching_pair(), _state([[0.01], [-0.01]])
+        for schedule in (Schedule.round_robin(), Schedule.seeded_random(3), Schedule.greedy()):
+            trace = run_schedule(config, state, schedule, approach_tolerance=0.05)
+            assert (trace.steps, trace.collisions, trace.stabilized) == (0, 0, True)
+            # at tolerance 0 the pair collides once, then separates
+            trace = run_schedule(config, state, schedule)
+            assert (trace.collisions, trace.stabilized) == (1, True)
+            assert trace.states[-1].tolist() == [-0.01, 0.01]
+
 
 class TestScheduleDistinctEdges:
     """An explicit schedule finds its distinct edges once, when it is built."""
@@ -292,20 +338,20 @@ class TestSeededRandomDraws:
         assert drawn == expected
 
     def test_long_run_follows_per_call_draws(self):
-        # pairs approach by less than the tolerance, so no step collides and the
-        # run never stabilizes: all max_steps indices are drawn
-        config = configs.collinear_chain(3)
-        state = _state([[0.01], [0.0], [-0.01]])
+        # each ball of the row moves right faster than the next one: in one
+        # dimension a collision swaps two velocities, so stabilizing takes one
+        # collision per inversion, 780 > steps, and all max_steps indices are drawn
+        n = 40
+        config = configs.collinear_chain(n)
+        state = _state([[float(n - 1 - 2 * k)] for k in range(n)])
         graph = full_contact_graph(config)
         steps = 2 * dynamics._DRAW_BLOCK + 99
-        trace = run_schedule(
-            config, state, Schedule.seeded_random(9), max_steps=steps, approach_tolerance=0.05
-        )
+        trace = run_schedule(config, state, Schedule.seeded_random(9), max_steps=steps)
         draws = np.random.default_rng(9)
         assert trace.edges == tuple(
             graph.edges[int(draws.integers(len(graph.edges)))] for _ in range(steps)
         )
-        assert trace.collisions == 0 and not trace.stabilized
+        assert 0 < trace.collisions < n * (n - 1) // 2 and not trace.stabilized
 
 
 class TestMonotoneFunctional:
@@ -516,7 +562,7 @@ class TestKernelProperties:
         )
         state = sample_unit_state(n, d, rng)
         graph = full_contact_graph(config)
-        table = _pair_table(config, graph)
+        table, exchanges = _pair_table(config, graph), _kernel(d).exchanges
         assert list(table) == [e for e in graph.edges if config.touches(*e)]
         for (i, j), pair in table.items():
             dx = config.centers[i] - config.centers[j]
@@ -527,11 +573,11 @@ class TestKernelProperties:
             children = _children(table, blocks, tolerance)
             colliding = [e for e in graph.edges if collide(config, state, e, tolerance) is not state]
             assert list(children) == colliding
-            assert _walk(table, blocks, 1, tolerance)[0] == colliding[:1]
+            assert _walk(exchanges, table, blocks, 1, tolerance)[0] == colliding[:1]
             for e in graph.edges:
                 collided = collide(config, state, e, tolerance)
                 expected = collided.blocks().tolist()
-                step = _exchanged(blocks, table[e], tolerance)
+                step = _exchanged(exchanges, blocks, table[e], tolerance)
                 if step is None:
                     assert collided.values is state.values
                 else:
@@ -556,13 +602,15 @@ def _children(table, blocks, tolerance):
     """Edge -> next state for each pair of ``table`` that collides in ``blocks``,
     in graph order; at tolerance 0 the search's moves of a node with no parent
     must give the same blocks."""
-    edges, out = list(table), {}
-    for k, new_i, new_j in _exchanges(blocks, table.values(), tolerance):
+    edges, out, exchanges = list(table), {}, _kernel(len(blocks[0])).exchanges
+    for k, new_i, new_j in exchanges(blocks, table.values(), tolerance):
         i, j = edges[k]
         out[i, j] = blocks.copy()
         out[i, j][i], out[i, j][j] = new_i, new_j
     if tolerance == 0.0:
-        fresh = _child_moves(list(table.values()), {}, [None] * len(table), blocks, None, id)
+        fresh = _child_moves(
+            exchanges, list(table.values()), {}, [None] * len(table), blocks, None, id
+        )
         assert {e: list(move[:2]) for e, move in zip(edges, fresh) if move} == {
             (i, j): [child[i], child[j]] for (i, j), child in out.items()
         }
@@ -590,6 +638,7 @@ class TestChildMoves:
         graph = ContactGraph(n, full_contact_graph(config).edges[:10])
         table = _pair_table(config, graph)
         edges, pairs, near = list(table), list(table.values()), {}
+        exchanges = _kernel(d).exchanges
         blocks = sample_unit_state(n, d, rng).blocks().tolist()
         for _ in range(ties):
             # equal velocities across a contact: an exact zero approach
@@ -600,7 +649,7 @@ class TestChildMoves:
         def key(block):
             return _point_key(block, pack)
 
-        moves = _child_moves(pairs, near, [None] * len(edges), blocks, None, key)
+        moves = _child_moves(exchanges, pairs, near, [None] * len(edges), blocks, None, key)
         for _ in range(12):
             options = [m for m, move in enumerate(moves) if move]
             state = StateVector.from_blocks(blocks)
@@ -613,9 +662,89 @@ class TestChildMoves:
             k = options[int(rng.integers(len(options)))]
             (i, j), blocks = edges[k], blocks.copy()
             blocks[i], blocks[j] = moves[k][:2]
-            moves = _child_moves(pairs, near, moves, blocks, k, key)
-            fresh = _child_moves(pairs, {}, [None] * len(edges), blocks, None, key)
+            moves = _child_moves(exchanges, pairs, near, moves, blocks, k, key)
+            fresh = _child_moves(exchanges, pairs, {}, [None] * len(edges), blocks, None, key)
             assert _move_bits(moves) == _move_bits(fresh)
+
+
+#: Components that reach signed zeros, exchanges below CHANGE_TOLERANCE and
+#: approaches inside a tolerance band of 0.05, besides ordinary values.
+_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-15, -1e-15, 4e-15, -4e-15, 0.01, -0.01, 0.5, -1.0]),
+    st.floats(-1e-13, 1e-13),
+    st.floats(-4.0, 4.0),
+)
+
+
+class TestGeneratedKernel:
+    """The kernel generated for each dimension against the reference loops, bit for bit."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 6),
+        n=st.integers(2, 5),
+        tolerance=st.sampled_from([0.0, 1e-14, 0.05]),
+        bound=st.sampled_from([STABILITY_MARGIN * 2**0.5, 0.0, 0.02]),
+    )
+    def test_matches_reference_loops(self, data, d, n, tolerance, bound):
+        vector = st.lists(_COMPONENTS, min_size=d, max_size=d)
+        blocks = data.draw(st.lists(vector, min_size=n, max_size=n))
+        ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        pairs = data.draw(st.lists(st.tuples(ends, vector, vector), max_size=8))
+        pairs = [(i, j, dx, u) for (i, j), dx, u in pairs]
+        kernel, pack = _kernel(d), struct.Struct(f"{d}d").pack
+
+        def bits(found):
+            return [(k, pack(*new_i), pack(*new_j)) for k, new_i, new_j in found]
+
+        assert bits(kernel.exchanges(blocks, pairs, tolerance)) == bits(
+            _exchanges(blocks, pairs, tolerance)
+        )
+        assert kernel.first_unstable(blocks, pairs, tolerance, bound) == _first_unstable(
+            blocks, pairs, tolerance, bound
+        )
+
+    def test_signed_zero_and_empty_inputs(self):
+        kernel = _kernel(2)
+        assert list(kernel.exchanges([[0.0, -0.0]], [], 0.0)) == []
+        assert kernel.first_unstable([[0.0, -0.0]], [], 0.0, 0.0) is None
+        # an exact zero approach, of either sign, is no collision
+        for zero in (0.0, -0.0):
+            pair = (0, 1, [zero, 1.0], [zero, 1.0])
+            assert list(kernel.exchanges([[1.0, 0.0], [-1.0, 0.0]], [pair], 0.0)) == []
+
+    def test_sums_in_component_order(self):
+        # 1e16 - 1e16 - 1 is -1 summed left to right, 0 in any other order: the
+        # approach, t and the margin each decide the outcome here
+        blocks, ones = [[1e16, -1e16, -1.0], [0.0, 0.0, 0.0]], [1.0, 1.0, 1.0]
+        pairs, kernel = [(0, 1, ones, ones)], _kernel(3)
+        found = list(kernel.exchanges(blocks, pairs, 0.0))
+        assert found == list(_exchanges(blocks, pairs, 0.0))
+        assert found == [(0, [1e16, -1e16, 0.0], [-1.0, -1.0, -1.0])]
+        assert kernel.first_unstable(blocks, pairs, 0.0, 0.0) == 0
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_runs_and_search_in_higher_dimensions(self, d, monkeypatch):
+        rng = np.random.default_rng(40 + d)
+        config = configs.random_contact_configuration(6, d, rng, style="mixed")
+        config, state = normalize_system(config, sample_unit_state(6, d, rng))
+        graph = ContactGraph(6, full_contact_graph(config).edges[:6])
+        schedules = (Schedule.round_robin(), Schedule.seeded_random(d), Schedule.greedy())
+
+        def outcomes():
+            traces = [run_schedule(config, state, s, graph=graph) for s in schedules]
+            found = exhaustive_max_collisions(config, state, graph=graph)
+            return [
+                (t.states.tobytes(), t.edges, t.changed.tolist(), t.stabilized) for t in traces
+            ] + [(found.collisions, found.witness, found.nodes_explored, found.truncated)]
+
+        generated = outcomes()
+        reference = dynamics._Kernel(_exchanges, _first_unstable)
+        monkeypatch.setattr(dynamics, "_kernel", lambda d: reference)
+        monkeypatch.setattr(search, "_kernel", lambda d: reference)
+        assert outcomes() == generated
+        assert generated[-1][0] > 0
 
 
 class TestCollisionPredicate:
@@ -639,7 +768,9 @@ class TestCollisionPredicate:
                 assert list(moved) == list(trace.changed)
                 if schedule.kind == "explicit":
                     assert trace.collisions == collides
-            walked = _walk(_pair_table(config, graph), state.blocks().tolist(), 3, 0.0)
+            walked = _walk(
+                _kernel(1).exchanges, _pair_table(config, graph), state.blocks().tolist(), 3, 0.0
+            )
             assert walked[0] == [(0, 1)] * collides
 
     def test_changed_flags_mark_state_changes(self, rng):
@@ -710,14 +841,18 @@ class TestChangePoints:
 
     def test_idle_tail_costs_no_exchanges(self, rng, monkeypatch):
         calls = 0
-        exchanges = dynamics._exchanges
+        kernel = dynamics._kernel
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return exchanges(*args)
+        def counted_kernel(d):
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return kernel(d).exchanges(*args)
 
-        monkeypatch.setattr(dynamics, "_exchanges", counted)
+            return kernel(d)._replace(exchanges=counted)
+
+        # a run looks its kernel up once; each call of its exchanges is one step's test
+        monkeypatch.setattr(dynamics, "_kernel", counted_kernel)
         config, state = random_system(rng, n_max=6, d_max=2)
         graph = full_contact_graph(config)
         edges = (graph.edges * 100_000)[:100_000]

@@ -170,7 +170,7 @@ class TestExhaustive:
 
     def test_replay_mismatch_raises(self, monkeypatch):
         # a replay that disagrees with the search is an error, not a result
-        monkeypatch.setattr(search, "_exchanged", lambda vals, pair, tolerance: None)
+        monkeypatch.setattr(search, "_exchanged", lambda exchanges, vals, pair, tolerance: None)
         config, state = _chain3_system()
         with pytest.raises(RuntimeError, match="3 found"):
             exhaustive_max_collisions(config, state)
