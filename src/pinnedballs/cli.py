@@ -54,7 +54,8 @@ def _print(text: str) -> None:
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2)
+    """Write the report as strict JSON: a NaN or infinite value raises ValueError."""
+    text = json.dumps(report, indent=2, allow_nan=False)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")

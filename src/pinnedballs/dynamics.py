@@ -8,7 +8,8 @@ stacked state across the half-space of the pair's collision direction, and
 both implementations are exposed so they can be checked against each other.
 Whether a pair collides and the exchange it makes are defined once, in the
 pair kernel ``_kernel(d)``: its source is generated once per dimension d from
-one template, with every component unpacked into a local and each dot product
+one template by ``foldings._generate``, which also generates the orbit kernel,
+with every component unpacked into a local and each dot product
 unrolled and summed in component order, on Python floats, so no BLAS build can
 change the bits and they equal those of a plain summing loop.  :func:`collide`,
 every run, the greedy walk ``_walk`` and the schedule search all look the
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ScheduleError
-from .foldings import STABILITY_MARGIN, HalfSpace, fold
+from .foldings import STABILITY_MARGIN, HalfSpace, _generate, fold
 from .geometry import (
     CONTACT_DISTANCE,
     BallConfiguration,
@@ -69,9 +70,8 @@ def _pairs(config: BallConfiguration, edges: Sequence[Edge]) -> list[tuple | Non
     ]
 
 
-# The source of the pair kernel for one dimension d: each {a}-style field names the
-# d components of one vector (a0, a1, ... for v_i), and each expression field writes
-# one sum or list over the components, in component order (see _kernel).
+# The source of the pair kernel for one dimension d: {a} names the d components of
+# v_i (a0, a1, ...), and so on; each expression field is one sum or list over them.
 _TEMPLATE = """
 def exchanges(blocks, pairs, tolerance):
     limit, change = -tolerance, CHANGE_TOLERANCE
@@ -85,7 +85,7 @@ def exchanges(blocks, pairs, tolerance):
         t = {t}
         {p} = {new_i}
         {q} = {new_j}
-        if {moved}:
+        if {moved_i} or {moved_j}:
             yield k, [{p}], [{q}]
 
 
@@ -119,31 +119,21 @@ class _Kernel(NamedTuple):
 
 @functools.cache
 def _kernel(d: int) -> _Kernel:
-    """The pair kernel for blocks of d >= 1 floats, generated once per d from ``_TEMPLATE``.
+    """The pair kernel for blocks of d >= 1 floats, generated once per d from ``_TEMPLATE``
+    by :func:`~pinnedballs.foldings._generate`.
 
     Every block, offset and direction is unpacked into locals, and each dot product
     is one unrolled sum in component order, so the results carry the bits of the
     summing loop 0.0 + p_0 + ... + p_(d-1) (a zero sum may differ in sign only,
     which no comparison here can see)."""
-
-    def names(letter: str) -> str:
-        return "".join(f"{letter}{c}, " for c in range(d))
-
-    def terms(form: str, sep: str = " + ") -> str:
-        return sep.join(form.format(c=c) for c in range(d))
-
-    source = _TEMPLATE.format(
-        a=names("a"), b=names("b"), x=names("x"), u=names("u"), p=names("p"), q=names("q"),
-        approach=terms("(a{c} - b{c}) * x{c}"),
-        margin=terms("(a{c} - b{c}) * u{c}"),
-        t=terms("(b{c} - a{c}) * u{c}"),
-        new_i=terms("a{c} + t * u{c}, ", ""),
-        new_j=terms("b{c} - t * u{c}, ", ""),
-        moved=terms("abs(p{c} - a{c}) > change", " or ") + " or "
-        + terms("abs(q{c} - b{c}) > change", " or "),
+    namespace = _generate(
+        _TEMPLATE, f"<pair kernel, d={d}>", d, {"CHANGE_TOLERANCE": CHANGE_TOLERANCE},
+        a="a{c}, ", b="b{c}, ", x="x{c}, ", u="u{c}, ", p="p{c}, ", q="q{c}, ",
+        approach="(a{c} - b{c}) * x{c}", margin="(a{c} - b{c}) * u{c}",
+        t="(b{c} - a{c}) * u{c}", new_i="a{c} + t * u{c}, ", new_j="b{c} - t * u{c}, ",
+        moved_i=("abs(p{c} - a{c}) > change", " or "),
+        moved_j=("abs(q{c} - b{c}) > change", " or "),
     )
-    namespace = {"CHANGE_TOLERANCE": CHANGE_TOLERANCE}
-    exec(compile(source, f"<pair kernel, d={d}>", "exec"), namespace)
     return _Kernel(namespace["exchanges"], namespace["first_unstable"])
 
 

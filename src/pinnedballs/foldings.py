@@ -7,17 +7,20 @@ family whose intersection has non-empty interior, every point's orbit under
 any infinite folding sequence is finite.  No bound on the orbit size in
 terms of the number of half-spaces exists, which
 :func:`adversarial_two_halfplanes` demonstrates constructively.
-One margin, ``_margin``, serves :meth:`HalfSpace.margin`, :func:`fold` and
-:func:`orbit`, whose float loop skips its checks after an identity fold.
+Orbits run on a kernel generated once per dimension N from one template by
+:func:`_generate`, as the pair kernel of ``dynamics`` is: points and normals are
+unpacked into locals and margins summed in component order on Python floats.
+Its margin also serves :meth:`HalfSpace.margin`, :func:`fold` and the witness check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,12 +34,82 @@ POINT_QUANTUM_DECIMALS = 12
 _QUANTUM = 10.0**POINT_QUANTUM_DECIMALS
 
 
-def _margin(point: list, normal: list) -> float:
-    """v . h on floats summed in component order; callers check the lengths."""
-    m = 0.0
-    for a, b in zip(point, normal):
-        m += a * b
-    return m
+def _generate(template: str, label: str, d: int, namespace: dict, **fields) -> dict:
+    """Exec ``template``, its fields written out for c = 0..d-1, in ``namespace``, and
+    return it.  A field ending in ", " is concatenated (``"a{c}, "`` unpacks a vector
+    into a0, a1, ...,); any other is joined by " + " into a sum in component order,
+    or by the separator paired with it as (form, separator)."""
+
+    def written(form) -> str:
+        form, sep = (form, "" if form.endswith(", ") else " + ") if isinstance(form, str) else form
+        return sep.join(form.format(c=c) for c in range(d))
+
+    source = template.format(**{name: written(form) for name, form in fields.items()})
+    exec(compile(source, label, "exec"), namespace)
+    return namespace
+
+
+# The orbit kernel for points of N components (see _orbit_kernel).  The fold takes
+# t = 2.0 * m once, the grouping in which a - 2.0 * m * b evaluates, so each v_c - t h_c
+# has its bits; an identity fold leaves the point seen and not stable, so neither is
+# rechecked after it.
+_ORBIT_TEMPLATE = """
+def margin(v, h):
+    ({v}), ({h}) = v, h
+    return 0.0 + {margin}
+
+def run(v, normals, order, recurring, budget, points, seen):
+    {v} = v
+    for steps, k in enumerate(order, 1):
+        {h} = normals[k]
+        m = {margin}
+        if m < 0.0:
+            t = 2.0 * m
+            {v} = {fold}
+            try:
+                key = pack({key})
+            except (OverflowError, ValueError):
+                key = point_key([{v}], pack, steps)
+            if key not in seen:
+                seen.add(key)
+                points.append([{v}])
+            for {h} in recurring:
+                if {margin} < bound:
+                    break
+            else:
+                return [{v}], steps, True
+        if steps >= budget:
+            return [{v}], steps, False
+"""
+
+
+class _OrbitKernel(NamedTuple):
+    """The orbit kernel for points of one dimension, generated by :func:`_orbit_kernel`."""
+
+    #: (point, normal) -> v . h, with the bits of the summing loop 0.0 + v_0 h_0 + ...
+    margin: Callable[[list, list], float]
+    #: (v, normals, order, recurring, budget, points, seen) -> (final point, steps,
+    #: stable): :func:`orbit`'s loop from a start v that is not stable.
+    run: Callable[..., tuple[list, int, bool]]
+    #: Packs one point's doubles, for :func:`_point_key`.
+    pack: Callable[..., bytes]
+
+
+@functools.cache
+def _orbit_kernel(n: int) -> _OrbitKernel:
+    """The orbit kernel for points of n >= 1 floats, generated once per n from
+    ``_ORBIT_TEMPLATE``.  The loop's margins drop the leading 0.0, which can change
+    only the sign of a zero, and its key is :func:`_point_key` unrolled, which it
+    calls where ``round`` raises."""
+    pack = struct.Struct(f"{n}d").pack
+    namespace = _generate(
+        _ORBIT_TEMPLATE, f"<orbit kernel, N={n}>", n,
+        {"pack": pack, "point_key": _point_key, "copysign": math.copysign,
+         "Q": _QUANTUM, "bound": STABILITY_MARGIN},
+        v="v{c}, ", h="h{c}, ", margin="v{c} * h{c}", fold="v{c} - t * h{c}, ",
+        key="copysign(round(v{c} * Q), v{c}) / Q, ",
+    )
+    return _OrbitKernel(namespace["margin"], namespace["run"], pack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +144,7 @@ class HalfSpace:
         vals = np.asarray(point, dtype=float).reshape(-1).tolist()
         if len(vals) != self.dimension:
             raise ValueError(f"point of dimension {len(vals)}, half-space of {self.dimension}")
-        return _margin(vals, self.normal.tolist())
+        return _orbit_kernel(self.dimension).margin(vals, self.normal.tolist())
 
 
 def fold(point: Sequence[float], halfspace: HalfSpace) -> np.ndarray:
@@ -198,12 +271,15 @@ class OrbitResult:
         return self.points.shape[0]
 
 
-def _point_key(vals: list, pack) -> bytes:
+def _point_key(vals: list, pack, step: int = 0) -> bytes:
     """The bytes of ``np.round(point, 12)`` (``pack`` packs d doubles).  Signed zeros
-    stay apart, as in numpy: [-1e-13, 1] and [1e-13, 1] are distinct points."""
+    stay apart, as in numpy: [-1e-13, 1] and [1e-13, 1] are distinct points.  A point
+    that is not finite raises ValueError naming ``step``, the fold that made it."""
     try:
         return pack(*[math.copysign(round(x * _QUANTUM), x) / _QUANTUM for x in vals])
-    except OverflowError:  # x * 1e12 is infinite, which numpy's rint keeps
+    except (OverflowError, ValueError):  # x * 1e12 is infinite (numpy's rint keeps it) or NaN
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"orbit fold {step} left the finite doubles: {vals}") from None
         return np.round(np.array(vals), POINT_QUANTUM_DECIMALS).tobytes()
 
 
@@ -223,9 +299,8 @@ def orbit(
     >= STABILITY_MARGIN) in every half-space the schedule can still apply,
     and raises :class:`BudgetExceededError` carrying the partial orbit
     otherwise.  Points are told apart by ``_point_key``.  Start and witness
-    must be finite, of the normals' dimension, and ``budget`` at least 1.  An
-    identity fold leaves the point seen and not stable, so neither its key nor
-    stability is rechecked.
+    must be finite, of the normals' dimension, and ``budget`` at least 1; a
+    fold that leaves the finite doubles raises ValueError naming its step.
     """
     if not halfspaces:
         raise ValueError("need at least one half-space")
@@ -245,31 +320,15 @@ def orbit(
     order = schedule.indices(len(halfspaces))
     normals, v = [h.normal.tolist() for h in halfspaces], v.tolist()
     recurring = [normals[i] for i in schedule.recurring_indices(len(normals))]
-
-    def stable(v: list) -> bool:
-        for h in recurring:
-            if _margin(v, h) < STABILITY_MARGIN:
-                return False
-        return True
-
-    pack = struct.Struct(f"{len(v)}d").pack
-    points, seen = [v], {_point_key(v, pack)}
-    if stable(v):
+    kernel = _orbit_kernel(len(v))
+    points, seen = [v], {_point_key(v, kernel.pack)}
+    if not any(kernel.margin(v, h) < STABILITY_MARGIN for h in recurring):
         return OrbitResult(np.array(points), 0, np.array(v), 0)
-    for steps, idx in enumerate(order, 1):
-        h = normals[idx]
-        m = _margin(v, h)
-        if m < 0.0:
-            v = [a - 2.0 * m * b for a, b in zip(v, h)]
-            if (key := _point_key(v, pack)) not in seen:
-                seen.add(key)
-                points.append(v)
-            if stable(v):
-                return OrbitResult(np.array(points), steps, np.array(v), steps)
-        if steps >= budget:
-            partial = OrbitResult(np.array(points), None, np.array(v), steps)
-            raise BudgetExceededError(f"orbit budget exhausted after {steps} folds", partial)
-    raise AssertionError("unreachable: schedules are infinite")
+    final, steps, stable = kernel.run(v, normals, order, recurring, budget, points, seen)
+    result = OrbitResult(np.array(points), steps if stable else None, np.array(final), steps)
+    if not stable:
+        raise BudgetExceededError(f"orbit budget exhausted after {steps} folds", result)
+    return result
 
 
 def adversarial_two_halfplanes(

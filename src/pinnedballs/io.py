@@ -95,6 +95,9 @@ def load_configuration(
         blocks = np.array(data["velocities"], dtype=float)
         if not np.all(np.isfinite(blocks)):
             raise ValueError(f"{path}: velocities must be finite numbers")
+        # the energy |v|^2 is reported, and a run conserves it, so it must be finite too
+        if not np.isfinite(np.einsum("ij,ij->", blocks, blocks)):
+            raise ValueError(f"{path}: velocities have an energy that is not finite")
         state = StateVector(config.n, config.dimension, blocks.reshape(-1))
     return config, state
 

@@ -90,3 +90,19 @@ test_c07_lattice_machinery = _criterion(7)
 test_c08_bound_consistency = _criterion(8)
 test_c09_end_to_end_inequality = _criterion(9)
 test_c10_decomposition_invariants = _criterion(10)
+
+
+def test_c05_rejects_a_certificate_inflated_by_1e_10(monkeypatch):
+    # the certificate is the exact value rounded down, so an excess of 1e-10 over
+    # the float alpha* is a fault; the check's old 1e-9 threshold let it pass
+    exact = verify.lattice.exact_alpha_certificate
+
+    def inflated(*args):
+        value, data = exact(*args)
+        return value + 1e-10, data
+
+    assert verify.check_certificates_vs_alpha(np.random.default_rng(5)).passed
+    monkeypatch.setattr(verify.lattice, "exact_alpha_certificate", inflated)
+    result = verify.check_certificates_vs_alpha(np.random.default_rng(5))
+    assert not result.passed, result.detail
+    assert verify.CERTIFICATE_EXCESS < 1e-10

@@ -418,6 +418,43 @@ class TestNonFiniteInput:
         assert code == 1 and out == ""
         assert "finite" in err
 
+    def test_velocities_with_infinite_energy(self, capsys, tmp_path):
+        # before, simulate exited 0 and printed "energy": Infinity and "F": NaN
+        path = _write(
+            tmp_path / "huge.json",
+            {"dimension": 1, "centers": [[-1], [1]], "velocities": [[1e308], [-1e308]]},
+        )
+        schedule = _write(tmp_path / "schedule.json", [[1, 2], [1, 2]])
+        code, out, err = _run(capsys, ["simulate", path, schedule])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "huge.json: velocities have an energy" in err
+
+    def test_report_with_a_non_finite_value_is_refused(self, capsys, tmp_path):
+        # finite velocities and centers whose F overflows: the report is not
+        # printed with -Infinity in it, which is not JSON
+        path = _write(
+            tmp_path / "far.json",
+            {"dimension": 1, "centers": [[0], [2], [1e300]], "velocities": [[1e10], [0], [1]]},
+        )
+        schedule = _write(tmp_path / "schedule.json", [])
+        with np.errstate(over="ignore"):
+            code, out, err = _run(capsys, ["simulate", path, schedule])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not JSON compliant" in err
+
+    @pytest.mark.parametrize(
+        "normal, start, witness",
+        [("[1, 0]", "[-1.5e308, 0]", "[1, 0]"), ("[0, 1]", "[0, -1.5e308]", "[0, 1]")],
+    )
+    def test_orbit_fold_that_overflows(self, capsys, tmp_path, normal, start, witness):
+        # before, the first order exited 0 with "final": [Infinity, NaN] and the
+        # second failed on "cannot convert float NaN to integer"
+        path = _write(tmp_path / "hs.json", {"dimension": 2, "normals": [json.loads(normal)]})
+        with np.errstate(over="ignore"):
+            code, out, err = _run(capsys, ["orbit", path, "--start", start, "--witness", witness])
+        assert code == 1 and out == ""
+        assert err.startswith("error: orbit fold 1 left the finite doubles")
+
     def test_nan_normal(self, capsys, tmp_path):
         path = _write(
             tmp_path / "halfspaces.json",

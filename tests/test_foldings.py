@@ -3,10 +3,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinnedballs import configs
 from pinnedballs.errors import BudgetExceededError, NoInteriorWitnessError
 from pinnedballs.foldings import (
+    STABILITY_MARGIN,
     FoldingSchedule,
     HalfSpace,
     _point_key,
@@ -214,6 +216,167 @@ class TestPointKey:
         assert _point_key([-0.0, 1.0], pack) != _point_key([0.0, 1.0], pack)
         assert _point_key([-1e-13, 1.0], pack) == _point_key([-0.0, 1.0], pack)
         assert _point_key([1e-13, 1.0], pack) == _point_key([0.0, 1.0], pack)
+
+
+def _margin(point, normal):
+    """Reference: v . h on floats summed in component order."""
+    m = 0.0
+    for a, b in zip(point, normal):
+        m += a * b
+    return m
+
+
+def _reference_point_key(vals, pack):
+    """Reference: the bytes of ``np.round(point, 12)``, signed zeros kept apart."""
+    try:
+        return pack(*[math.copysign(round(x * 1e12), x) / 1e12 for x in vals])
+    except OverflowError:  # x * 1e12 is infinite, which numpy's rint keeps
+        return np.round(np.array(vals), 12).tobytes()
+
+
+def _reference_orbit(start, halfspaces, schedule, budget):
+    """Reference: the orbit loop on lists of floats before it ran on a generated
+    kernel, with a list fold and a ``stable`` loop.  Returns (points, final, steps,
+    stabilization_index), the index None when the budget ran out."""
+    order = schedule.indices(len(halfspaces))
+    normals, v = [h.normal.tolist() for h in halfspaces], [float(x) for x in start]
+    recurring = [normals[i] for i in schedule.recurring_indices(len(normals))]
+
+    def stable(v):
+        for h in recurring:
+            if _margin(v, h) < STABILITY_MARGIN:
+                return False
+        return True
+
+    pack = struct.Struct(f"{len(v)}d").pack
+    points, seen = [v], {_reference_point_key(v, pack)}
+    if stable(v):
+        return points, v, 0, 0
+    for steps, idx in enumerate(order, 1):
+        h = normals[idx]
+        m = _margin(v, h)
+        if m < 0.0:
+            v = [a - 2.0 * m * b for a, b in zip(v, h)]
+            if (key := _reference_point_key(v, pack)) not in seen:
+                seen.add(key)
+                points.append(v)
+            if stable(v):
+                return points, v, steps, steps
+        if steps >= budget:
+            return points, v, steps, None
+
+
+#: A component: an exact zero of either sign, one that rounds to a zero key, or an
+#: ordinary float of either sign.
+_ORBIT_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 5e-13]),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+def _orbit_bits(points, final, steps, index):
+    return np.array(points, dtype=float).tobytes(), np.array(final).tobytes(), steps, index
+
+
+class TestGeneratedOrbitKernel:
+    """``orbit`` on the kernel generated for each dimension against the reference loop,
+    bit for bit."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data(), n=st.integers(1, 8), m=st.integers(1, 5),
+           budget=st.sampled_from([1, 2, 7, 5000]))
+    def test_matches_reference_loop(self, data, n, m, budget):
+        vector = st.lists(_ORBIT_COMPONENT, min_size=n, max_size=n)
+        witness = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        if np.linalg.norm(witness) < 1e-3:
+            witness = np.ones(n)
+        witness /= np.linalg.norm(witness)
+        halfspaces = []
+        for h in data.draw(st.lists(vector, min_size=m, max_size=m)):
+            h = np.array(h) / np.max(np.abs(h)) if np.any(h) else witness
+            h = h / np.linalg.norm(h)
+            # keep the cone's opening off the boundary, so orbits stay short
+            if abs(h @ witness) < 0.05:
+                h = h + witness
+            halfspaces.append(HalfSpace.from_vector(h if h @ witness > 0.0 else -h))
+        for h in halfspaces:  # HalfSpace.margin and its reference agree bit for bit
+            point = data.draw(st.lists(st.one_of(_ORBIT_COMPONENT, st.floats(-1e300, 1e300)),
+                                       min_size=n, max_size=n))
+            assert struct.pack("d", h.margin(point)) == struct.pack("d", _margin(point, h.normal))
+        # a start scaled past 1.8e296 is keyed by numpy's rounding (x * 1e12 overflows)
+        scale = data.draw(st.sampled_from([1.0, 1.0, 1.0, 1.0, 1.0, 1e297, 2.5e299]))
+        start = [x * scale for x in data.draw(vector)]
+        schedule = data.draw(st.one_of(
+            st.just(FoldingSchedule.round_robin()),
+            st.integers(0, 2**32 - 1).map(FoldingSchedule.seeded_random),
+            st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m).map(
+                FoldingSchedule.periodic
+            ),
+        ))
+        with np.errstate(over="ignore"):  # numpy's rounding of the keys above 1.8e296
+            expected = _reference_orbit(start, halfspaces, schedule, budget)
+            try:
+                result = orbit(start, halfspaces, schedule, budget, witness=witness)
+            except BudgetExceededError as exc:
+                result = exc.best
+        got = _orbit_bits(result.points, result.final, result.steps, result.stabilization_index)
+        assert got == _orbit_bits(*expected)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_margin_signed_zeros_and_component_order(self, n):
+        # a margin starts from 0.0, so negative zeros give +0.0, and it adds the
+        # products in component order, which decides the sum of 1e16 h - 1e16 h + h
+        normal = [1.0 / math.sqrt(n)] * n
+        h = HalfSpace(normal)
+        for point in ([-0.0] * n, [0.0] * n, [1e16] + [-1e16] * (n > 1) + [1.0] * (n - 2)):
+            expected = _margin(point, normal)
+            assert struct.pack("d", h.margin(point)) == struct.pack("d", expected)
+        assert struct.pack("d", h.margin([-0.0] * n)) == struct.pack("d", 0.0)
+
+    def test_fold_keys_keep_signed_zeros(self):
+        # the first fold lands on [1, -3e-13], keyed [1, -0.0], and the second on
+        # [-1, -1e-13], which shares the start's key [-1, -0.0]: two points
+        halfspaces = [HalfSpace.from_vector([1.0, 1e-13]), HalfSpace.from_vector([-1.0, 1e-13])]
+        start, schedule = [-1.0, -5e-13], FoldingSchedule.periodic((0, 1))
+        with pytest.raises(BudgetExceededError) as exc:
+            orbit(start, halfspaces, schedule, budget=2, witness=[0.0, 1.0])
+        best = exc.value.best
+        assert (best.size, best.steps) == (2, 2)
+        assert _orbit_bits(best.points, best.final, best.steps, None) == _orbit_bits(
+            *_reference_orbit(start, halfspaces, schedule, 2)
+        )
+
+    def test_margin_equal_to_stability_margin_is_stable(self):
+        # the fold lands on [-1e-12, 1], whose margin against [1, 0] is exactly
+        # STABILITY_MARGIN: the orbit stops there
+        halfspaces = [HalfSpace([1.0, 0.0]), HalfSpace([0.0, 1.0])]
+        result = orbit([-1e-12, -1.0], halfspaces, FoldingSchedule.periodic((1, 0)),
+                       witness=[0.6, 0.8])
+        assert (result.size, result.steps, result.stabilization_index) == (2, 1, 1)
+        assert result.final.tolist() == [-1e-12, 1.0]
+
+    @pytest.mark.parametrize(
+        "start, normal",
+        [([-1.5e308, 0.0], [1.0, 0.0]), ([0.0, -1.5e308], [0.0, 1.0])],
+    )
+    def test_fold_that_leaves_the_finite_doubles_raises(self, start, normal):
+        # before, the first order stabilized at [inf, nan] (NaN's margin is no
+        # "< STABILITY_MARGIN") and the second raised "cannot convert float NaN"
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"^orbit fold 1 left the finite doubles"):
+                orbit(start, [HalfSpace(normal)], FoldingSchedule.round_robin(), witness=normal)
+
+    @pytest.mark.parametrize("x", [1e300, -1e300, 8e307, 3e296])
+    def test_finite_points_past_the_key_overflow_keep_numpy_keys(self, x):
+        # 2 m stays finite up to |m| = 8.9e307, and so does the fold
+        halfspaces = [HalfSpace([1.0, 0.0]), HalfSpace([0.0, 1.0])]
+        start = [-x, 5.0] if x > 0 else [2.0, x]
+        with np.errstate(over="ignore"):
+            result = orbit(start, halfspaces, FoldingSchedule.round_robin(), witness=[0.6, 0.8])
+            expected = _reference_orbit(start, halfspaces, FoldingSchedule.round_robin(), 10)
+        assert _orbit_bits(result.points, result.final, result.steps,
+                           result.stabilization_index) == _orbit_bits(*expected)
+        assert result.size == 2 and np.all(np.isfinite(result.final))
 
 
 def _adversarial_by_full_orbits(m):

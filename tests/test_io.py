@@ -37,6 +37,17 @@ class TestConfigurationFiles:
         with pytest.raises(ValueError):
             io.load_configuration(path)
 
+    @pytest.mark.parametrize("velocities", [[[1e308], [-1e308]], [[1e200], [0.0]]])
+    def test_velocities_of_infinite_energy_rejected(self, tmp_path, velocities):
+        # each component is finite, but |v|^2 overflows, so every energy and F
+        # a run reports would be infinite or NaN
+        path, centers = tmp_path / "config.json", [[-1.0], [1.0]]
+        path.write_text(json.dumps({"centers": centers, "velocities": velocities}))
+        with pytest.raises(ValueError, match=r"config\.json: velocities have an energy"):
+            io.load_configuration(path)
+        path.write_text(json.dumps({"centers": centers, "velocities": [[1e150], [-1e150]]}))
+        assert math.isfinite(io.load_configuration(path)[1].energy)
+
     @pytest.mark.parametrize("velocities", [[[1], [1, 2]], [[1, 2], [1]], [[1, 2]], []])
     def test_ragged_or_short_velocities_name_file_and_field(self, tmp_path, velocities):
         # before, ragged rows reached np.array, whose "inhomogeneous shape"
