@@ -117,8 +117,6 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
         config, state = geometry.normalize_system(config, state)
     schedule = io.load_schedule(args.schedule)
     trace = dynamics.run_schedule(config, state, schedule, max_steps=args.max_steps)
-    if args.trace:
-        io.write_trace_jsonl(args.trace, trace)
     report = {
         "collisions": trace.collisions,
         "steps": trace.steps,
@@ -127,6 +125,9 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
         "final": {"F": float(trace.functional[-1]), "energy": float(trace.energies[-1])},
         "trace_file": args.trace,
     }
+    if args.trace:
+        json.dumps(report, allow_nan=False)  # a report that is not JSON leaves no trace file
+        io.write_trace_jsonl(args.trace, trace)
     return report, {"inputs": [args.config, args.schedule]}
 
 

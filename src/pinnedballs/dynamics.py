@@ -15,11 +15,14 @@ change the bits and they equal those of a plain summing loop.  :func:`collide`,
 every run, the greedy walk ``_walk`` and the schedule search all look the
 kernel up once per call or run and use it, so a step changes the state exactly
 when it counts as a collision; the stability test of policy runs is generated
-from the same template.  A state is one list of floats per ball and
-``_pair_table`` gives each touching edge its ball indices and geometry, so an
-exchange replaces two blocks and shares the rest.  A run records change
-points, the distinct states and the steps they appear at, so an explicit run
-stops once every edge of its schedule is idle.
+from the same template.  The kernel's ``run`` is the whole step loop of an
+explicit, round-robin or seeded-random run in one frame, and :func:`collide`
+and the search's witness replay step through it too, so the exchange is written
+once, in the template, with no per-step helper around it.  A state is one list
+of floats per ball and ``_pair_table`` gives each touching edge its ball
+indices and geometry, so an exchange replaces two blocks and shares the rest.
+A run records change points, the distinct states and the steps they appear at,
+so an explicit run stops once every edge of its schedule is idle.
 
 Along any schedule the energy and total momentum are conserved and the
 functional F = sum_{i,j} (v_j - v_i) . (x_j - x_i) never decreases; it is
@@ -89,6 +92,38 @@ def exchanges(blocks, pairs, tolerance):
             yield k, [{p}], [{q}]
 
 
+def run(blocks, planned, table, tolerance, rows, starts, quiet=None, applied=None, stable=None):
+    limit, change, get, idle = -tolerance, CHANGE_TOLERANCE, table.get, set()
+    for step, e in enumerate(planned, 1):
+        if applied is not None:
+            applied.append(e)
+        if e in idle:
+            continue
+        if pair := get(e):
+            i, j, dx, u = pair
+            {a} = blocks[i]
+            {b} = blocks[j]
+            {x} = dx
+            if not {approach} >= limit:
+                {u} = u
+                t = {t}
+                {p} = {new_i}
+                {q} = {new_j}
+                if {moved_i} or {moved_j}:
+                    blocks = blocks.copy()
+                    blocks[i], blocks[j] = [{p}], [{q}]
+                    rows.append(blocks)
+                    starts.append(step)
+                    idle.clear()
+                    if stable is not None and stable(blocks):
+                        return blocks, True
+                    continue
+        idle.add(e)
+        if len(idle) == quiet:
+            break
+    return blocks, False
+
+
 def first_unstable(blocks, pairs, tolerance, bound):
     limit = -tolerance
     for k, (i, j, dx, u) in enumerate(pairs):
@@ -115,6 +150,14 @@ class _Kernel(NamedTuple):
     #: (v_i - v_j) . u is below ``bound`` and that approaches by the test of ``exchanges``;
     #: None when there is none.
     first_unstable: Callable[[list, Sequence[tuple], float, float], int | None]
+    #: (blocks, planned, table, tolerance, rows, starts, quiet, applied, stable) -> (last
+    #: blocks, stabilized): steps through the edges ``planned``, each colliding by the test
+    #: of ``exchanges`` on its ``table`` pair (none for a missing or None pair), appending
+    #: each new state's blocks to ``rows`` and its step to ``starts``.  Stops once ``quiet``
+    #: distinct edges left the state as it is since it last changed, or once
+    #: ``stable(blocks)`` is True after a collision (an unchanged state that was not stable
+    #: stays so); ``applied`` collects every edge it takes from ``planned``.
+    run: Callable[..., tuple[list, bool]]
 
 
 @functools.cache
@@ -134,20 +177,7 @@ def _kernel(d: int) -> _Kernel:
         moved_i=("abs(p{c} - a{c}) > change", " or "),
         moved_j=("abs(q{c} - b{c}) > change", " or "),
     )
-    return _Kernel(namespace["exchanges"], namespace["first_unstable"])
-
-
-def _exchanged(
-    exchanges: Callable, blocks: list, pair: tuple | None, tolerance: float
-) -> list | None:
-    """A new state after the exchange on ``pair`` by ``exchanges`` (a kernel's); None
-    when ``pair`` is None or makes no collision."""
-    found = pair and next(exchanges(blocks, (pair,), tolerance), None)
-    if not found:
-        return None
-    out = blocks.copy()
-    out[pair[0]], out[pair[1]] = found[1:]
-    return out
+    return _Kernel(namespace["exchanges"], namespace["first_unstable"], namespace["run"])
 
 
 def _pair_table(config: BallConfiguration, graph: ContactGraph) -> dict[Edge, tuple]:
@@ -200,11 +230,11 @@ def collide(
         raise ValueError("a ball cannot collide with itself")
     if not 0.0 <= approach_tolerance < float("inf"):
         raise ValueError(f"approach_tolerance must be finite and >= 0, got {approach_tolerance!r}")
-    out = _exchanged(
-        _kernel(config.dimension).exchanges, state.blocks().tolist(),
-        _pairs(config, [edge])[0], approach_tolerance,
+    blocks = state.blocks().tolist()
+    out, _ = _kernel(config.dimension).run(
+        blocks, (edge,), {edge: _pairs(config, [edge])[0]}, approach_tolerance, [], []
     )
-    return state if out is None else state.with_values(out)
+    return state if out is blocks else state.with_values(out)
 
 
 def collide_as_folding(
@@ -349,7 +379,7 @@ def run_schedule(
     if not 0.0 <= approach_tolerance < float("inf"):
         raise ValueError(f"approach_tolerance must be finite and >= 0, got {approach_tolerance!r}")
     table = _pair_table(config, graph)
-    exchanges, first_unstable = _kernel(config.dimension)
+    exchanges, first_unstable, run = _kernel(config.dimension)
 
     stable = None
     if schedule.kind == "explicit":
@@ -390,31 +420,17 @@ def run_schedule(
         applied, rows, stabilized = _walk(exchanges, table, vals, max_steps, approach_tolerance)
         starts = list(range(len(rows)))
     else:
-        # the distinct states, flat, and the step at which each one appears
-        rows, starts = [state0.values.tolist()], [0]
-        # edges whose exchange is known to leave the current state as it is
-        idle: set[Edge] = set()
+        # the distinct states and the step at which each one appears
+        rows, starts = [vals], [0]
         stabilized = stable is not None and stable(vals)
-        for t, e in enumerate(() if stabilized else planned, 1):
-            if stable is not None:
-                applied.append(e)
-            out = None if e in idle else _exchanged(
-                exchanges, vals, table.get(e), approach_tolerance
+        if not stabilized:
+            _, stabilized = run(
+                vals, planned, table, approach_tolerance, rows, starts, quiet,
+                None if stable is None else applied, stable,
             )
-            if out is None:
-                idle.add(e)
-                if len(idle) == quiet:
-                    break
-                continue
-            vals = out
-            rows.append([x for block in vals for x in block])
-            starts.append(t)
-            idle.clear()
-            # an unchanged state that was not stable stays not stable
-            if stable is not None and (stabilized := stable(vals)):
-                break
 
-    distinct = np.array(rows).reshape(len(rows), -1)
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
+    distinct = np.fromiter(flat, float, len(rows) * state0.values.size).reshape(len(rows), -1)
     counts = np.diff(starts + [len(applied) + 1])
     changed = np.zeros(len(applied), dtype=bool)
     changed[np.array(starts[1:], dtype=int) - 1] = True

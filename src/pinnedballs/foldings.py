@@ -280,7 +280,8 @@ def _point_key(vals: list, pack, step: int = 0) -> bytes:
     except (OverflowError, ValueError):  # x * 1e12 is infinite (numpy's rint keeps it) or NaN
         if not all(map(math.isfinite, vals)):
             raise ValueError(f"orbit fold {step} left the finite doubles: {vals}") from None
-        return np.round(np.array(vals), POINT_QUANTUM_DECIMALS).tobytes()
+        with np.errstate(over="ignore"):  # x * 1e12 overflows to the inf numpy keys
+            return np.round(np.array(vals), POINT_QUANTUM_DECIMALS).tobytes()
 
 
 def orbit(

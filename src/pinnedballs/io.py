@@ -171,13 +171,18 @@ def save_halfspaces(path: str | Path, halfspaces: Sequence[HalfSpace]) -> None:
 
 
 def write_trace_jsonl(path: str | Path, trace: SimulationTrace) -> None:
-    """One JSON record per step: {t, edge, changed, F, energy}, where step t
-    applied ``edge`` and F and energy are those of the state it left."""
+    """One strict JSON record per step: {t, edge, changed, F, energy}, where step t
+    applied ``edge`` and F and energy are those of the state it left.  A NaN or
+    infinite F or energy raises ValueError before the file is created."""
+    functional, energies = trace.functional[1:], trace.energies[1:]
+    if not (finite := np.isfinite(functional) & np.isfinite(energies)).all():
+        step = int(np.argmin(finite)) + 1
+        raise ValueError(f"trace step {step} has a NaN or infinite F or energy, not JSON")
     rows = zip(
         one_based(trace.edges), trace.changed.tolist(),
-        trace.functional[1:].tolist(), trace.energies[1:].tolist(),
+        functional.tolist(), energies.tolist(),
     )
     with open(path, "w") as fh:
         for t, (edge, changed, f, energy) in enumerate(rows, 1):
             record = {"t": t, "edge": edge, "changed": changed, "F": f, "energy": energy}
-            fh.write(json.dumps(record) + "\n")
+            fh.write(json.dumps(record, allow_nan=False) + "\n")

@@ -3,7 +3,8 @@
 Both collide pairs by the pair kernel that every trace shares, generated
 once per dimension from one template (``dynamics._kernel``), with the bits of
 a plain loop that sums in component order, and looked up once per search; the
-greedy search is the walk ``dynamics._walk``.  The exhaustive search
+greedy search is the walk ``dynamics._walk``, and a witness replays through the
+kernel's ``run``.  The exhaustive search
 enumerates, depth first, which pair collides next.  Every collision strictly
 increases the monotone pair functional, so no chain of collisions revisits a
 state and the search tree is finite even without the depth cap.  Results
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .dynamics import _exchanged, _kernel, _pair_table, _walk
+from .dynamics import _kernel, _pair_table, _walk
 from .errors import BudgetExceededError, NotNormalizedError, TooManyEdgesError
 from .geometry import (
     BallConfiguration,
@@ -183,7 +184,8 @@ def exhaustive_max_collisions(
 
     table = _pair_table(config, graph)
     edges, pairs, near = list(table), list(table.values()), {}
-    exchanges, key = _kernel(config.dimension).exchanges, _block_key(config.dimension)
+    kernel, key = _kernel(config.dimension), _block_key(config.dimension)
+    exchanges = kernel.exchanges
     nodes, truncated = 0, False
     memo: dict[tuple[bytes, int], tuple[int, tuple[Edge, ...]]] = {}
 
@@ -222,12 +224,10 @@ def exhaustive_max_collisions(
     found, tail = dfs(start, list(map(key, start)), 0, [None] * len(edges), None)
 
     # replay makes the reported count authoritative for the witness
-    state, collisions = start, 0
-    for edge in tail:
-        if (out := _exchanged(exchanges, state, table[edge], 0.0)) is not None:
-            collisions, state = collisions + 1, out
-    if collisions != found:
-        raise RuntimeError(f"witness replays to {collisions} collisions, {found} found")
+    starts: list[int] = []
+    kernel.run(start, tail, table, 0.0, [], starts)
+    if len(starts) != found:
+        raise RuntimeError(f"witness replays to {len(starts)} collisions, {found} found")
     result = SearchResult(
         method="exhaustive",
         collisions=found,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +442,31 @@ class TestNonFiniteInput:
             code, out, err = _run(capsys, ["simulate", path, schedule])
         assert code == 1 and out == ""
         assert err.startswith("error:") and "not JSON compliant" in err
+
+    @pytest.mark.parametrize("edges", [[[1, 2]], []])
+    def test_trace_with_a_non_finite_value_is_not_written(self, capsys, tmp_path, edges):
+        # before, the trace held "F": -Infinity and stayed behind when the report failed
+        path = _write(
+            tmp_path / "far.json",
+            {"dimension": 1, "centers": [[0], [2], [1e300]], "velocities": [[1e10], [0], [1]]},
+        )
+        schedule, trace = _write(tmp_path / "schedule.json", edges), tmp_path / "trace.jsonl"
+        with np.errstate(over="ignore"):
+            code, out, err = _run(capsys, ["simulate", path, schedule, "--trace", str(trace)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not JSON compliant" in err
+        assert not trace.exists()
+
+    def test_orbit_past_the_rounding_range_warns_nothing(self, capsys, tmp_path):
+        # a point past 1.8e296 is keyed by np.round, whose x * 1e12 overflows
+        path = _write(tmp_path / "hs.json", {"dimension": 2, "normals": [[1, 0]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(
+                capsys, ["orbit", path, "--start", "[-1e300, 0]", "--witness", "[1, 0]"]
+            )
+        assert code == 0 and err == ""
+        assert json.loads(out)["points"] == [[-1e300, 0.0], [1e300, 0.0]]
 
     @pytest.mark.parametrize(
         "normal, start, witness",

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import struct
 
@@ -10,7 +11,6 @@ from pinnedballs import configs, dynamics, search
 from pinnedballs.dynamics import (
     CHANGE_TOLERANCE,
     Schedule,
-    _exchanged,
     _kernel,
     _pair_table,
     _walk,
@@ -71,6 +71,42 @@ def _first_unstable(blocks, pairs, tolerance, bound):
             if not approach >= -tolerance:
                 return k
     return None
+
+
+def _exchanged(blocks, pair, tolerance):
+    """A new state after the exchange on ``pair`` by :func:`_exchanges`; None when
+    ``pair`` is None or makes no collision."""
+    found = pair and next(_exchanges(blocks, (pair,), tolerance), None)
+    if not found:
+        return None
+    out = blocks.copy()
+    out[pair[0]], out[pair[1]] = found[1:]
+    return out
+
+
+def _run(blocks, planned, table, tolerance, rows, starts, quiet=None, applied=None, stable=None):
+    """Reference step loop of a run, one :func:`_exchanged` per step that is not known
+    to be idle: the generated kernels' ``run`` must give the same blocks, rows, starts,
+    applied edges and stop."""
+    # edges whose exchange is known to leave the current state as it is
+    idle = set()
+    for t, e in enumerate(planned, 1):
+        if applied is not None:
+            applied.append(e)
+        out = None if e in idle else _exchanged(blocks, table.get(e), tolerance)
+        if out is None:
+            idle.add(e)
+            if len(idle) == quiet:
+                break
+            continue
+        blocks = out
+        rows.append(blocks)
+        starts.append(t)
+        idle.clear()
+        # an unchanged state that was not stable stays not stable
+        if stable is not None and stable(blocks):
+            return blocks, True
+    return blocks, False
 
 
 class TestCollide:
@@ -562,7 +598,7 @@ class TestKernelProperties:
         )
         state = sample_unit_state(n, d, rng)
         graph = full_contact_graph(config)
-        table, exchanges = _pair_table(config, graph), _kernel(d).exchanges
+        table, kernel = _pair_table(config, graph), _kernel(d)
         assert list(table) == [e for e in graph.edges if config.touches(*e)]
         for (i, j), pair in table.items():
             dx = config.centers[i] - config.centers[j]
@@ -573,15 +609,19 @@ class TestKernelProperties:
             children = _children(table, blocks, tolerance)
             colliding = [e for e in graph.edges if collide(config, state, e, tolerance) is not state]
             assert list(children) == colliding
-            assert _walk(exchanges, table, blocks, 1, tolerance)[0] == colliding[:1]
+            assert _walk(kernel.exchanges, table, blocks, 1, tolerance)[0] == colliding[:1]
             for e in graph.edges:
                 collided = collide(config, state, e, tolerance)
                 expected = collided.blocks().tolist()
-                step = _exchanged(exchanges, blocks, table[e], tolerance)
-                if step is None:
+                rows, starts = [], []
+                step, stabilized = kernel.run(blocks, (e,), table, tolerance, rows, starts)
+                assert not stabilized
+                if step is blocks:
                     assert collided.values is state.values
+                    assert rows == starts == []
                 else:
                     assert step == expected
+                    assert rows == [step] and starts == [1]
                     # a child shares every block its exchange left alone
                     assert [k for k, b in enumerate(step) if b is not blocks[k]] == list(e)
                 if _moved(state.values, np.ravel(expected)):
@@ -704,6 +744,23 @@ class TestGeneratedKernel:
         assert kernel.first_unstable(blocks, pairs, tolerance, bound) == _first_unstable(
             blocks, pairs, tolerance, bound
         )
+        # a run over pair indices, some of them missing from its table
+        planned = data.draw(st.lists(st.integers(0, 8), max_size=12))
+        quiet, policy = data.draw(st.sampled_from([None, 1, 3])), data.draw(st.booleans())
+
+        def stable(blocks):
+            return _first_unstable(blocks, pairs, tolerance, bound) is None
+
+        def outcome(run):
+            rows, starts, applied = [blocks], [0], [] if policy else None
+            last, stabilized = run(
+                blocks, planned, dict(enumerate(pairs)), tolerance, rows, starts, quiet,
+                applied, stable if policy else None,
+            )
+            rows = [b"".join(pack(*b) for b in row) for row in rows + [last]]
+            return rows, starts, applied, stabilized
+
+        assert outcome(kernel.run) == outcome(_run)
 
     def test_signed_zero_and_empty_inputs(self):
         kernel = _kernel(2)
@@ -713,6 +770,21 @@ class TestGeneratedKernel:
         for zero in (0.0, -0.0):
             pair = (0, 1, [zero, 1.0], [zero, 1.0])
             assert list(kernel.exchanges([[1.0, 0.0], [-1.0, 0.0]], [pair], 0.0)) == []
+
+    @pytest.mark.parametrize("a, b, u", [
+        # v_i moves by 1.4e-14, one ulp of 64, and v_j by half that: one moved block is enough
+        ([64.00000000000001, 1e-14], [63.99999999999999, 1000.0], [-0.6, 0.0]),
+        ([0.0, 64.0], [-1.999999999999999e-14, 64.0], [-0.6, -0.6]),  # the other way round
+    ])
+    def test_either_block_moving_is_a_collision(self, a, b, u):
+        pair, kernel = (0, 1, u, u), _kernel(2)
+        found = list(kernel.exchanges([a, b], [pair], 0.0))
+        assert len(found) == 1 and found == list(_exchanges([a, b], [pair], 0.0))
+        rows, starts = [], []
+        assert kernel.run([a, b], [(0, 1)], {(0, 1): pair}, 0.0, rows, starts) == (
+            list(found[0][1:]), False
+        )
+        assert rows == [list(found[0][1:])] and starts == [1]
 
     def test_sums_in_component_order(self):
         # 1e16 - 1e16 - 1 is -1 summed left to right, 0 in any other order: the
@@ -740,11 +812,44 @@ class TestGeneratedKernel:
             ] + [(found.collisions, found.witness, found.nodes_explored, found.truncated)]
 
         generated = outcomes()
-        reference = dynamics._Kernel(_exchanges, _first_unstable)
+        reference = dynamics._Kernel(_exchanges, _first_unstable, _run)
         monkeypatch.setattr(dynamics, "_kernel", lambda d: reference)
         monkeypatch.setattr(search, "_kernel", lambda d: reference)
         assert outcomes() == generated
         assert generated[-1][0] > 0
+
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_runs_match_the_reference_step_loop(self, d, monkeypatch):
+        rng = np.random.default_rng(50 + d)
+        config = configs.random_contact_configuration(5, d, rng, style="mixed")
+        config, state = normalize_system(config, sample_unit_state(5, d, rng))
+        apart = next(e for e in itertools.combinations(range(5), 2) if not config.touches(*e))
+        graph = ContactGraph(5, [*full_contact_graph(config).edges, apart])
+        picks = [graph.edges[k] for k in rng.integers(len(graph.edges), size=40)]
+        runs = [
+            (Schedule.explicit(picks * 10), None, 0.0),  # repeats, then idle to the end
+            (Schedule.explicit(picks * 10), 5, 0.0),  # cut by max_steps
+            (Schedule.explicit([apart] * 3 + picks), None, 0.3),
+        ] + [
+            (policy, max_steps, tolerance)
+            for policy in (Schedule.round_robin(), Schedule.seeded_random(d))
+            for max_steps in (3, 400)
+            for tolerance in (0.0, 0.3)
+        ]
+
+        def outcomes():
+            traces = [run_schedule(config, state, s, m, graph, tol) for s, m, tol in runs]
+            return [(t.states.tobytes(), t.edges, t.changed.tolist(), t.stabilized) for t in traces]
+
+        generated = outcomes()
+        monkeypatch.setattr(
+            dynamics, "_kernel", lambda d: dynamics._Kernel(_exchanges, _first_unstable, _run)
+        )
+        assert outcomes() == generated
+        # the long run goes quiet in its first half, so its idle stop ends the stepping
+        changed = generated[0][2]
+        assert any(changed) and not any(changed[len(changed) // 2:])
 
 
 class TestCollisionPredicate:
@@ -841,21 +946,19 @@ class TestChangePoints:
 
     def test_idle_tail_costs_no_exchanges(self, rng, monkeypatch):
         calls = 0
-        kernel = dynamics._kernel
+        pair_table = dynamics._pair_table
 
-        def counted_kernel(d):
-            def counted(*args):
+        class CountedTable(dict):
+            def get(self, edge):
                 nonlocal calls
                 calls += 1
-                return kernel(d).exchanges(*args)
+                return super().get(edge)
 
-            return kernel(d)._replace(exchanges=counted)
-
-        # a run looks its kernel up once; each call of its exchanges is one step's test
-        monkeypatch.setattr(dynamics, "_kernel", counted_kernel)
+        # a run builds its pair table once; each step it tests looks its pair up once
+        monkeypatch.setattr(dynamics, "_pair_table", lambda *args: CountedTable(pair_table(*args)))
         config, state = random_system(rng, n_max=6, d_max=2)
         graph = full_contact_graph(config)
         edges = (graph.edges * 100_000)[:100_000]
         trace = run_schedule(config, state, Schedule.explicit(edges))
         assert trace.steps == 100_000 and trace.collisions > 0
-        assert calls <= (trace.collisions + 1) * len(graph.edges)
+        assert trace.collisions <= calls <= (trace.collisions + 1) * len(graph.edges)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -147,6 +148,18 @@ class TestTraceFiles:
                 "energy": pytest.approx(1.0),
             }
         ]
+
+    def test_non_finite_record_is_refused_before_the_file(self, tmp_path):
+        config = configs.collinear_chain(3)
+        state = StateVector.from_blocks([[1.0], [0.0], [-1.0]])
+        trace = run_schedule(config, state, Schedule.explicit([(1, 2), (0, 1), (1, 2)]))
+        for field in ("functional", "energies"):
+            values = getattr(trace, field).copy()
+            values[2] = float("nan") if field == "energies" else -math.inf
+            path = tmp_path / f"{field}.jsonl"
+            with pytest.raises(ValueError, match="trace step 2 has a NaN or infinite F"):
+                io.write_trace_jsonl(path, dataclasses.replace(trace, **{field: values}))
+            assert not path.exists()
 
     def test_records_follow_the_trace(self, tmp_path):
         # step t applied edges[t - 1]; F and energy are those of states[t]

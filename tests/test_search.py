@@ -170,7 +170,12 @@ class TestExhaustive:
 
     def test_replay_mismatch_raises(self, monkeypatch):
         # a replay that disagrees with the search is an error, not a result
-        monkeypatch.setattr(search, "_exchanged", lambda exchanges, vals, pair, tolerance: None)
+        kernel = search._kernel
+
+        def no_collision_replay(d):
+            return kernel(d)._replace(run=lambda blocks, *args: (blocks, False))
+
+        monkeypatch.setattr(search, "_kernel", no_collision_replay)
         config, state = _chain3_system()
         with pytest.raises(RuntimeError, match="3 found"):
             exhaustive_max_collisions(config, state)
