@@ -116,7 +116,9 @@ def _cmd_simulate(args) -> tuple[dict, dict]:
     if args.normalize:
         config, state = geometry.normalize_system(config, state)
     schedule = io.load_schedule(args.schedule)
-    trace = dynamics.run_schedule(config, state, schedule, max_steps=args.max_steps)
+    # an F past the doubles is refused as a report that is not JSON, and warns nothing
+    with np.errstate(over="ignore"):
+        trace = dynamics.run_schedule(config, state, schedule, max_steps=args.max_steps)
     report = {
         "collisions": trace.collisions,
         "steps": trace.steps,

@@ -8,15 +8,17 @@ collision direction in R^{nd} built from the difference of its centers; that
 vector drives both the collision transform and its folding representation.
 
 Pair geometry is built in batched passes with the bits of the per-pair
-definitions.  One all-pairs distance pass serves the contact graph and the
-overlap check: ``np.linalg.norm(x[None] - x[lo:hi, None], axis=-1)`` over
-blocks of ``_ROW_BLOCK`` rows, the expression a per-row ``norm(axis=1)``
-evaluates, in O(_ROW_BLOCK n d) memory.  Per-edge lengths come from one
-stacked product ``rows[:, None, :] @ rows[:, :, None]``, which sums each row as
-``r @ r`` and ``np.linalg.norm(r)`` do; ``np.einsum`` and ``(r * r).sum(-1)``
-sum in other orders and differ in the last bit on a few percent of rows, so
-they are not used.  :func:`collision_matrix` builds every edge's collision
-vector at once, raw or unit, as the columns of one matrix.
+definitions.  One all-pairs pass serves the contact graph, the overlap check
+and ``rigidity.alpha``'s collision matrix: the offsets ``x[lo:hi, None] -
+x[None]`` of blocks of ``_ROW_BLOCK`` rows, in O(_ROW_BLOCK n d) memory, are
+those of :func:`pair_offsets`, and their ``np.linalg.norm(axis=-1)`` is a
+per-row ``norm(axis=1)``.  Per-edge lengths come from one stacked product
+``rows[:, None, :] @ rows[:, :, None]``, which sums each row as ``r @ r`` and
+``np.linalg.norm(r)`` do; ``np.einsum``, ``(r * r).sum(-1)`` and a
+``norm(axis=1)`` over F-ordered rows sum in other orders and differ in the
+last bit on a few percent of rows, so a sum meant to match another keeps its
+layout.  :func:`collision_matrix` builds every edge's collision vector at
+once, raw or unit, as the columns of one matrix.
 
 All types are immutable values after construction and every function is pure,
 so instances may be freely shared across threads.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -114,9 +116,9 @@ class BallConfiguration:
         if not np.all(np.isfinite(centers)):
             raise ValueError("centers must be finite numbers")
         limit = CONTACT_DISTANCE - tolerance
-        for i, j, dist in _pairs_where(centers, lambda dists: dists < limit):
-            if i.size:
-                raise OverlapError(int(i[0]), int(j[0]), float(dist[0]))
+        i, j, dists, _ = _pairs_where(centers, lambda dists: dists < limit)
+        if dists.size:
+            raise OverlapError(int(i[0]), int(j[0]), float(dists[0]))
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "contact_tolerance", tolerance)
@@ -261,26 +263,34 @@ def validate_configuration(
 
 def _pairs_where(
     centers: np.ndarray, test: Callable[[np.ndarray], np.ndarray]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The all-pairs distance pass: per block of rows, the pairs i < j whose
-    distance |x_j - x_i| passes ``test``, as arrays (i, j, distance) in
-    lexicographic order."""
-    for lo in range(0, len(centers) - 1, _ROW_BLOCK):
-        dists = np.linalg.norm(centers[None] - centers[lo : lo + _ROW_BLOCK, None], axis=-1)
-        rows, cols = np.nonzero(test(dists))
-        upper = cols > rows + lo
-        rows, cols = rows[upper], cols[upper]
-        yield rows + lo, cols, dists[rows, cols]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The all-pairs distance pass: the pairs i < j whose distance |x_i - x_j|
+    passes ``test``, in lexicographic order, as arrays i, j, distance and offset
+    x_i - x_j.  A distance whose squares leave the doubles is inf, which neither
+    touches nor overlaps, so it warns nothing."""
+    blocks = []
+    with np.errstate(over="ignore"):
+        for lo in range(0, max(len(centers) - 1, 1), _ROW_BLOCK):  # n = 1 too, for the shapes
+            offsets = centers[lo : lo + _ROW_BLOCK, None] - centers[None]
+            dists = np.linalg.norm(offsets, axis=-1)
+            i, j = np.nonzero(test(dists))
+            upper = j > i + lo
+            i, j = i[upper], j[upper]
+            blocks.append((i + lo, j, dists[i, j], offsets[i, j]))
+    return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
+
+
+def _contacts(config: BallConfiguration) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The edges (i, j) of the full contact graph, in order, with their
+    distances and offsets x_i - x_j, as :func:`_pairs_where` gives them."""
+    tol = config.contact_tolerance
+    return _pairs_where(config.centers, lambda r: np.abs(r - CONTACT_DISTANCE) <= tol)
 
 
 def full_contact_graph(config: BallConfiguration) -> ContactGraph:
     """All pairs whose center distance is 2 within the contact tolerance."""
-    tolerance, edges = config.contact_tolerance, []
-    for i, j, _ in _pairs_where(
-        config.centers, lambda dists: np.abs(dists - CONTACT_DISTANCE) <= tolerance
-    ):
-        edges += zip(i.tolist(), j.tolist())
-    return ContactGraph(config.n, tuple(edges))
+    i, j, _, _ = _contacts(config)
+    return ContactGraph(config.n, tuple(zip(i.tolist(), j.tolist())))
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -319,13 +329,20 @@ def collision_matrix(
     stack of those vectors, so factorizations downstream round the same way,
     and the transpose holds them as F-ordered rows.
     """
-    d = config.dimension
     offsets, _ = pair_offsets(config, edges)
-    starts = np.array(edges, dtype=int).reshape(-1, 2) * d
-    rows, block = np.arange(len(offsets))[:, None], np.arange(d)
-    raw = np.zeros((len(offsets), config.n * d))
-    raw[rows, starts[:, :1] + block] = offsets
-    raw[rows, starts[:, 1:] + block] = -offsets
+    pairs = np.array(edges, dtype=int).reshape(-1, 2)
+    return _collision_columns(config, pairs[:, 0], pairs[:, 1], offsets, unit)
+
+
+def _collision_columns(
+    config: BallConfiguration, i: np.ndarray, j: np.ndarray, offsets: np.ndarray, unit: bool = True
+) -> np.ndarray:
+    """:func:`collision_matrix` of the edges (i, j) with these offsets x_i - x_j."""
+    rows = np.arange(len(offsets))
+    raw = np.zeros((len(offsets), config.n, config.dimension))
+    raw[rows, i] = offsets
+    raw[rows, j] = -offsets
+    raw = raw.reshape(len(offsets), config.n * config.dimension)
     if unit:
         raw /= _row_norms(raw)[:, None]
     return np.ascontiguousarray(raw.T)

@@ -34,11 +34,12 @@ from .geometry import (
     BallConfiguration,
     ContactGraph,
     Edge,
+    _collision_columns,
+    _contacts,
     _require_balls,
     canonical_edge,
     collision_direction,
     collision_matrix,
-    full_contact_graph,
     raw_collision_vector,
     require_touching,
     span_basis,
@@ -48,6 +49,10 @@ from .geometry import (
 DEFAULT_ZERO_TOLERANCE = 1e-8
 DEFAULT_BUDGET = 1 << 15
 RANK_TOLERANCE = 1e-10
+#: Slack of spherical_vertex_check's margin tests: rounding in a unit margin, far below alpha.
+CONE_MARGIN_TOLERANCE = 1e-9
+#: Cone samples whose draw in the span is shorter than this are dropped, not magnified.
+SAMPLE_CUTOFF = 1e-9
 
 
 def _edge_list(edges: Iterable[Edge] | ContactGraph) -> list[Edge]:
@@ -124,19 +129,22 @@ def alpha(
     the budget.  A negative or non-finite ``zero_tolerance`` or a budget < 1 raises ValueError.
 
     The dual work grows with the dual rank m - r.  Independent directions
-    (m = r) leave the dual no circuits: every edge is a coloop, and the
-    classes, pairs and search are skipped.  Generic dense direction matrices
-    (16 columns, dual rank 6-9) exceed the default budget, which the contact
-    graphs in the test suite (dual rank at most 7) stay within.
+    (m = r) leave the dual no circuits: every edge e is a coloop (x = e_e) at
+    1 / ||row e of V_r S_r^-1||, a norm over C-ordered rows as that of the
+    product x @ V_r S_r^-1 is, and the classes, pairs and search are skipped.
+    Generic dense direction matrices (16 columns, dual rank 6-9) exceed the
+    default budget, which the contact graphs in the test suite (dual rank at
+    most 7) stay within.
     """
     if not (math.isfinite(zero_tolerance) and zero_tolerance >= 0.0):
         raise ValueError(f"zero_tolerance must be finite and >= 0, got {zero_tolerance!r}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
-    edges = list(full_contact_graph(config).edges)
-    if not edges:
+    i, j, _, offsets = _contacts(config)
+    if not i.size:
         raise AllZeroError("the configuration has no touching pairs")
-    zmat = collision_matrix(config, edges)
+    zmat = _collision_columns(config, i, j, offsets)
+    edges = list(zip(i.tolist(), j.tolist()))
     return _alpha_by_cocircuits(edges, zmat, zero_tolerance, budget, collect_table)
 
 
@@ -147,13 +155,25 @@ def _alpha_by_cocircuits(
     m = len(edges)
     _, s, vt = np.linalg.svd(zmat)
     rank = int(np.count_nonzero(s > RANK_TOLERANCE))
-    found = _dual_cocircuits(vt[rank:], budget) if rank < m else [np.eye(m)]  # m = r: coloops
-    x = np.concatenate(found)
-    values = np.abs(x) / np.linalg.norm(x @ (vt[:rank].T / s[:rank]), axis=1)[:, None]
+    if rank == m:
+        values = 1.0 / np.linalg.norm(np.ascontiguousarray(vt.T / s), axis=1)
+    else:
+        found = _dual_cocircuits(vt[rank:], budget)
+        x = np.concatenate(found)
+        values = np.abs(x) / np.linalg.norm(x @ (vt[:rank].T / s[:rank]), axis=1)[:, None]
     values[values <= zero_tolerance] = math.inf  # and every edge outside the cocircuit
     positive = np.isfinite(values)
-    if not positive.any():
+    count = int(np.count_nonzero(positive))
+    if not count:
         raise AllZeroError("no strictly positive candidate values")
+    if rank == m:  # each row of the table leaves out just its edge
+        col = int(values.argmin())
+        table = None if not collect_table else tuple(
+            AlphaCandidate(edges[e], tuple(edges[:e] + edges[e + 1 :]), float(values[e]))
+            for e in np.flatnonzero(positive)
+        )
+        return AlphaReport(float(values[col]), edges[col], tuple(sorted(edges)), zero_tolerance,
+                           count, m - count, table)
     row, col = divmod(int(values.argmin()), m)
     hyperplane = [e for i, e in enumerate(edges) if i == col or x[row, i] == 0.0]
     table = None if not collect_table else tuple(
@@ -164,7 +184,7 @@ def _alpha_by_cocircuits(
     )
     return AlphaReport(
         float(values[row, col]), edges[col], tuple(sorted(hyperplane)), zero_tolerance,
-        int(positive.sum()), m - int(positive[: len(found[0])].sum()), table,
+        count, m - int(np.count_nonzero(positive[: len(found[0])])), table,
     )
 
 
@@ -287,7 +307,7 @@ def spherical_vertex_check(
     alpha_value: float | None = None,
     samples: int = 200,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = CONE_MARGIN_TOLERANCE,
 ) -> SphericalVertexReport:
     """Check the vertex and inradius inequalities of the feasible spherical cone.
 
@@ -300,7 +320,7 @@ def spherical_vertex_check(
     w_k as the normalized columns of U S^-1 V^T = zcols (zcols^T zcols)^-1;
     ``vertex_margins`` follows the subset's edges in the order first passed.
     The samples are standard normal draws in the coordinates of an orthonormal
-    basis B of the span (draws shorter than 1e-9 are dropped), folded together
+    basis B of the span (draws shorter than SAMPLE_CUTOFF are dropped), folded together
     by :func:`~pinnedballs.foldings.fold_into_cone` against the normalized
     B^T z_k and normalized.  Raises ValueError for a negative ``samples``; then, in
     this order, ValueError for an edge with a ball outside 1..n, NotTouchingError
@@ -339,7 +359,7 @@ def spherical_vertex_check(
     # one draw of all samples gives the same numbers as one draw per sample
     raw = np.random.default_rng(seed).standard_normal((samples, config.n * config.dimension))
     coords = raw @ basis
-    coords = fold_into_cone(coords[np.linalg.norm(coords, axis=1) >= 1e-9], normals)
+    coords = fold_into_cone(coords[np.linalg.norm(coords, axis=1) >= SAMPLE_CUTOFF], normals)
     coords /= np.linalg.norm(coords, axis=1)[:, None]
     sample_margins = np.max(coords @ normals, axis=1)
 

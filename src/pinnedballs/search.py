@@ -40,6 +40,10 @@ from .geometry import (
     full_contact_graph,
 )
 
+#: Slack of the centered, zero-momentum and unit-energy checks on a search's
+#: input: room for the rounding that normalize_system leaves in those sums.
+NORMALIZED_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class BoundComparison:
@@ -76,11 +80,11 @@ def compare_with_bound(result: SearchResult, report: BoundReport) -> SearchResul
 
 
 def _require_normalized(config: BallConfiguration, state: StateVector) -> None:
-    if float(np.linalg.norm(config.centers.sum(axis=0))) > 1e-9:
+    if float(np.linalg.norm(config.centers.sum(axis=0))) > NORMALIZED_TOLERANCE:
         raise NotNormalizedError("configuration is not centered")
-    if float(np.linalg.norm(state.momentum)) > 1e-9:
+    if float(np.linalg.norm(state.momentum)) > NORMALIZED_TOLERANCE:
         raise NotNormalizedError("state has non-zero total momentum")
-    if abs(state.energy - 1.0) > 1e-9:
+    if abs(state.energy - 1.0) > NORMALIZED_TOLERANCE:
         raise NotNormalizedError("state does not have unit energy")
 
 

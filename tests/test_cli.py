@@ -67,6 +67,10 @@ def flower_config(tmp_path):
     return str(path)
 
 
+#: Centers 1e300 apart, whose squared distance and F overflow the doubles.
+FAR_SYSTEM = {"dimension": 1, "centers": [[0], [2], [1e300]], "velocities": [[1e10], [0], [1]]}
+
+
 def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -433,12 +437,10 @@ class TestNonFiniteInput:
     def test_report_with_a_non_finite_value_is_refused(self, capsys, tmp_path):
         # finite velocities and centers whose F overflows: the report is not
         # printed with -Infinity in it, which is not JSON
-        path = _write(
-            tmp_path / "far.json",
-            {"dimension": 1, "centers": [[0], [2], [1e300]], "velocities": [[1e10], [0], [1]]},
-        )
+        path = _write(tmp_path / "far.json", FAR_SYSTEM)
         schedule = _write(tmp_path / "schedule.json", [])
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out, err = _run(capsys, ["simulate", path, schedule])
         assert code == 1 and out == ""
         assert err.startswith("error:") and "not JSON compliant" in err
@@ -446,16 +448,26 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("edges", [[[1, 2]], []])
     def test_trace_with_a_non_finite_value_is_not_written(self, capsys, tmp_path, edges):
         # before, the trace held "F": -Infinity and stayed behind when the report failed
-        path = _write(
-            tmp_path / "far.json",
-            {"dimension": 1, "centers": [[0], [2], [1e300]], "velocities": [[1e10], [0], [1]]},
-        )
+        path = _write(tmp_path / "far.json", FAR_SYSTEM)
         schedule, trace = _write(tmp_path / "schedule.json", edges), tmp_path / "trace.jsonl"
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out, err = _run(capsys, ["simulate", path, schedule, "--trace", str(trace)])
         assert code == 1 and out == ""
         assert err.startswith("error:") and "not JSON compliant" in err
         assert not trace.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "alpha"])
+    def test_far_apart_centers_warn_nothing(self, capsys, tmp_path, command):
+        # the distance 1e300 squares past the doubles and reads as inf, with no
+        # RuntimeWarning on the way; simulate on the same file is the two tests above
+        path = _write(tmp_path / "far.json", FAR_SYSTEM)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, [command, path])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["touching_pairs" if command == "validate" else "argmin_edges"] == [[1, 2]]
 
     def test_orbit_past_the_rounding_range_warns_nothing(self, capsys, tmp_path):
         # a point past 1.8e296 is keyed by np.round, whose x * 1e12 overflows

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -16,20 +17,25 @@ from pinnedballs.errors import (
 )
 from pinnedballs.foldings import HalfSpace, fold
 from pinnedballs.geometry import (
+    _ROW_BLOCK,
     ContactGraph,
     StateVector,
+    _contacts,
     collision_direction,
     collision_matrix,
     full_contact_graph,
     interior_witness,
+    pair_offsets,
     raw_collision_vector,
     validate_configuration,
 )
 from pinnedballs.rigidity import (
     DEFAULT_ZERO_TOLERANCE,
     RANK_TOLERANCE,
+    AlphaCandidate,
     AlphaReport,
     _alpha_by_cocircuits,
+    _dual_cocircuits,
     _distance_to_span,
     alpha,
     alpha_star,
@@ -490,6 +496,104 @@ class TestCocircuitPath:
         config, edges = _patch(radius)
         with pytest.raises(BudgetExceededError, match=f"{len(edges)} edges.* budget of 32768 "):
             alpha(config)
+
+
+def _alpha_before_one_pass(config, zero_tolerance=DEFAULT_ZERO_TOLERANCE, budget=1 << 15):
+    """Test-only copy of alpha as it was before its one distance pass: the full
+    contact graph, ``collision_matrix`` of its edges, and with independent
+    directions the identity's rows as the cocircuits, evaluated as x @ V_r S_r^-1."""
+    edges = list(full_contact_graph(config).edges)
+    if not edges:
+        raise AllZeroError("the configuration has no touching pairs")
+    m = len(edges)
+    _, s, vt = np.linalg.svd(collision_matrix(config, edges))
+    rank = int(np.count_nonzero(s > RANK_TOLERANCE))
+    found = _dual_cocircuits(vt[rank:], budget) if rank < m else [np.eye(m)]
+    x = np.concatenate(found)
+    values = np.abs(x) / np.linalg.norm(x @ (vt[:rank].T / s[:rank]), axis=1)[:, None]
+    values[values <= zero_tolerance] = math.inf
+    positive = np.isfinite(values)
+    if not positive.any():
+        raise AllZeroError("no strictly positive candidate values")
+    row, col = divmod(int(values.argmin()), m)
+    hyperplane = [e for i, e in enumerate(edges) if i == col or x[row, i] == 0.0]
+    table = tuple(
+        AlphaCandidate(edges[j], others, float(values[i, j]))
+        for i in np.flatnonzero(positive.any(axis=1))
+        for others in [tuple(edges[f] for f in np.flatnonzero(x[i] == 0.0))]
+        for j in np.flatnonzero(positive[i])
+    )
+    return AlphaReport(
+        float(values[row, col]), edges[col], tuple(sorted(hyperplane)), zero_tolerance,
+        int(positive.sum()), m - int(positive[: len(found[0])].sum()), table,
+    )
+
+
+def _bits(report):
+    """Every field of an alpha report with its type, floats by their bits."""
+    def key(value):
+        return (type(value).__name__, value.hex() if isinstance(value, float) else value)
+
+    fields = [key(getattr(report, f)) for f in ("alpha", "n_candidates", "n_zero")]
+    edges = [report.argmin_edge, *report.argmin_edges]
+    edges += [e for row in report.candidates or () for e in (row.edge, *row.others)]
+    rows = [key(row.value) for row in report.candidates or ()]
+    return fields, [key(i) for e in edges for i in e], rows, report.candidates is None
+
+
+def _one_pass_against_reference(config, zero_tolerances=(DEFAULT_ZERO_TOLERANCE,)):
+    """alpha against the reference bit for bit, with and without its table, and
+    the pass's edges and offsets against the contact graph and pair_offsets."""
+    i, j, _, offsets = _contacts(config)
+    edges = full_contact_graph(config).edges
+    assert list(zip(i.tolist(), j.tolist())) == list(edges)
+    expected = pair_offsets(config, edges)[0]
+    assert offsets.shape == expected.shape and offsets.tobytes() == expected.tobytes()
+    for tolerance in zero_tolerances:
+        try:
+            reference = _alpha_before_one_pass(config, tolerance)
+        except AllZeroError as exc:
+            with pytest.raises(AllZeroError, match=str(exc)):
+                alpha(config, tolerance)
+            continue
+        assert _bits(alpha(config, tolerance, collect_table=True)) == _bits(reference)
+        plain = dataclasses.replace(reference, candidates=None)
+        assert _bits(alpha(config, tolerance)) == _bits(plain)
+
+
+class TestOnePassAgainstReference:
+    """alpha from one distance pass, with coloop values read off the SVD,
+    against the contact graph, collision_matrix and identity path it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_configurations(self, seed):
+        # 50 configurations per seed, d = 1..4, trees and triangles; zero
+        # tolerances that leave some coloops, none, or all of them
+        rng = np.random.default_rng(seed)
+        for k in range(50):
+            d = 1 + k % 4
+            n = int(rng.integers(2, 12 if d > 1 else 8))
+            style = "mixed" if d > 1 and k % 3 else "tree"
+            config = configs.random_contact_configuration(n, d, rng, style=style)
+            _one_pass_against_reference(config, (DEFAULT_ZERO_TOLERANCE, 0.7, 0.9, 1.0))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_more_balls_than_a_row_block(self, d):
+        rng = np.random.default_rng(d)
+        config = configs.random_contact_configuration(_ROW_BLOCK + 5 + 20 * d, d, rng)
+        assert config.n > _ROW_BLOCK
+        _one_pass_against_reference(config, (DEFAULT_ZERO_TOLERANCE, 0.9))
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named(self, name):
+        _one_pass_against_reference(NAMED[name](), (DEFAULT_ZERO_TOLERANCE, 0.0, 0.5, 0.9))
+
+    @pytest.mark.parametrize("radius", [P7, P13])
+    def test_patches(self, radius):
+        _one_pass_against_reference(_patch(radius)[0], (DEFAULT_ZERO_TOLERANCE, 0.5))
+
+    def test_no_touching_pairs(self):
+        _one_pass_against_reference(validate_configuration([[0.0], [5.0]]))
 
 
 class TestStressCertificate:
