@@ -114,8 +114,15 @@ def _report(
     exponent: Fraction,
     log2_base: float,
 ) -> BoundReport:
-    log2_bound = float(exponent) * log2_base
     conservative = math.ceil(exponent) if exponent > 0 else 0
+    try:
+        log2_bound = float(exponent) * log2_base
+        log2_bound_conservative = float(conservative) * log2_base
+    except OverflowError:
+        digits = len(str(conservative))
+        raise ValueError(
+            f"the bound's exponent tau*n/2 - 1 has {digits} digits, too many for a float"
+        ) from None
     value, decimal = _representable(log2_bound)
     return BoundReport(
         n=n,
@@ -128,7 +135,7 @@ def _report(
         log2_base=log2_base,
         log2_bound=log2_bound,
         exponent_conservative=int(conservative),
-        log2_bound_conservative=float(conservative) * log2_base,
+        log2_bound_conservative=log2_bound_conservative,
         value=value,
         decimal=decimal,
     )

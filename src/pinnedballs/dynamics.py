@@ -11,12 +11,14 @@ pair kernel ``_kernel(d)``: its source is generated once per dimension d from
 one template by ``foldings._generate``, which also generates the orbit kernel,
 with every component unpacked into a local and each dot product
 unrolled and summed in component order, on Python floats, so no BLAS build can
-change the bits and they equal those of a plain summing loop.  :func:`collide`,
-every run, the greedy walk ``_walk`` and the schedule search all look the
+change the bits and they equal those of a plain summing loop.  A pair collides
+when it approaches, (v_i - v_j) . (x_i - x_j) < 0 with no tolerance band, and
+its exchange moves the state by more than :data:`CHANGE_TOLERANCE`.
+:func:`collide`, every run and the greedy and exhaustive searches all look the
 kernel up once per call or run and use it, so a step changes the state exactly
 when it counts as a collision; the stability test of policy runs is generated
-from the same template.  The kernel's ``run`` is the whole step loop of an
-explicit, round-robin or seeded-random run in one frame, and :func:`collide`
+from the same template.  The kernel's ``run`` is the whole step loop of every
+run, explicit, round-robin or seeded-random, in one frame, and :func:`collide`
 and the search's witness replay step through it too, so the exchange is written
 once, in the template, with no per-step helper around it.  A state is one list
 of floats per ball and ``_pair_table`` gives each touching edge its ball
@@ -76,13 +78,13 @@ def _pairs(config: BallConfiguration, edges: Sequence[Edge]) -> list[tuple | Non
 # The source of the pair kernel for one dimension d: {a} names the d components of
 # v_i (a0, a1, ...), and so on; each expression field is one sum or list over them.
 _TEMPLATE = """
-def exchanges(blocks, pairs, tolerance):
-    limit, change = -tolerance, CHANGE_TOLERANCE
+def exchanges(blocks, pairs):
+    change = CHANGE_TOLERANCE
     for k, (i, j, dx, u) in enumerate(pairs):
         {a} = blocks[i]
         {b} = blocks[j]
         {x} = dx
-        if {approach} >= limit:
+        if {approach} >= 0.0:
             continue
         {u} = u
         t = {t}
@@ -92,8 +94,8 @@ def exchanges(blocks, pairs, tolerance):
             yield k, [{p}], [{q}]
 
 
-def run(blocks, planned, table, tolerance, rows, starts, quiet=None, applied=None, stable=None):
-    limit, change, get, idle = -tolerance, CHANGE_TOLERANCE, table.get, set()
+def run(blocks, planned, table, rows, starts, quiet=None, applied=None, stable=None):
+    change, get, idle = CHANGE_TOLERANCE, table.get, set()
     for step, e in enumerate(planned, 1):
         if applied is not None:
             applied.append(e)
@@ -104,7 +106,7 @@ def run(blocks, planned, table, tolerance, rows, starts, quiet=None, applied=Non
             {a} = blocks[i]
             {b} = blocks[j]
             {x} = dx
-            if not {approach} >= limit:
+            if not {approach} >= 0.0:
                 {u} = u
                 t = {t}
                 {p} = {new_i}
@@ -124,15 +126,14 @@ def run(blocks, planned, table, tolerance, rows, starts, quiet=None, applied=Non
     return blocks, False
 
 
-def first_unstable(blocks, pairs, tolerance, bound):
-    limit = -tolerance
+def first_unstable(blocks, pairs, bound):
     for k, (i, j, dx, u) in enumerate(pairs):
         {a} = blocks[i]
         {b} = blocks[j]
         {u} = u
         if {margin} < bound:
             {x} = dx
-            if not {approach} >= limit:
+            if not {approach} >= 0.0:
                 return k
     return None
 """
@@ -141,16 +142,16 @@ def first_unstable(blocks, pairs, tolerance, bound):
 class _Kernel(NamedTuple):
     """The pair kernel for blocks of one dimension, generated by :func:`_kernel`."""
 
-    #: (blocks, pairs, tolerance) -> (index, new v_i, new v_j) for each of ``pairs`` (see
+    #: (blocks, pairs) -> (index, new v_i, new v_j) for each of ``pairs`` (see
     #: :func:`_pairs`), in order, that approaches in ``blocks``, (v_i - v_j) . (x_i - x_j)
-    #: < -tolerance, and whose exchange moves some component of v_i or v_j by more than
+    #: < 0, and whose exchange moves some component of v_i or v_j by more than
     #: CHANGE_TOLERANCE: the collision predicate and exchange.
-    exchanges: Callable[[list, Iterable[tuple], float], Iterator[tuple]]
-    #: (blocks, pairs, tolerance, bound) -> the index of the first pair whose margin
+    exchanges: Callable[[list, Iterable[tuple]], Iterator[tuple]]
+    #: (blocks, pairs, bound) -> the index of the first pair whose margin
     #: (v_i - v_j) . u is below ``bound`` and that approaches by the test of ``exchanges``;
     #: None when there is none.
-    first_unstable: Callable[[list, Sequence[tuple], float, float], int | None]
-    #: (blocks, planned, table, tolerance, rows, starts, quiet, applied, stable) -> (last
+    first_unstable: Callable[[list, Sequence[tuple], float], int | None]
+    #: (blocks, planned, table, rows, starts, quiet, applied, stable) -> (last
     #: blocks, stabilized): steps through the edges ``planned``, each colliding by the test
     #: of ``exchanges`` on its ``table`` pair (none for a missing or None pair), appending
     #: each new state's blocks to ``rows`` and its step to ``starts``.  Stops once ``quiet``
@@ -185,54 +186,21 @@ def _pair_table(config: BallConfiguration, graph: ContactGraph) -> dict[Edge, tu
     return {e: p for e, p in zip(graph.edges, _pairs(config, graph.edges)) if p}
 
 
-def _walk(exchanges: Callable, table: dict[Edge, tuple], blocks: list, max_steps: int,
-          tolerance: float, rng: np.random.Generator | None = None
-          ) -> tuple[list[Edge], list[list], bool]:
-    """Collide, by ``exchanges`` (a kernel's), the first colliding edge of ``table``, or
-    with ``rng`` a uniform draw among them, until none is left (third result True) or
-    after max_steps; returns the edges and the states, the start included."""
-    edges, pairs = list(table), list(table.values())
-    path, states = [], [blocks]
-    while len(path) < max_steps:
-        if rng is None:
-            found = next(exchanges(blocks, pairs, tolerance), None)
-        else:
-            options = list(exchanges(blocks, pairs, tolerance))
-            found = options[int(rng.integers(len(options)))] if options else None
-        if found is None:
-            return path, states, True
-        k, new_i, new_j = found
-        (i, j), blocks = edges[k], blocks.copy()
-        blocks[i], blocks[j] = new_i, new_j
-        path.append(edges[k])
-        states.append(blocks)
-    return path, states, False
-
-
-def collide(
-    config: BallConfiguration,
-    state: StateVector,
-    edge: Edge,
-    approach_tolerance: float = 0.0,
-) -> StateVector:
+def collide(config: BallConfiguration, state: StateVector, edge: Edge) -> StateVector:
     """Pseudo-collision transform for one pair.
 
     Returns the state unchanged when the pair does not touch, when
-    (v_i - v_j) . (x_i - x_j) >= -approach_tolerance (the pair is separating
-    or at rest relative to the contact line), or when the exchange would move
-    no component of v_i or v_j by more than :data:`CHANGE_TOLERANCE`.  Every
-    other call is a collision, as traces, walks and searches count it.  The
-    default tolerance 0 means an exact IEEE comparison; a positive value
-    widens the no-collision band for robustness studies.  A NaN, infinite or
-    negative tolerance raises ValueError.
+    (v_i - v_j) . (x_i - x_j) >= 0, an exact IEEE comparison (the pair is
+    separating or at rest relative to the contact line, an approach of
+    either signed zero included), or when the exchange would move no
+    component of v_i or v_j by more than :data:`CHANGE_TOLERANCE`.  Every
+    other call is a collision, as traces and searches count it.
     """
     if edge[0] == edge[1]:
         raise ValueError("a ball cannot collide with itself")
-    if not 0.0 <= approach_tolerance < float("inf"):
-        raise ValueError(f"approach_tolerance must be finite and >= 0, got {approach_tolerance!r}")
     blocks = state.blocks().tolist()
     out, _ = _kernel(config.dimension).run(
-        blocks, (edge,), {edge: _pairs(config, [edge])[0]}, approach_tolerance, [], []
+        blocks, (edge,), {edge: _pairs(config, [edge])[0]}, [], []
     )
     return state if out is blocks else state.with_values(out)
 
@@ -274,7 +242,7 @@ class Schedule:
     #: The set of ``edges``, canonical; empty for a policy.
     distinct_edges: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
-    KINDS = ("explicit", "round-robin", "lexicographic-greedy", "seeded-random")
+    KINDS = ("explicit", "round-robin", "seeded-random")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -299,10 +267,6 @@ class Schedule:
         return cls("round-robin")
 
     @classmethod
-    def greedy(cls) -> "Schedule":
-        return cls("lexicographic-greedy")
-
-    @classmethod
     def seeded_random(cls, seed: int) -> "Schedule":
         return cls("seeded-random", seed=seed)
 
@@ -316,10 +280,9 @@ class SimulationTrace:
     ``energies`` are derived once from the run's distinct states, then
     repeated over the steps that leave the state as it is.  ``collisions``
     counts steps whose state changed.  ``stabilized`` is True when a policy
-    run stopped before max_steps: a round-robin or seeded-random run because
-    every touching pair of the governing graph has margin at least
-    ``STABILITY_MARGIN`` or approaches by no more than the approach tolerance,
-    a greedy run because no pair collides (see :func:`run_schedule`).
+    run stopped before max_steps because every touching pair of the governing
+    graph has margin at least ``STABILITY_MARGIN`` or does not approach (see
+    :func:`run_schedule`).
     """
 
     n: int
@@ -349,7 +312,6 @@ def run_schedule(
     schedule: Schedule,
     max_steps: int | None = None,
     graph: ContactGraph | None = None,
-    approach_tolerance: float = 0.0,
 ) -> SimulationTrace:
     """Execute a schedule and record the full trace.
 
@@ -358,14 +320,12 @@ def run_schedule(
     otherwise).  Round-robin and seeded-random schedules stop early once
     every touching pair of the graph has margin z_e . v = ((v_i - v_j) . u) /
     sqrt(2) >= :data:`~pinnedballs.foldings.STABILITY_MARGIN`, summed in
-    component order, or approaches by no more than approach_tolerance, so
-    that it never collides; the pair that failed last is tested first.  The
-    lexicographic-greedy schedule stops once no pair collides, as
-    ``search.greedy_schedule`` does, so it collides an approaching pair whose
-    margin lies between STABILITY_MARGIN and 0, where the other two stop.
-    Policies otherwise run until max_steps (default 10^6).  A negative
-    max_steps or a NaN, infinite or negative approach_tolerance raises
-    ValueError.  Graph edges whose balls do not touch never change the state.
+    component order, or does not approach, so that it never collides; the
+    pair that failed last is tested first.  Policies otherwise run until
+    max_steps (default 10^6).  A negative max_steps raises ValueError.
+    Every kind steps through the kernel's ``run``, with the collision test
+    of :func:`collide`.  Graph edges whose balls do not touch never change
+    the state.
     An explicit run stops stepping once every edge of its schedule leaves the
     state as it is; both that count and the graph check read the schedule's
     ``distinct_edges``.
@@ -376,10 +336,8 @@ def run_schedule(
         raise ValueError("state shape does not match configuration")
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    if not 0.0 <= approach_tolerance < float("inf"):
-        raise ValueError(f"approach_tolerance must be finite and >= 0, got {approach_tolerance!r}")
     table = _pair_table(config, graph)
-    exchanges, first_unstable, run = _kernel(config.dimension)
+    _, first_unstable, run = _kernel(config.dimension)
 
     stable = None
     if schedule.kind == "explicit":
@@ -408,26 +366,21 @@ def run_schedule(
         pairs, bound = list(table.values()), STABILITY_MARGIN * 2**0.5
 
         def stable(blocks: list) -> bool:
-            # margins are sqrt(2) z_e . v; a pair inside the tolerance band never collides
-            k = first_unstable(blocks, pairs, approach_tolerance, bound)
+            # margins are sqrt(2) z_e . v; a pair that does not approach never collides
+            k = first_unstable(blocks, pairs, bound)
             if k is None:
                 return True
             pairs.insert(0, pairs.pop(k))  # tested first next time
             return False
 
     vals = state0.blocks().tolist()
-    if schedule.kind == "lexicographic-greedy":
-        applied, rows, stabilized = _walk(exchanges, table, vals, max_steps, approach_tolerance)
-        starts = list(range(len(rows)))
-    else:
-        # the distinct states and the step at which each one appears
-        rows, starts = [vals], [0]
-        stabilized = stable is not None and stable(vals)
-        if not stabilized:
-            _, stabilized = run(
-                vals, planned, table, approach_tolerance, rows, starts, quiet,
-                None if stable is None else applied, stable,
-            )
+    # the distinct states and the step at which each one appears
+    rows, starts = [vals], [0]
+    stabilized = stable is not None and stable(vals)
+    if not stabilized:
+        _, stabilized = run(
+            vals, planned, table, rows, starts, quiet, None if stable is None else applied, stable
+        )
 
     flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
     distinct = np.fromiter(flat, float, len(rows) * state0.values.size).reshape(len(rows), -1)

@@ -387,7 +387,9 @@ def normalize_system(
     rescales so the total energy is 1.  None of these operations changes the
     number of collisions the system can experience.  Raises
     :class:`ZeroEnergyError` when the velocities all coincide, since the
-    momentum shift then leaves nothing to rescale.
+    momentum shift then leaves nothing to rescale, and ValueError when
+    centering, which rounds every center, makes or breaks a contact or an
+    overlap (centers far from their mean, such as 0, 2 and 1e17).
     """
     if state.n != config.n or state.d != config.dimension:
         raise ValueError("state shape does not match configuration")
@@ -396,7 +398,19 @@ def normalize_system(
     norm = float(np.linalg.norm(blocks))
     if norm == 0.0:
         raise ZeroEnergyError("all velocities vanish after momentum removal")
-    new_config = BallConfiguration(config.dimension, centered, config.contact_tolerance)
+    try:
+        new_config = BallConfiguration(config.dimension, centered, config.contact_tolerance)
+    except OverlapError as exc:
+        changed = {(exc.i, exc.j)}
+    else:
+        touching = [set(zip(*(a.tolist() for a in _contacts(c)[:2]))) for c in (config, new_config)]
+        changed = touching[0] ^ touching[1]
+    if changed:
+        i, j = min(changed)
+        raise ValueError(
+            f"centering the configuration changes, by rounding, whether balls {i + 1} and "
+            f"{j + 1} touch or overlap"
+        )
     new_state = StateVector(state.n, state.d, blocks.reshape(-1) / norm)
     return new_config, new_state
 

@@ -26,7 +26,6 @@ from .geometry import (
     DEFAULT_CONTACT_TOLERANCE,
     BallConfiguration,
     Edge,
-    canonical_edge,
     split_chosen_edge,
 )
 
@@ -134,11 +133,6 @@ class LatticePoint:
 
     def xy(self) -> np.ndarray:
         return np.array([float(self.a), self.b * math.sqrt(3.0)])
-
-
-def is_lattice_point(a: int, b: int) -> bool:
-    """Whether (a, b*sqrt(3)) belongs to the triangular lattice."""
-    return (a - b) % 2 == 0
 
 
 def squared_distance(p: LatticePoint, q: LatticePoint) -> int:
@@ -418,13 +412,6 @@ def quadratic_lower_bound(r2_bound: float) -> float:
             return 1.0 / (6.0 * next(denominators))
 
 
-def quadratic_lower_bound_closed_form(n: int) -> float:
-    """Closed form sqrt(3)/(54*4^{2n}), the bound for r2 ranges up to 4^{2n}/sqrt(3)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return math.sqrt(3.0) / (54.0 * 4.0 ** (2 * n))
-
-
 def lattice_alpha_lower_bound_log2(n: int) -> float:
     """log2 of the certified rigidity-index floor for n lattice discs."""
     if n < 1:
@@ -447,16 +434,6 @@ def _edge_offset(points: Sequence[LatticePoint], edge: Edge) -> tuple[int, int]:
     if da * da + 3 * db * db != 4:
         raise NotTouchingError(i, j, math.sqrt(da * da + 3 * db * db))
     return da, db
-
-
-def exact_collision_vector(points: Sequence[LatticePoint], edge: Edge) -> list[QuadraticInteger]:
-    """Unnormalized collision vector of a touching lattice pair, over Z[sqrt(3)]."""
-    i, j = canonical_edge(*edge)
-    da, db = _edge_offset(points, (i, j))
-    vec = [QI_ZERO] * (2 * len(points))
-    vec[2 * i], vec[2 * i + 1] = QuadraticInteger(da), QuadraticInteger(0, db)
-    vec[2 * j], vec[2 * j + 1] = QuadraticInteger(-da), QuadraticInteger(0, -db)
-    return vec
 
 
 def _gram_matrix(points: Sequence[LatticePoint], edges: Sequence[Edge]) -> list[list[int]]:

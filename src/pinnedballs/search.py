@@ -2,10 +2,12 @@
 
 Both collide pairs by the pair kernel that every trace shares, generated
 once per dimension from one template (``dynamics._kernel``), with the bits of
-a plain loop that sums in component order, and looked up once per search; the
-greedy search is the walk ``dynamics._walk``, and a witness replays through the
-kernel's ``run``.  The exhaustive search
-enumerates, depth first, which pair collides next.  Every collision strictly
+a plain loop that sums in component order, and looked up once per search, so
+a pair collides exactly when :func:`~pinnedballs.dynamics.collide` would
+change the state.  The greedy search collides the first colliding pair, in
+graph order, until none is left; an exhaustive witness replays through the
+kernel's ``run``.  The exhaustive search enumerates, depth first, which pair
+collides next, and always memoizes.  Every collision strictly
 increases the monotone pair functional, so no chain of collisions revisits a
 state and the search tree is finite even without the depth cap.  Results
 are lower envelopes of the true supremum: sampling initial states can never
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport
-from .dynamics import _kernel, _pair_table, _walk
+from .dynamics import _kernel, _pair_table
 from .errors import BudgetExceededError, NotNormalizedError, TooManyEdgesError
 from .geometry import (
     BallConfiguration,
@@ -107,45 +109,38 @@ def _child_moves(exchanges, pairs: list, near: dict, moves: list, blocks: list,
     out = moves.copy()
     for m in ks:
         out[m] = None
-    for c, new_i, new_j in exchanges(blocks, sub, 0.0):
+    for c, new_i, new_j in exchanges(blocks, sub):
         out[ks[c]] = (new_i, new_j, key(new_i), key(new_j))
     return out
-
-
-def _require_depth_cap(depth_cap: int) -> None:
-    if depth_cap < 0:
-        raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
 
 
 def greedy_schedule(
     config: BallConfiguration,
     state0: StateVector,
-    policy: str = "lexicographic",
     max_steps: int = 100_000,
     *,
-    seed: int | None = None,
     graph: ContactGraph | None = None,
 ) -> SearchResult:
-    """Collide one pair per step until none collides.
+    """Collide the first colliding pair of the graph, in graph order, one per
+    step, until none collides or after ``max_steps`` steps.
 
-    policy "lexicographic" always takes the first colliding pair; "random"
-    draws uniformly among them (requires a seed).  A pair collides exactly
-    when :func:`~pinnedballs.dynamics.collide` would change the state.  A
-    negative ``max_steps`` raises ValueError.
+    A pair collides exactly when :func:`~pinnedballs.dynamics.collide` would
+    change the state.  A negative ``max_steps`` raises ValueError.
     """
     _require_normalized(config, state0)
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     if graph is None:
         graph = full_contact_graph(config)
-    if policy not in ("lexicographic", "random"):
-        raise ValueError(f"unknown policy {policy!r}")
-    rng = np.random.default_rng(seed) if policy == "random" else None
-    if policy == "random" and seed is None:
-        raise ValueError("random policy needs a seed")
 
     table, exchanges = _pair_table(config, graph), _kernel(config.dimension).exchanges
-    witness, _, _ = _walk(exchanges, table, state0.blocks().tolist(), max_steps, 0.0, rng)
+    edges, pairs = list(table), list(table.values())
+    blocks, witness = state0.blocks().tolist(), []
+    while len(witness) < max_steps and (found := next(exchanges(blocks, pairs), None)):
+        k, new_i, new_j = found
+        (i, j), blocks = edges[k], blocks.copy()
+        blocks[i], blocks[j] = new_i, new_j
+        witness.append(edges[k])
     return SearchResult(
         method="greedy",
         collisions=len(witness),
@@ -162,7 +157,6 @@ def exhaustive_max_collisions(
     graph: ContactGraph | None = None,
     max_branch_edges: int = 6,
     max_nodes: int = 2_000_000,
-    memoize: bool = True,
 ) -> SearchResult:
     """Depth-first maximum of the collision count over all schedules.
 
@@ -178,7 +172,8 @@ def exhaustive_max_collisions(
     branch replaces the best one only with a strictly higher count.  A
     negative ``depth_cap`` or a ``max_nodes`` below 1 raises ValueError.
     """
-    _require_depth_cap(depth_cap)
+    if depth_cap < 0:
+        raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     if graph is None:
@@ -220,8 +215,7 @@ def exhaustive_max_collisions(
             extra, tail = dfs(out, sub, depth + 1, moves, m)
             if 1 + extra > best[0]:
                 best = (1 + extra, (edges[m],) + tail)
-        if memoize:
-            memo[memo_key] = best
+        memo[memo_key] = best
         return best
 
     start = state0.blocks().tolist()
@@ -229,7 +223,7 @@ def exhaustive_max_collisions(
 
     # replay makes the reported count authoritative for the witness
     starts: list[int] = []
-    kernel.run(start, tail, table, 0.0, [], starts)
+    kernel.run(start, tail, table, [], starts)
     if len(starts) != found:
         raise RuntimeError(f"witness replays to {len(starts)} collisions, {found} found")
     result = SearchResult(
@@ -269,37 +263,25 @@ def velocity_sweep(
     samples: int,
     seed: int,
     *,
-    method: str = "exhaustive",
     depth_cap: int = 20,
-    graph: ContactGraph | None = None,
 ) -> VelocitySweep:
-    """Run a search from uniformly sampled unit-energy initial velocities.
+    """Run an exhaustive search on the full contact graph from uniformly
+    sampled unit-energy initial velocities.
 
     Reports the per-sample results and their maximum.  With a fixed seed the
     sample sequence is a prefix, so the maximum is monotone in the sample
-    count.  Truncated exhaustive runs contribute their best-so-far.  A
-    negative ``depth_cap`` raises ValueError for either method.
+    count.  Truncated runs contribute their best-so-far.  A negative
+    ``depth_cap`` raises ValueError.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if method not in ("exhaustive", "greedy"):
-        raise ValueError(f"unknown method {method!r}")
-    _require_depth_cap(depth_cap)
-    if graph is None:
-        graph = full_contact_graph(config)
+    graph = full_contact_graph(config)
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(samples):
         state = sample_unit_state(config.n, config.dimension, rng)
-        if method == "exhaustive":
-            try:
-                rows.append(
-                    exhaustive_max_collisions(
-                        config, state, depth_cap, graph=graph
-                    )
-                )
-            except BudgetExceededError as exc:
-                rows.append(exc.best)
-        else:
-            rows.append(greedy_schedule(config, state, graph=graph))
+        try:
+            rows.append(exhaustive_max_collisions(config, state, depth_cap, graph=graph))
+        except BudgetExceededError as exc:
+            rows.append(exc.best)
     return VelocitySweep(tuple(rows), max(r.collisions for r in rows))

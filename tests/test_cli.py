@@ -244,6 +244,16 @@ class TestBound:
         assert code == 1 and out == ""
         assert err.startswith("error: --tau: ") and repr(tau) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "tree", "--n", "10", "--d", "700"],
+        ["--n", "2", "--d", "1", "--alpha", "1", "--tau", "value:" + "9" * 400],
+    ], ids=["tree-d700", "tau-400-digits"])
+    def test_exponent_past_the_floats_is_domain_error(self, capsys, argv):
+        # before, float(exponent) ended in an OverflowError traceback
+        code, out, err = _run(capsys, ["bound", *argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error: the bound's exponent tau*n/2 - 1 has ")
+
     @pytest.mark.parametrize("n, normal", [(126, True), (127, False), (133, False)])
     def test_lattice_floor_below_normal_floats(self, capsys, n, normal):
         # the floor is subnormal from n = 127 and 0.0 from n = 133, an alpha that
@@ -468,6 +478,20 @@ class TestNonFiniteInput:
         assert code == 0 and err == ""
         report = json.loads(out)
         assert report["touching_pairs" if command == "validate" else "argmin_edges"] == [[1, 2]]
+
+    @pytest.mark.parametrize("command", ["search", "simulate"])
+    def test_far_apart_centers_refuse_centering(self, capsys, tmp_path, command):
+        # centering rounds balls 1 and 2 onto one point; before, search and
+        # simulate --normalize reported that they overlap
+        path = _write(tmp_path / "far.json", FAR_SYSTEM)
+        one = _write(tmp_path / "one.json", [[1, 2]])
+        argv = {
+            "search": ["search", path, "--method", "greedy", "--seed", "1"],
+            "simulate": ["simulate", path, one, "--normalize"],
+        }[command]
+        code, out, err = _run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: centering ") and "balls 1 and 2" in err
 
     def test_orbit_past_the_rounding_range_warns_nothing(self, capsys, tmp_path):
         # a point past 1.8e296 is keyed by np.round, whose x * 1e12 overflows

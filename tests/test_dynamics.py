@@ -13,7 +13,6 @@ from pinnedballs.dynamics import (
     Schedule,
     _kernel,
     _pair_table,
-    _walk,
     collide,
     collide_as_folding,
     decompose_state,
@@ -39,7 +38,7 @@ def _state(blocks):
     return StateVector.from_blocks(blocks)
 
 
-def _exchanges(blocks, pairs, tolerance):
+def _exchanges(blocks, pairs):
     """Reference collision predicate and exchange, one loop over the components: the
     generated kernels of ``dynamics._kernel`` must yield the same bits."""
     for k, (i, j, dx, u) in enumerate(pairs):
@@ -47,7 +46,7 @@ def _exchanges(blocks, pairs, tolerance):
         approach = t = 0.0
         for a, b, c in zip(vi, vj, dx):
             approach += (a - b) * c
-        if approach >= -tolerance:
+        if approach >= 0.0:
             continue
         for a, b, c in zip(vi, vj, u):
             t += (b - a) * c
@@ -57,7 +56,7 @@ def _exchanges(blocks, pairs, tolerance):
             yield k, new_i, new_j
 
 
-def _first_unstable(blocks, pairs, tolerance, bound):
+def _first_unstable(blocks, pairs, bound):
     """Reference stability test of policy runs: the first pair whose margin
     (v_i - v_j) . u is below ``bound`` and whose approach fails the test of
     :func:`_exchanges`."""
@@ -68,15 +67,15 @@ def _first_unstable(blocks, pairs, tolerance, bound):
         if margin < bound:
             for a, b, c in zip(blocks[i], blocks[j], dx):
                 approach += (a - b) * c
-            if not approach >= -tolerance:
+            if not approach >= 0.0:
                 return k
     return None
 
 
-def _exchanged(blocks, pair, tolerance):
+def _exchanged(blocks, pair):
     """A new state after the exchange on ``pair`` by :func:`_exchanges`; None when
     ``pair`` is None or makes no collision."""
-    found = pair and next(_exchanges(blocks, (pair,), tolerance), None)
+    found = pair and next(_exchanges(blocks, (pair,)), None)
     if not found:
         return None
     out = blocks.copy()
@@ -84,7 +83,7 @@ def _exchanged(blocks, pair, tolerance):
     return out
 
 
-def _run(blocks, planned, table, tolerance, rows, starts, quiet=None, applied=None, stable=None):
+def _run(blocks, planned, table, rows, starts, quiet=None, applied=None, stable=None):
     """Reference step loop of a run, one :func:`_exchanged` per step that is not known
     to be idle: the generated kernels' ``run`` must give the same blocks, rows, starts,
     applied edges and stop."""
@@ -93,7 +92,7 @@ def _run(blocks, planned, table, tolerance, rows, starts, quiet=None, applied=No
     for t, e in enumerate(planned, 1):
         if applied is not None:
             applied.append(e)
-        out = None if e in idle else _exchanged(blocks, table.get(e), tolerance)
+        out = None if e in idle else _exchanged(blocks, table.get(e))
         if out is None:
             idle.add(e)
             if len(idle) == quiet:
@@ -142,13 +141,6 @@ class TestCollide:
         config = configs.touching_pair()
         with pytest.raises(ValueError):
             collide(config, _state([[1.0], [-1.0]]), (1, 1))
-
-    @pytest.mark.parametrize("tolerance", [math.nan, -5.0, -1e-300, math.inf])
-    def test_bad_approach_tolerance_rejected(self, tolerance):
-        # with a NaN or negative tolerance the separating pair would collide
-        config = configs.touching_pair()
-        with pytest.raises(ValueError, match="approach_tolerance"):
-            collide(config, _state([[-1.0], [1.0]]), (0, 1), tolerance)
 
 
 class TestCollideAsFolding:
@@ -199,9 +191,9 @@ class TestRunSchedule:
         config, state = normalize_system(
             configs.collinear_chain(3), _state([[1.0], [0.0], [-1.0]])
         )
-        trace = run_schedule(config, state, Schedule.greedy())
+        trace = _greedy_trace(config, state)
         assert trace.collisions == 3
-        assert trace.stabilized
+        assert _settled(config, trace)
 
     def test_no_schedule_builds_a_collision_matrix(self, monkeypatch):
         # stability is tested on the pair table, so no run needs the matrix
@@ -214,7 +206,7 @@ class TestRunSchedule:
 
         monkeypatch.setattr(dynamics, "collision_matrix", refuse)
         run_schedule(config, state, Schedule.explicit([(0, 1)] * 3))
-        for schedule in (Schedule.greedy(), Schedule.round_robin(), Schedule.seeded_random(3)):
+        for schedule in (Schedule.round_robin(), Schedule.seeded_random(3)):
             assert run_schedule(config, state, schedule).stabilized
 
     def test_foreign_edge_rejected(self):
@@ -243,7 +235,6 @@ class TestRunSchedule:
             Schedule.explicit([(0, 1), (0, 1)]),
             Schedule.round_robin(),
             Schedule.seeded_random(3),
-            Schedule.greedy(),
         ],
         ids=lambda s: s.kind,
     )
@@ -253,21 +244,6 @@ class TestRunSchedule:
         )
         with pytest.raises(ValueError, match="max_steps"):
             run_schedule(config, state, schedule, max_steps=-1)
-
-    @pytest.mark.parametrize("tolerance", [math.nan, -5.0, -1e-300, math.inf])
-    def test_bad_approach_tolerance_rejected(self, tolerance):
-        # with a NaN or negative tolerance F would go 8 -> -8 -> 8 on this separating pair
-        config = configs.touching_pair()
-        for schedule in (Schedule.explicit([(0, 1)] * 3), Schedule.round_robin()):
-            with pytest.raises(ValueError, match="approach_tolerance"):
-                run_schedule(config, _state([[-1.0], [1.0]]), schedule, approach_tolerance=tolerance)
-
-    def test_large_approach_tolerance_allowed(self):
-        config = configs.touching_pair()
-        trace = run_schedule(
-            config, _state([[1.0], [-1.0]]), Schedule.explicit([(0, 1)]), approach_tolerance=1e300
-        )
-        assert trace.collisions == 0
 
     def test_round_robin_stabilizes(self, rng):
         for _ in range(30):
@@ -285,27 +261,19 @@ class TestRunSchedule:
             assert again.collisions == 0
 
     def test_policy_stop_rules_on_a_margin_within_stability_margin(self):
-        # margin (v_1 - v_2) . u / sqrt(2) = -1.4e-13 lies between STABILITY_MARGIN and 0:
-        # greedy stops only once no pair collides, the other two policies once stable
-        config, state = configs.touching_pair(), _state([[1e-13], [-1e-13]])
-        greedy = run_schedule(config, state, Schedule.greedy())
-        assert (greedy.steps, greedy.collisions, greedy.stabilized) == (1, 1, True)
-        assert greedy.states[-1].tolist() == [-1e-13, 1e-13]
+        # balls 1 and 2 of a unit-energy chain approach with margin
+        # (v_1 - v_2) . u / sqrt(2) = -7.1e-14, between STABILITY_MARGIN and 0, and
+        # balls 2 and 3 separate: the greedy search stops only once no pair
+        # collides, the two policies once stable
+        config, _ = normalize_system(configs.collinear_chain(3), _state([[1.0], [0.0], [-1.0]]))
+        w = -1.0 / math.sqrt(6.0)
+        state = _state([[w + 5e-14], [w - 5e-14], [-2.0 * w]])
+        greedy = _greedy_trace(config, state)
+        assert (greedy.steps, greedy.collisions) == (1, 1) and _settled(config, greedy)
+        assert greedy.states[-1].tolist() == [w - 5e-14, w + 5e-14, -2.0 * w]
         for schedule in (Schedule.round_robin(), Schedule.seeded_random(3)):
             trace = run_schedule(config, state, schedule)
             assert (trace.steps, trace.collisions, trace.stabilized) == (0, 0, True)
-
-    def test_policy_stop_rules_inside_the_tolerance_band(self):
-        # the pair approaches, (v_1 - v_2) . (x_1 - x_2) = -0.04, but inside the band
-        # of approach_tolerance 0.05, so it never collides: every policy stops at once
-        config, state = configs.touching_pair(), _state([[0.01], [-0.01]])
-        for schedule in (Schedule.round_robin(), Schedule.seeded_random(3), Schedule.greedy()):
-            trace = run_schedule(config, state, schedule, approach_tolerance=0.05)
-            assert (trace.steps, trace.collisions, trace.stabilized) == (0, 0, True)
-            # at tolerance 0 the pair collides once, then separates
-            trace = run_schedule(config, state, schedule)
-            assert (trace.collisions, trace.stabilized) == (1, True)
-            assert trace.states[-1].tolist() == [-0.01, 0.01]
 
 
 class TestScheduleDistinctEdges:
@@ -331,7 +299,7 @@ class TestScheduleDistinctEdges:
         schedule = Schedule.explicit([(1, 0), (2, 3), (0, 1), (3, 2)])
         assert schedule.edges == ((0, 1), (2, 3), (0, 1), (2, 3))
         assert schedule.distinct_edges == {(0, 1), (2, 3)}
-        for policy in (Schedule.round_robin(), Schedule.greedy(), Schedule.seeded_random(1)):
+        for policy in (Schedule.round_robin(), Schedule.seeded_random(1)):
             assert policy.distinct_edges == frozenset()
 
     def test_equality_and_hash_ignore_the_set(self):
@@ -485,12 +453,24 @@ class TestDecomposeState:
         assert (exc.value.i, exc.value.j, exc.value.distance) == (0, 2, 4.0)
 
 
-def _collide_replay(config, state, edges, tolerance=0.0):
+def _collide_replay(config, state, edges):
     """Reference states: one dynamics.collide call per scheduled edge."""
     states = [state]
     for e in edges:
-        states.append(collide(config, states[-1], e, tolerance))
+        states.append(collide(config, states[-1], e))
     return np.array([s.values for s in states])
+
+
+def _greedy_trace(config, state):
+    """The greedy search's witness, replayed as an explicit schedule."""
+    witness = search.greedy_schedule(config, state).witness
+    return run_schedule(config, state, Schedule.explicit(witness))
+
+
+def _settled(config, trace):
+    """Whether no contact collides in the last state of ``trace``."""
+    last = trace.state(trace.steps)
+    return all(collide(config, last, e) is last for e in full_contact_graph(config).edges)
 
 
 def _moved(before, after):
@@ -551,7 +531,7 @@ class TestKernelAgainstCollide:
         for _ in range(20):
             config, state = random_system(rng, n_max=10)
             graph = full_contact_graph(config)
-            trace = run_schedule(config, state, Schedule.greedy())
+            trace = _greedy_trace(config, state)
             current, edges = state, []
             while colliding := [
                 e
@@ -560,7 +540,7 @@ class TestKernelAgainstCollide:
             ]:
                 edges.append(colliding[0])
                 current = collide(config, current, colliding[0])
-            assert trace.edges == tuple(edges) and trace.stabilized
+            assert trace.edges == tuple(edges) and _settled(config, trace)
             assert all(trace.changed)
             self._check_trace(config, state, graph, trace)
 
@@ -574,29 +554,23 @@ class TestKernelAgainstCollide:
         assert list(trace.changed) == [False, True, False]
         np.testing.assert_array_equal(trace.states[1], state.values)
         np.testing.assert_array_equal(trace.states[3], trace.states[2])
-        for schedule in (Schedule.round_robin(), Schedule.greedy()):
-            trace = run_schedule(config, state, schedule, graph=graph)
-            assert trace.stabilized and trace.collisions == 1
-            np.testing.assert_array_equal(trace.states[-1], [0.0, 1.0, -1.0])
+        trace = run_schedule(config, state, Schedule.round_robin(), graph=graph)
+        assert trace.stabilized and trace.collisions == 1
+        np.testing.assert_array_equal(trace.states[-1], [0.0, 1.0, -1.0])
 
 
 class TestKernelProperties:
-    """The pair table, the walk and the search's moves against collide, exactly,
-    and against collide_as_folding."""
+    """The pair table, the greedy search's step and the search's moves against
+    collide, exactly, and against collide_as_folding."""
 
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 7),
-        d=st.integers(1, 3),
-        tolerance=st.sampled_from([0.0, 1e-9, 0.05]),
-    )
-    def test_step_and_children_match_collide(self, seed, n, d, tolerance):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), d=st.integers(1, 3))
+    def test_step_and_children_match_collide(self, seed, n, d):
         rng = np.random.default_rng(seed)
         config = configs.random_contact_configuration(
             n, d, rng, style="mixed" if d >= 2 else "tree"
         )
-        state = sample_unit_state(n, d, rng)
+        config, state = normalize_system(config, sample_unit_state(n, d, rng))
         graph = full_contact_graph(config)
         table, kernel = _pair_table(config, graph), _kernel(d)
         assert list(table) == [e for e in graph.edges if config.touches(*e)]
@@ -606,15 +580,16 @@ class TestKernelProperties:
         # follow random collisions, so later checks see states the loops reach
         for _ in range(8):
             blocks = state.blocks().tolist()
-            children = _children(table, blocks, tolerance)
-            colliding = [e for e in graph.edges if collide(config, state, e, tolerance) is not state]
+            children = _children(table, blocks)
+            colliding = [e for e in graph.edges if collide(config, state, e) is not state]
             assert list(children) == colliding
-            assert _walk(kernel.exchanges, table, blocks, 1, tolerance)[0] == colliding[:1]
+            first = search.greedy_schedule(config, state, 1, graph=graph).witness
+            assert first == tuple(colliding[:1])
             for e in graph.edges:
-                collided = collide(config, state, e, tolerance)
+                collided = collide(config, state, e)
                 expected = collided.blocks().tolist()
                 rows, starts = [], []
-                step, stabilized = kernel.run(blocks, (e,), table, tolerance, rows, starts)
+                step, stabilized = kernel.run(blocks, (e,), table, rows, starts)
                 assert not stabilized
                 if step is blocks:
                     assert collided.values is state.values
@@ -628,9 +603,8 @@ class TestKernelProperties:
                     assert children[e] == expected
                 else:
                     assert e not in children
-                if tolerance == 0.0:
-                    folded = collide_as_folding(config, state, e).values
-                    assert float(np.max(np.abs(folded - np.ravel(expected)))) <= 1e-12
+                folded = collide_as_folding(config, state, e).values
+                assert float(np.max(np.abs(folded - np.ravel(expected)))) <= 1e-12
             assert blocks == state.blocks().tolist()
             if not children:
                 break
@@ -638,22 +612,19 @@ class TestKernelProperties:
             state = state.with_values(np.ravel(children[edges[int(rng.integers(len(edges)))]]))
 
 
-def _children(table, blocks, tolerance):
+def _children(table, blocks):
     """Edge -> next state for each pair of ``table`` that collides in ``blocks``,
-    in graph order; at tolerance 0 the search's moves of a node with no parent
-    must give the same blocks."""
+    in graph order; the search's moves of a node with no parent must give the
+    same blocks."""
     edges, out, exchanges = list(table), {}, _kernel(len(blocks[0])).exchanges
-    for k, new_i, new_j in exchanges(blocks, table.values(), tolerance):
+    for k, new_i, new_j in exchanges(blocks, table.values()):
         i, j = edges[k]
         out[i, j] = blocks.copy()
         out[i, j][i], out[i, j][j] = new_i, new_j
-    if tolerance == 0.0:
-        fresh = _child_moves(
-            exchanges, list(table.values()), {}, [None] * len(table), blocks, None, id
-        )
-        assert {e: list(move[:2]) for e, move in zip(edges, fresh) if move} == {
-            (i, j): [child[i], child[j]] for (i, j), child in out.items()
-        }
+    fresh = _child_moves(exchanges, list(table.values()), {}, [None] * len(table), blocks, None, id)
+    assert {e: list(move[:2]) for e, move in zip(edges, fresh) if move} == {
+        (i, j): [child[i], child[j]] for (i, j), child in out.items()
+    }
     return out
 
 
@@ -693,7 +664,6 @@ class TestChildMoves:
         for _ in range(12):
             options = [m for m, move in enumerate(moves) if move]
             state = StateVector.from_blocks(blocks)
-            # the search collides at approach tolerance 0
             assert [edges[m] for m in options] == [
                 e for e in edges if collide(config, state, e) is not state
             ]
@@ -708,7 +678,7 @@ class TestChildMoves:
 
 
 #: Components that reach signed zeros, exchanges below CHANGE_TOLERANCE and
-#: approaches inside a tolerance band of 0.05, besides ordinary values.
+#: margins on either side of a stability bound of 0.02, besides ordinary values.
 _COMPONENTS = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-15, -1e-15, 4e-15, -4e-15, 0.01, -0.01, 0.5, -1.0]),
     st.floats(-1e-13, 1e-13),
@@ -724,10 +694,9 @@ class TestGeneratedKernel:
         data=st.data(),
         d=st.integers(1, 6),
         n=st.integers(2, 5),
-        tolerance=st.sampled_from([0.0, 1e-14, 0.05]),
         bound=st.sampled_from([STABILITY_MARGIN * 2**0.5, 0.0, 0.02]),
     )
-    def test_matches_reference_loops(self, data, d, n, tolerance, bound):
+    def test_matches_reference_loops(self, data, d, n, bound):
         vector = st.lists(_COMPONENTS, min_size=d, max_size=d)
         blocks = data.draw(st.lists(vector, min_size=n, max_size=n))
         ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
@@ -738,24 +707,20 @@ class TestGeneratedKernel:
         def bits(found):
             return [(k, pack(*new_i), pack(*new_j)) for k, new_i, new_j in found]
 
-        assert bits(kernel.exchanges(blocks, pairs, tolerance)) == bits(
-            _exchanges(blocks, pairs, tolerance)
-        )
-        assert kernel.first_unstable(blocks, pairs, tolerance, bound) == _first_unstable(
-            blocks, pairs, tolerance, bound
-        )
+        assert bits(kernel.exchanges(blocks, pairs)) == bits(_exchanges(blocks, pairs))
+        assert kernel.first_unstable(blocks, pairs, bound) == _first_unstable(blocks, pairs, bound)
         # a run over pair indices, some of them missing from its table
         planned = data.draw(st.lists(st.integers(0, 8), max_size=12))
         quiet, policy = data.draw(st.sampled_from([None, 1, 3])), data.draw(st.booleans())
 
         def stable(blocks):
-            return _first_unstable(blocks, pairs, tolerance, bound) is None
+            return _first_unstable(blocks, pairs, bound) is None
 
         def outcome(run):
             rows, starts, applied = [blocks], [0], [] if policy else None
             last, stabilized = run(
-                blocks, planned, dict(enumerate(pairs)), tolerance, rows, starts, quiet,
-                applied, stable if policy else None,
+                blocks, planned, dict(enumerate(pairs)), rows, starts, quiet, applied,
+                stable if policy else None,
             )
             rows = [b"".join(pack(*b) for b in row) for row in rows + [last]]
             return rows, starts, applied, stabilized
@@ -764,12 +729,12 @@ class TestGeneratedKernel:
 
     def test_signed_zero_and_empty_inputs(self):
         kernel = _kernel(2)
-        assert list(kernel.exchanges([[0.0, -0.0]], [], 0.0)) == []
-        assert kernel.first_unstable([[0.0, -0.0]], [], 0.0, 0.0) is None
+        assert list(kernel.exchanges([[0.0, -0.0]], [])) == []
+        assert kernel.first_unstable([[0.0, -0.0]], [], 0.0) is None
         # an exact zero approach, of either sign, is no collision
         for zero in (0.0, -0.0):
             pair = (0, 1, [zero, 1.0], [zero, 1.0])
-            assert list(kernel.exchanges([[1.0, 0.0], [-1.0, 0.0]], [pair], 0.0)) == []
+            assert list(kernel.exchanges([[1.0, 0.0], [-1.0, 0.0]], [pair])) == []
 
     @pytest.mark.parametrize("a, b, u", [
         # v_i moves by 1.4e-14, one ulp of 64, and v_j by half that: one moved block is enough
@@ -778,10 +743,10 @@ class TestGeneratedKernel:
     ])
     def test_either_block_moving_is_a_collision(self, a, b, u):
         pair, kernel = (0, 1, u, u), _kernel(2)
-        found = list(kernel.exchanges([a, b], [pair], 0.0))
-        assert len(found) == 1 and found == list(_exchanges([a, b], [pair], 0.0))
+        found = list(kernel.exchanges([a, b], [pair]))
+        assert len(found) == 1 and found == list(_exchanges([a, b], [pair]))
         rows, starts = [], []
-        assert kernel.run([a, b], [(0, 1)], {(0, 1): pair}, 0.0, rows, starts) == (
+        assert kernel.run([a, b], [(0, 1)], {(0, 1): pair}, rows, starts) == (
             list(found[0][1:]), False
         )
         assert rows == [list(found[0][1:])] and starts == [1]
@@ -791,10 +756,10 @@ class TestGeneratedKernel:
         # approach, t and the margin each decide the outcome here
         blocks, ones = [[1e16, -1e16, -1.0], [0.0, 0.0, 0.0]], [1.0, 1.0, 1.0]
         pairs, kernel = [(0, 1, ones, ones)], _kernel(3)
-        found = list(kernel.exchanges(blocks, pairs, 0.0))
-        assert found == list(_exchanges(blocks, pairs, 0.0))
+        found = list(kernel.exchanges(blocks, pairs))
+        assert found == list(_exchanges(blocks, pairs))
         assert found == [(0, [1e16, -1e16, 0.0], [-1.0, -1.0, -1.0])]
-        assert kernel.first_unstable(blocks, pairs, 0.0, 0.0) == 0
+        assert kernel.first_unstable(blocks, pairs, 0.0) == 0
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_runs_and_search_in_higher_dimensions(self, d, monkeypatch):
@@ -802,14 +767,15 @@ class TestGeneratedKernel:
         config = configs.random_contact_configuration(6, d, rng, style="mixed")
         config, state = normalize_system(config, sample_unit_state(6, d, rng))
         graph = ContactGraph(6, full_contact_graph(config).edges[:6])
-        schedules = (Schedule.round_robin(), Schedule.seeded_random(d), Schedule.greedy())
+        schedules = (Schedule.round_robin(), Schedule.seeded_random(d))
 
         def outcomes():
             traces = [run_schedule(config, state, s, graph=graph) for s in schedules]
+            greedy = search.greedy_schedule(config, state, graph=graph).witness
             found = exhaustive_max_collisions(config, state, graph=graph)
             return [
                 (t.states.tobytes(), t.edges, t.changed.tolist(), t.stabilized) for t in traces
-            ] + [(found.collisions, found.witness, found.nodes_explored, found.truncated)]
+            ] + [greedy, (found.collisions, found.witness, found.nodes_explored, found.truncated)]
 
         generated = outcomes()
         reference = dynamics._Kernel(_exchanges, _first_unstable, _run)
@@ -828,18 +794,17 @@ class TestGeneratedKernel:
         graph = ContactGraph(5, [*full_contact_graph(config).edges, apart])
         picks = [graph.edges[k] for k in rng.integers(len(graph.edges), size=40)]
         runs = [
-            (Schedule.explicit(picks * 10), None, 0.0),  # repeats, then idle to the end
-            (Schedule.explicit(picks * 10), 5, 0.0),  # cut by max_steps
-            (Schedule.explicit([apart] * 3 + picks), None, 0.3),
+            (Schedule.explicit(picks * 10), None),  # repeats, then idle to the end
+            (Schedule.explicit(picks * 10), 5),  # cut by max_steps
+            (Schedule.explicit([apart] * 3 + picks), None),
         ] + [
-            (policy, max_steps, tolerance)
+            (policy, max_steps)
             for policy in (Schedule.round_robin(), Schedule.seeded_random(d))
             for max_steps in (3, 400)
-            for tolerance in (0.0, 0.3)
         ]
 
         def outcomes():
-            traces = [run_schedule(config, state, s, m, graph, tol) for s, m, tol in runs]
+            traces = [run_schedule(config, state, s, m, graph) for s, m in runs]
             return [(t.states.tobytes(), t.edges, t.changed.tolist(), t.stabilized) for t in traces]
 
         generated = outcomes()
@@ -852,8 +817,42 @@ class TestGeneratedKernel:
         assert any(changed) and not any(changed[len(changed) // 2:])
 
 
+def _zero_approach_system(case):
+    """A system whose pair (1, 2) approaches by an exact zero, (v_1 - v_2) . (x_1 - x_2)
+    of the sign the case names, while no other pair approaches; and that zero."""
+    if case == "fast":
+        # on the contact (1, sqrt 3), at a speed of 2^40, the exchange the zero
+        # approach must not make would move v by 1.2e-4
+        config = validate_configuration([[1.0, math.sqrt(3.0)], [0.0, 0.0]])
+        dx = (config.centers[0] - config.centers[1]).tolist()
+        v = [2.0**40 * dx[1], -(2.0**40) * dx[0]]
+        return config, _state([v, [0.0, 0.0]]), v[0] * dx[0] + v[1] * dx[1]
+    # a unit-energy chain whose balls 1 and 2 move alike, while 2 and 3 separate
+    sign = 1.0 if case == "plus" else -1.0
+    a = sign / math.sqrt(6.0)
+    config = validate_configuration([[2.0 * sign], [0.0], [-2.0 * sign]])
+    return config, _state([[a], [a], [-2.0 * a]]), (a - a) * (2.0 * sign)
+
+
 class TestCollisionPredicate:
     """A step changes the state exactly when it counts as a collision."""
+
+    @pytest.mark.parametrize(
+        "case, sign", [("plus", 1.0), ("minus", -1.0), ("fast", 1.0)], ids=["plus", "minus", "fast"]
+    )
+    def test_exact_zero_approach_is_no_collision(self, case, sign):
+        config, state, approach = _zero_approach_system(case)
+        assert approach == 0.0 and math.copysign(1.0, approach) == sign
+        assert collide(config, state, (0, 1)) is state
+        for schedule in (
+            Schedule.explicit([(0, 1)] * 3), Schedule.round_robin(), Schedule.seeded_random(1),
+        ):
+            trace = run_schedule(config, state, schedule, max_steps=10)
+            assert trace.collisions == 0 and trace.stabilized == (schedule.kind != "explicit")
+        if case != "fast":  # the searches take unit-energy states only
+            assert search.greedy_schedule(config, state).collisions == 0
+            found = exhaustive_max_collisions(config, state)
+            assert (found.collisions, found.nodes_explored) == (0, 1)
 
     def test_sub_tolerance_exchange_is_no_collision(self):
         # the pair approaches, but its exchange would move v by 1e-15 < CHANGE_TOLERANCE
@@ -865,18 +864,13 @@ class TestCollisionPredicate:
             if collides:
                 assert after.blocks().tolist() == [[0.0], [speed]]
             for schedule in (
-                Schedule.explicit([(0, 1)] * 3), Schedule.round_robin(),
-                Schedule.greedy(), Schedule.seeded_random(5),
+                Schedule.explicit([(0, 1)] * 3), Schedule.round_robin(), Schedule.seeded_random(5),
             ):
                 trace = run_schedule(config, state, schedule, max_steps=3, graph=graph)
                 moved = np.any(trace.states[1:] != trace.states[:-1], axis=1)
                 assert list(moved) == list(trace.changed)
                 if schedule.kind == "explicit":
                     assert trace.collisions == collides
-            walked = _walk(
-                _kernel(1).exchanges, _pair_table(config, graph), state.blocks().tolist(), 3, 0.0
-            )
-            assert walked[0] == [(0, 1)] * collides
 
     def test_changed_flags_mark_state_changes(self, rng):
         for k in range(30):
@@ -887,8 +881,7 @@ class TestCollisionPredicate:
             for scale in (1.0, 3e-14):
                 start = state.with_values(state.values * scale)
                 for schedule in (
-                    Schedule.explicit(picks), Schedule.round_robin(),
-                    Schedule.greedy(), Schedule.seeded_random(k),
+                    Schedule.explicit(picks), Schedule.round_robin(), Schedule.seeded_random(k),
                 ):
                     trace = run_schedule(config, start, schedule, max_steps=2000)
                     moved = np.any(trace.states[1:] != trace.states[:-1], axis=1)
@@ -905,12 +898,11 @@ class TestChangePoints:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 7),
         d=st.integers(1, 3),
-        tolerance=st.sampled_from([0.0, 1e-9, 0.05]),
         length=st.integers(0, 3000),
         cut=st.sampled_from(["none", "zero", "below", "above"]),
         detached=st.booleans(),
     )
-    def test_explicit_matches_collide_loop(self, seed, n, d, tolerance, length, cut, detached):
+    def test_explicit_matches_collide_loop(self, seed, n, d, length, cut, detached):
         rng = np.random.default_rng(seed)
         config = configs.random_contact_configuration(
             n, d, rng, style="mixed" if d >= 2 else "tree"
@@ -930,12 +922,9 @@ class TestChangePoints:
         max_steps = {
             "none": None, "zero": 0, "below": length // 3, "above": length + 7
         }[cut]
-        trace = run_schedule(
-            config, state, schedule, max_steps=max_steps, graph=graph,
-            approach_tolerance=tolerance,
-        )
+        trace = run_schedule(config, state, schedule, max_steps=max_steps, graph=graph)
         assert trace.edges == schedule.edges[:max_steps] and not trace.stabilized
-        expected = _collide_replay(config, state, trace.edges, tolerance)
+        expected = _collide_replay(config, state, trace.edges)
         assert np.array_equal(trace.states, expected)
         flags = [_moved(a, b) for a, b in zip(expected[:-1], expected[1:])]
         assert list(trace.changed) == flags

@@ -289,6 +289,16 @@ class TestNormalizeSystem:
         np.testing.assert_array_equal(cfg.centers, config.centers)
         np.testing.assert_array_equal(st.values, state.values)
 
+    @pytest.mark.parametrize("far", [1e17, 1e300])
+    def test_centering_that_changes_a_contact_is_refused(self, far):
+        # subtracting the mean, 3.3e16 or 3.3e299, rounds balls 1 and 2 apart
+        # (1e17: the contact is lost) or onto one point (1e300: a false overlap)
+        config = validate_configuration([[0.0], [2.0], [far]])
+        assert full_contact_graph(config).edges == ((0, 1),)
+        state = StateVector.from_blocks([[1.0], [0.0], [-1.0]])
+        with pytest.raises(ValueError, match="^centering .* balls 1 and 2 "):
+            normalize_system(config, state)
+
     def test_zero_energy_after_momentum_removal(self):
         config = configs.touching_pair()
         state = StateVector.from_blocks([[3.0], [3.0]])

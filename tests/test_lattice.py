@@ -18,25 +18,43 @@ from pinnedballs.lattice import (
     QuadraticInteger,
     _bareiss_determinant,
     _cofactor_determinant,
+    _edge_offset,
     check_column_conditions,
     classify_column,
     contact_edges,
     exact_alpha_certificate,
-    exact_collision_vector,
     exact_determinant,
-    is_lattice_point,
     lattice_alpha_lower_bound,
     lattice_alpha_lower_bound_log2,
     lattice_configuration,
     lattice_points_in_radius,
     quadratic_lower_bound,
-    quadratic_lower_bound_closed_form,
     sqrt3_convergents,
     squared_distance,
     verify_det_bound,
 )
 from pinnedballs.rigidity import alpha_star, stress_certificate
 from pinnedballs.verify import _random_conforming_matrix
+
+
+def is_lattice_point(a: int, b: int) -> bool:
+    """Whether (a, b*sqrt(3)) belongs to the triangular lattice."""
+    return (a - b) % 2 == 0
+
+
+def quadratic_lower_bound_closed_form(n: int) -> float:
+    """Closed form sqrt(3)/(54*4^{2n}), the bound for r2 ranges up to 4^{2n}/sqrt(3)."""
+    return math.sqrt(3.0) / (54.0 * 4.0 ** (2 * n))
+
+
+def exact_collision_vector(points, edge):
+    """Unnormalized collision vector of a touching lattice pair, over Z[sqrt(3)]."""
+    i, j = canonical_edge(*edge)
+    da, db = _edge_offset(points, (i, j))
+    vec = [QI_ZERO] * (2 * len(points))
+    vec[2 * i], vec[2 * i + 1] = QuadraticInteger(da), QuadraticInteger(0, db)
+    vec[2 * j], vec[2 * j + 1] = QuadraticInteger(-da), QuadraticInteger(0, -db)
+    return vec
 
 
 def _qi(rng, span=6):

@@ -3,9 +3,11 @@
 The expected (collisions, nodes explored, truncated, witness) tuples were
 recorded with the search as it stood before its nodes were expanded on
 plain floats, when states were numpy arrays and the exchange went through
-numpy dot products.  The search must reproduce them exactly, with the memo
-on and off: the depth-first order, the node count, truncation and the
-witness all depend on the exchange arithmetic and on the memo key.
+numpy dot products.  The search, which always memoizes, must reproduce the
+values with memo exactly: the depth-first order, the node count, truncation
+and the witness all depend on the exchange arithmetic and on the memo key.
+The values without memo are reproduced by the oracle search of
+``test_search._unmemoized``.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from pinnedballs import configs
 from pinnedballs.errors import BudgetExceededError
 from pinnedballs.geometry import full_contact_graph, normalize_system
 from pinnedballs.search import exhaustive_max_collisions, sample_unit_state
+from test_search import _unmemoized
 
 DESK = {
     "chain4": lambda: configs.collinear_chain(4, 2),
@@ -180,11 +183,15 @@ EXPECTED = {
 @pytest.mark.parametrize("name", list(EXPECTED))
 def test_exhaustive_reproduces_recorded_outcome(name, memoize):
     config, state = CASES[name]
-    try:
-        result = exhaustive_max_collisions(
-            config, state, 20, max_branch_edges=10, max_nodes=150, memoize=memoize
-        )
-    except BudgetExceededError as exc:
-        result = exc.best
-    got = (result.collisions, result.nodes_explored, result.truncated, result.witness)
+    if memoize:
+        try:
+            result = exhaustive_max_collisions(
+                config, state, 20, max_branch_edges=10, max_nodes=150
+            )
+        except BudgetExceededError as exc:
+            result = exc.best
+        got = (result.collisions, result.nodes_explored, result.truncated, result.witness)
+    else:
+        found, witness, nodes, truncated = _unmemoized(config, state, 20, 150)
+        got = (found, nodes, truncated, witness)
     assert got == EXPECTED[name][0 if memoize else 1]
