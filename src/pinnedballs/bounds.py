@@ -198,6 +198,16 @@ def per_edge_bound(
     )
 
 
+def _require_float_n(n: int) -> None:
+    """Refuse n < 1, and an n too large for a float, naming its digit count."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError(f"n has {len(str(n))} digits, too many for a float") from None
+
+
 def tree_bound(
     n: int,
     d: int,
@@ -212,8 +222,7 @@ def tree_bound(
     the collision directions, which the 4/n floor drops; the audit suite
     flags configurations where 4/n fails (the 3-ball chain is one).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_float_n(n)
     tau, tau_source = resolve_tau(d, tau_policy)
     if constant_mode == "nominal":
         alpha_floor = 4.0 / n
@@ -245,8 +254,7 @@ def lattice_bound(n: int) -> LatticeBoundReport:
     rounded base: 10^6 * n^{11/2} * 4^{4n}.  The exact form is strictly
     below the rounded one, which the report records.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_float_n(n)
     tau, tau_source = resolve_tau(2, "exact")
     exponent = Fraction(tau * n, 2) - 1
     exact_log2_base = (

@@ -19,12 +19,23 @@ kernel up once per call or run and use it, so a step changes the state exactly
 when it counts as a collision; the stability test of policy runs is generated
 from the same template.  The kernel's ``run`` is the whole step loop of every
 run, explicit, round-robin or seeded-random, in one frame, and :func:`collide`
-and the search's witness replay step through it too, so the exchange is written
-once, in the template, with no per-step helper around it.  A state is one list
+and the search's witness replay step through it too.  A state is one list
 of floats per ball and ``_pair_table`` gives each touching edge its ball
 indices and geometry, so an exchange replaces two blocks and shares the rest.
 A run records change points, the distinct states and the steps they appear at,
 so an explicit run stops once every edge of its schedule is idle.
+
+The kernel's ``search`` is the whole exhaustive search, depth first on an explicit
+stack in one frame.  A node carries its moves: per pair, the blocks its exchange
+gives and their keys, or None.  A collision on pair k changes only v_i and v_j, so
+a child copies its parent's moves and redoes only the pairs sharing a ball with k
+(listed once per search and pair), never re-keying an inherited move.  A block's
+key is its raw doubles, from the kernel's ``pack``, and a node's joins them, which
+equals ``np.asarray(state).tobytes()``.  The memo, one dict per depth, is sound:
+the dynamics are deterministic, so a subtree depends only on its root's state
+bits (which two nodes share only when bit-identical, signed zeros apart) and on
+the depth left under the cap; and no node is entered once the budget is spent,
+so no result stored after that is ever read.
 
 Along any schedule the energy and total momentum are conserved and the
 functional F = sum_{i,j} (v_j - v_i) . (x_j - x_i) never decreases; it is
@@ -36,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -136,6 +148,68 @@ def first_unstable(blocks, pairs, bound):
             if not {approach} >= 0.0:
                 return k
     return None
+
+
+def search(start, pairs, edges, depth_cap, max_nodes):
+    change, memos, stack, near = CHANGE_TOLERANCE, [{{}}], [], {{None: list(enumerate(pairs))}}
+    nodes, truncated, depth, k = 0, False, 0, None
+    blocks, keys, moves = start, [pack(*block) for block in start], [None] * len(pairs)
+    while True:
+        # enter the node (blocks, keys) that pair k led to; at the cap, moves only truncate
+        nodes += 1
+        memo, key = memos[depth], b"".join(keys)
+        if (found := memo.get(key)) is None:
+            if depth < depth_cap or not truncated:
+                if (sub := near.get(k)) is None:
+                    e = pairs[k][:2]
+                    sub = near[k] = [(m, p) for m, p in enumerate(pairs) if p[0] in e or p[1] in e]
+                moves = moves.copy()
+                for m, (i, j, dx, u) in sub:
+                    {a} = blocks[i]
+                    {b} = blocks[j]
+                    {x} = dx
+                    if not {approach} >= 0.0:
+                        {u} = u
+                        t = {t}
+                        {p} = {new_i}
+                        {q} = {new_j}
+                        if {moved_i} or {moved_j}:
+                            moves[m] = [{p}], [{q}], pack({p}), pack({q})
+                            continue
+                    moves[m] = None
+            if depth == depth_cap:
+                truncated = truncated or any(moves)
+                found = memo[key] = (0, ())
+            else:
+                best, options = (0, ()), enumerate(moves)
+        while True:
+            if found is not None:
+                if not stack:
+                    return (*found, nodes, truncated)
+                extra, tail = found
+                blocks, keys, moves, options, m, best, key = stack.pop()
+                depth -= 1
+                if 1 + extra > best[0]:
+                    best = (1 + extra, (edges[m],) + tail)
+            for m, move in options:
+                if move is not None:
+                    break
+            else:
+                found = memos[depth][key] = best
+                continue
+            if nodes >= max_nodes:
+                # each call left would count one node and find nothing
+                nodes += 1 + sum(map(bool, moves[m + 1:]))
+                truncated = True
+                found = best if best[0] else (1, (edges[m],))
+                continue
+            stack.append((blocks, keys, moves, options, m, best, key))
+            depth += 1
+            if depth == len(memos):
+                memos.append({{}})
+            (i, j), blocks, keys, k = edges[m], blocks.copy(), keys.copy(), m
+            blocks[i], blocks[j], keys[i], keys[j] = move
+            break
 """
 
 
@@ -159,6 +233,9 @@ class _Kernel(NamedTuple):
     #: ``stable(blocks)`` is True after a collision (an unchanged state that was not stable
     #: stays so); ``applied`` collects every edge it takes from ``planned``.
     run: Callable[..., tuple[list, bool]]
+    #: (start, pairs, edges, depth_cap, max_nodes) -> (collisions, witness, nodes,
+    #: truncated): the search of ``search.exhaustive_max_collisions`` from ``start``.
+    search: Callable[..., tuple[int, tuple, int, bool]]
 
 
 @functools.cache
@@ -171,14 +248,15 @@ def _kernel(d: int) -> _Kernel:
     summing loop 0.0 + p_0 + ... + p_(d-1) (a zero sum may differ in sign only,
     which no comparison here can see)."""
     namespace = _generate(
-        _TEMPLATE, f"<pair kernel, d={d}>", d, {"CHANGE_TOLERANCE": CHANGE_TOLERANCE},
+        _TEMPLATE, f"<pair kernel, d={d}>", d,
+        {"CHANGE_TOLERANCE": CHANGE_TOLERANCE, "pack": struct.Struct(f"{d}d").pack},
         a="a{c}, ", b="b{c}, ", x="x{c}, ", u="u{c}, ", p="p{c}, ", q="q{c}, ",
         approach="(a{c} - b{c}) * x{c}", margin="(a{c} - b{c}) * u{c}",
         t="(b{c} - a{c}) * u{c}", new_i="a{c} + t * u{c}, ", new_j="b{c} - t * u{c}, ",
         moved_i=("abs(p{c} - a{c}) > change", " or "),
         moved_j=("abs(q{c} - b{c}) > change", " or "),
     )
-    return _Kernel(namespace["exchanges"], namespace["first_unstable"], namespace["run"])
+    return _Kernel(*(namespace[name] for name in _Kernel._fields))
 
 
 def _pair_table(config: BallConfiguration, graph: ContactGraph) -> dict[Edge, tuple]:
@@ -337,7 +415,7 @@ def run_schedule(
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     table = _pair_table(config, graph)
-    _, first_unstable, run = _kernel(config.dimension)
+    _, first_unstable, run, _ = _kernel(config.dimension)
 
     stable = None
     if schedule.kind == "explicit":

@@ -5,28 +5,20 @@ once per dimension from one template (``dynamics._kernel``), with the bits of
 a plain loop that sums in component order, and looked up once per search, so
 a pair collides exactly when :func:`~pinnedballs.dynamics.collide` would
 change the state.  The greedy search collides the first colliding pair, in
-graph order, until none is left; an exhaustive witness replays through the
-kernel's ``run``.  The exhaustive search enumerates, depth first, which pair
-collides next, and always memoizes.  Every collision strictly
+graph order, until none is left.  The exhaustive search enumerates, depth
+first, which pair collides next, and always memoizes; it runs whole in the
+kernel's ``search`` (its moves and memo are described in ``dynamics``), and its
+witness replays through the kernel's ``run``.  Every collision strictly
 increases the monotone pair functional, so no chain of collisions revisits a
 state and the search tree is finite even without the depth cap.  Results
 are lower envelopes of the true supremum: sampling initial states can never
 certify it.
-
-A node is a list of per-ball velocity blocks.  Its memo key joins the raw
-bytes of each block (:func:`_block_key`), which equals
-``np.asarray(state).tobytes()``: two nodes merge exactly when their states are
-bit-identical, signed zeros apart.  A node also carries its moves
-(:func:`_child_moves`); a collision on pair (i, j) changes only v_i and v_j,
-so a child recomputes only the pairs that share ball i or j, reuses the rest,
-and never re-keys an inherited move.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,30 +82,6 @@ def _require_normalized(config: BallConfiguration, state: StateVector) -> None:
         raise NotNormalizedError("state does not have unit energy")
 
 
-def _block_key(d: int):
-    """The memo key of a block of d floats: the raw bytes of its doubles."""
-    return lambda block, pack=struct.Struct(f"{d}d").pack: pack(*block)
-
-
-def _child_moves(exchanges, pairs: list, near: dict, moves: list, blocks: list,
-                 k: int | None, key) -> list:
-    """Per pair of ``pairs``: (new v_i, new v_j, key(new v_i), key(new v_j)) if it collides
-    in ``blocks`` by ``exchanges`` (a kernel's), else None.  Only pair k, whose entry of
-    ``moves`` led to ``blocks``, and those sharing a ball with it (cached in ``near``) are
-    redone; all, for k None."""
-    if (hit := near.get(k)) is None:
-        ij = () if k is None else pairs[k][:2]
-        ks = [m for m, p in enumerate(pairs) if k is None or p[0] in ij or p[1] in ij]
-        near[k] = hit = (ks, [pairs[m] for m in ks])
-    ks, sub = hit
-    out = moves.copy()
-    for m in ks:
-        out[m] = None
-    for c, new_i, new_j in exchanges(blocks, sub):
-        out[ks[c]] = (new_i, new_j, key(new_i), key(new_j))
-    return out
-
-
 def greedy_schedule(
     config: BallConfiguration,
     state0: StateVector,
@@ -160,10 +128,9 @@ def exhaustive_max_collisions(
 ) -> SearchResult:
     """Depth-first maximum of the collision count over all schedules.
 
-    Branches on every pair that collides in the node's state, in
-    graph order, from the moves each node carries (see the module docstring).
-    Subtree results are memoized on the (state's float bits, depth) pair,
-    which is sound because the dynamics are deterministic.  Raises
+    Branches on every pair that collides in the node's state, in graph order.
+    Subtree results are memoized on the (state's float bits, depth) pair, which
+    is sound (see ``dynamics``, where the search runs).  Raises
     :class:`BudgetExceededError` carrying the best result found when the
     depth cap truncates a branch or the node budget runs out; the carried
     result is then a lower envelope.  ``nodes_explored`` counts the calls of
@@ -181,45 +148,9 @@ def exhaustive_max_collisions(
     if len(graph.edges) > max_branch_edges:
         raise TooManyEdgesError(len(graph.edges), max_branch_edges)
 
-    table = _pair_table(config, graph)
-    edges, pairs, near = list(table), list(table.values()), {}
-    kernel, key = _kernel(config.dimension), _block_key(config.dimension)
-    exchanges = kernel.exchanges
-    nodes, truncated = 0, False
-    memo: dict[tuple[bytes, int], tuple[int, tuple[Edge, ...]]] = {}
-
-    def dfs(blocks: list, keys: list, depth: int, moves: list, k) -> tuple[int, tuple[Edge, ...]]:
-        nonlocal nodes, truncated
-        nodes += 1
-        memo_key = (b"".join(keys), depth)
-        if memo_key in memo:
-            return memo[memo_key]
-        best: tuple[int, tuple[Edge, ...]] = (0, ())
-        if depth == depth_cap:
-            truncated = truncated or any(
-                _child_moves(exchanges, pairs, near, moves, blocks, k, key)
-            )
-        moves = (
-            _child_moves(exchanges, pairs, near, moves, blocks, k, key) if depth < depth_cap else ()
-        )
-        for m, move in enumerate(moves):
-            if move is None:
-                continue
-            if nodes >= max_nodes:
-                # each call left would count one node and find nothing
-                nodes += 1 + sum(map(bool, moves[m + 1 :]))
-                truncated = True
-                return best if best[0] else (1, (edges[m],))
-            (i, j), out, sub = edges[m], blocks.copy(), keys.copy()
-            out[i], out[j], sub[i], sub[j] = move
-            extra, tail = dfs(out, sub, depth + 1, moves, m)
-            if 1 + extra > best[0]:
-                best = (1 + extra, (edges[m],) + tail)
-        memo[memo_key] = best
-        return best
-
-    start = state0.blocks().tolist()
-    found, tail = dfs(start, list(map(key, start)), 0, [None] * len(edges), None)
+    table, kernel = _pair_table(config, graph), _kernel(config.dimension)
+    start, pairs = state0.blocks().tolist(), list(table.values())
+    found, tail, nodes, truncated = kernel.search(start, pairs, list(table), depth_cap, max_nodes)
 
     # replay makes the reported count authoritative for the witness
     starts: list[int] = []

@@ -254,6 +254,15 @@ class TestBound:
         assert code == 1 and out == ""
         assert err.startswith("error: the bound's exponent tau*n/2 - 1 has ")
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "lattice"], ["--mode", "tree", "--d", "2"],
+    ], ids=["lattice", "tree"])
+    def test_n_past_the_floats_is_domain_error(self, capsys, argv):
+        # before, 8.0 * n and sqrt(2) / n ended in an OverflowError traceback
+        code, out, err = _run(capsys, ["bound", *argv, "--n", "9" * 320])
+        assert code == 1 and out == ""
+        assert err == "error: n has 320 digits, too many for a float\n"
+
     @pytest.mark.parametrize("n, normal", [(126, True), (127, False), (133, False)])
     def test_lattice_floor_below_normal_floats(self, capsys, n, normal):
         # the floor is subnormal from n = 127 and 0.0 from n = 133, an alpha that

@@ -30,7 +30,7 @@ from pinnedballs.geometry import (
     normalize_system,
     validate_configuration,
 )
-from pinnedballs.search import _child_moves, exhaustive_max_collisions, sample_unit_state
+from pinnedballs.search import exhaustive_max_collisions, sample_unit_state
 from pinnedballs.verify import TRACE_TOLERANCES, random_system, trace_deviations
 
 
@@ -106,6 +106,65 @@ def _run(blocks, planned, table, rows, starts, quiet=None, applied=None, stable=
         if stable is not None and stable(blocks):
             return blocks, True
     return blocks, False
+
+
+def _child_moves(pairs, near, moves, blocks, k, key):
+    """Per pair of ``pairs``: (new v_i, new v_j, key(new v_i), key(new v_j)) if it collides
+    in ``blocks`` by :func:`_exchanges`, else None.  Only pair k, whose entry of ``moves``
+    led to ``blocks``, and those sharing a ball with it (cached in ``near``) are redone;
+    all, for k None."""
+    if (hit := near.get(k)) is None:
+        ij = () if k is None else pairs[k][:2]
+        ks = [m for m, p in enumerate(pairs) if k is None or p[0] in ij or p[1] in ij]
+        near[k] = hit = (ks, [pairs[m] for m in ks])
+    ks, sub = hit
+    out = moves.copy()
+    for m in ks:
+        out[m] = None
+    for c, new_i, new_j in _exchanges(blocks, sub):
+        out[ks[c]] = (new_i, new_j, key(new_i), key(new_j))
+    return out
+
+
+def _search(start, pairs, edges, depth_cap, max_nodes):
+    """Reference exhaustive search, one call per node, each node carrying the moves of
+    :func:`_child_moves` and memoized on (the raw bytes of its blocks, depth): the
+    generated kernels' ``search`` must give the same (collisions, witness, nodes,
+    truncated)."""
+    pack, near, memo = struct.Struct(f"{len(start[0])}d").pack, {}, {}
+    nodes, truncated = 0, False
+
+    def key(block):
+        return pack(*block)
+
+    def dfs(blocks, keys, depth, moves, k):
+        nonlocal nodes, truncated
+        nodes += 1
+        memo_key = (b"".join(keys), depth)
+        if memo_key in memo:
+            return memo[memo_key]
+        best = (0, ())
+        if depth == depth_cap:
+            truncated = truncated or any(_child_moves(pairs, near, moves, blocks, k, key))
+        moves = _child_moves(pairs, near, moves, blocks, k, key) if depth < depth_cap else ()
+        for m, move in enumerate(moves):
+            if move is None:
+                continue
+            if nodes >= max_nodes:
+                # each call left would count one node and find nothing
+                nodes += 1 + sum(map(bool, moves[m + 1 :]))
+                truncated = True
+                return best if best[0] else (1, (edges[m],))
+            (i, j), out, sub = edges[m], blocks.copy(), keys.copy()
+            out[i], out[j], sub[i], sub[j] = move
+            extra, tail = dfs(out, sub, depth + 1, moves, m)
+            if 1 + extra > best[0]:
+                best = (1 + extra, (edges[m],) + tail)
+        memo[memo_key] = best
+        return best
+
+    found, tail = dfs(start, list(map(key, start)), 0, [None] * len(edges), None)
+    return found, tail, nodes, truncated
 
 
 class TestCollide:
@@ -614,17 +673,22 @@ class TestKernelProperties:
 
 def _children(table, blocks):
     """Edge -> next state for each pair of ``table`` that collides in ``blocks``,
-    in graph order; the search's moves of a node with no parent must give the
-    same blocks."""
-    edges, out, exchanges = list(table), {}, _kernel(len(blocks[0])).exchanges
-    for k, new_i, new_j in exchanges(blocks, table.values()):
+    in graph order; the reference moves of a node with no parent must give the
+    same blocks, and the generated search, capped at depth 1, must branch on exactly
+    these edges."""
+    edges, out, kernel = list(table), {}, _kernel(len(blocks[0]))
+    for k, new_i, new_j in kernel.exchanges(blocks, table.values()):
         i, j = edges[k]
         out[i, j] = blocks.copy()
         out[i, j][i], out[i, j][j] = new_i, new_j
-    fresh = _child_moves(exchanges, list(table.values()), {}, [None] * len(table), blocks, None, id)
+    fresh = _child_moves(list(table.values()), {}, [None] * len(table), blocks, None, id)
     assert {e: list(move[:2]) for e, move in zip(edges, fresh) if move} == {
         (i, j): [child[i], child[j]] for (i, j), child in out.items()
     }
+    for e, pair in table.items():
+        assert kernel.search(blocks, [pair], [e], 1, 10)[0] == (e in out)
+    found, witness, nodes, _ = kernel.search(blocks, list(table.values()), edges, 1, 10**6)
+    assert (found, witness, nodes) == (min(len(out), 1), tuple(out)[:1], 1 + len(out))
     return out
 
 
@@ -634,7 +698,8 @@ def _move_bits(moves):
 
 
 class TestChildMoves:
-    """Moves carried down random search paths against moves made afresh."""
+    """Moves carried down random search paths against moves made afresh, and the
+    generated search from each state on the path against the reference search."""
 
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
     @given(
@@ -649,7 +714,6 @@ class TestChildMoves:
         graph = ContactGraph(n, full_contact_graph(config).edges[:10])
         table = _pair_table(config, graph)
         edges, pairs, near = list(table), list(table.values()), {}
-        exchanges = _kernel(d).exchanges
         blocks = sample_unit_state(n, d, rng).blocks().tolist()
         for _ in range(ties):
             # equal velocities across a contact: an exact zero approach
@@ -660,20 +724,26 @@ class TestChildMoves:
         def key(block):
             return _point_key(block, pack)
 
-        moves = _child_moves(exchanges, pairs, near, [None] * len(edges), blocks, None, key)
+        moves = _child_moves(pairs, near, [None] * len(edges), blocks, None, key)
         for _ in range(12):
             options = [m for m, move in enumerate(moves) if move]
             state = StateVector.from_blocks(blocks)
             assert [edges[m] for m in options] == [
                 e for e in edges if collide(config, state, e) is not state
             ]
+            # the generated search branches, level by level, on these moves and
+            # on those its children carry, in the reference search's order
+            for depth_cap, max_nodes in itertools.product((1, 2, 3), (1, 2, 7, 10**6)):
+                assert _kernel(d).search(blocks, pairs, edges, depth_cap, max_nodes) == _search(
+                    blocks, pairs, edges, depth_cap, max_nodes
+                )
             if not options:
                 break
             k = options[int(rng.integers(len(options)))]
             (i, j), blocks = edges[k], blocks.copy()
             blocks[i], blocks[j] = moves[k][:2]
-            moves = _child_moves(exchanges, pairs, near, moves, blocks, k, key)
-            fresh = _child_moves(exchanges, pairs, {}, [None] * len(edges), blocks, None, key)
+            moves = _child_moves(pairs, near, moves, blocks, k, key)
+            fresh = _child_moves(pairs, {}, [None] * len(edges), blocks, None, key)
             assert _move_bits(moves) == _move_bits(fresh)
 
 
@@ -760,6 +830,20 @@ class TestGeneratedKernel:
         assert found == list(_exchanges(blocks, pairs))
         assert found == [(0, [1e16, -1e16, 0.0], [-1.0, -1.0, -1.0])]
         assert kernel.first_unstable(blocks, pairs, 0.0) == 0
+        assert kernel.search(blocks, pairs, [(0, 1)], 1, 10) == (1, ((0, 1),), 2, False)
+
+    @pytest.mark.parametrize("depth_cap, expected", [
+        (3, (3, ((0, 1), (0, 2), (1, 2)), 12, True)),
+        (4, (4, ((0, 1), (0, 2), (1, 2), (2, 3)), 14, False)),
+    ])
+    def test_search_memo_keeps_depths_apart(self, depth_cap, expected):
+        # each pair swaps its two velocities exactly while the first is the larger; the
+        # swap (0, 2) sorts 3, 2, 1 where (0, 1), (1, 2), (0, 1) take three, so states
+        # recur at two depths, which a memo on the state alone would merge
+        pairs = [(i, j, [-1.0], [1.0]) for i, j in [(0, 1), (0, 2), (1, 2), (2, 3)]]
+        edges, start = [p[:2] for p in pairs], [[3.0], [2.0], [1.0], [2.5]]
+        found = _kernel(1).search(start, pairs, edges, depth_cap, 1000)
+        assert found == expected == _search(start, pairs, edges, depth_cap, 1000)
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_runs_and_search_in_higher_dimensions(self, d, monkeypatch):
@@ -778,7 +862,7 @@ class TestGeneratedKernel:
             ] + [greedy, (found.collisions, found.witness, found.nodes_explored, found.truncated)]
 
         generated = outcomes()
-        reference = dynamics._Kernel(_exchanges, _first_unstable, _run)
+        reference = dynamics._Kernel(_exchanges, _first_unstable, _run, _search)
         monkeypatch.setattr(dynamics, "_kernel", lambda d: reference)
         monkeypatch.setattr(search, "_kernel", lambda d: reference)
         assert outcomes() == generated
@@ -809,7 +893,8 @@ class TestGeneratedKernel:
 
         generated = outcomes()
         monkeypatch.setattr(
-            dynamics, "_kernel", lambda d: dynamics._Kernel(_exchanges, _first_unstable, _run)
+            dynamics, "_kernel",
+            lambda d: dynamics._Kernel(_exchanges, _first_unstable, _run, _search),
         )
         assert outcomes() == generated
         # the long run goes quiet in its first half, so its idle stop ends the stepping

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pinnedballs import configs, search
 from pinnedballs.bounds import max_collisions_bound, resolve_tau
-from pinnedballs.dynamics import CHANGE_TOLERANCE, Schedule, collide, run_schedule
+from pinnedballs.dynamics import CHANGE_TOLERANCE, Schedule, _kernel, collide, run_schedule
 from pinnedballs.errors import (
     BudgetExceededError,
     NotNormalizedError,
@@ -133,7 +133,8 @@ class TestExhaustive:
         # memo keys carry the depth and a later branch must beat the earlier
         # ones strictly, so a memo that conflates every state at one depth
         # returns the first (lexicographic greedy) path, never a false witness
-        monkeypatch.setattr(search, "_block_key", lambda d: lambda block: b"")
+        for d in (1, 2):
+            monkeypatch.setitem(_kernel(d).search.__globals__, "pack", lambda *block: b"")
         for _ in range(20):
             config, state = random_system(rng, n_max=5, d_max=2)
             result = exhaustive_max_collisions(config, state, max_branch_edges=10)
@@ -261,8 +262,8 @@ class TestStateKey:
     def test_search_key_is_the_raw_bytes(self, values, d):
         # the search's memo key joins the raw bytes of each ball block
         v = np.array(values[: len(values) - len(values) % d])
-        key = search._block_key(d)
-        assert b"".join(map(key, v.reshape(-1, d).tolist())) == v.tobytes()
+        pack = _kernel(d).search.__globals__["pack"]
+        assert b"".join(pack(*block) for block in v.reshape(-1, d).tolist()) == v.tobytes()
 
 
 def _flat_search(config, state0, depth_cap, graph, max_nodes, memoize):
@@ -353,6 +354,42 @@ class TestAgainstFlatSearch:
         graph = ContactGraph(n, edges)
         states = [sample_unit_state(n, d, rng) for _ in range(4)]
         for state, max_nodes in itertools.product(states, (10, 150, 2000)):
+            try:
+                result = exhaustive_max_collisions(
+                    config, state, depth_cap, graph=graph, max_branch_edges=len(edges),
+                    max_nodes=max_nodes,
+                )
+            except BudgetExceededError as exc:
+                result = exc.best
+            expected = _flat_search(config, state, depth_cap, graph, max_nodes, True)
+            outcome = (result.collisions, result.witness, result.nodes_explored, result.truncated)
+            assert outcome == expected
+
+
+class TestGeneratedSearch:
+    """The search generated for d = 4..6 against the flat-list search, at the
+    smallest budgets and depth caps, where truncation decides the outcome."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 7),
+        d=st.integers(4, 6),
+        depth_cap=st.sampled_from([0, 1, 3]),
+        detached=st.booleans(),
+    )
+    def test_same_outcome_in_higher_dimensions(self, seed, n, d, depth_cap, detached):
+        rng = np.random.default_rng(seed)
+        config = configs.random_contact_configuration(n, d, rng, style="mixed")
+        edges = list(full_contact_graph(config).edges)
+        if detached:
+            # a graph edge whose balls do not touch, when the configuration has one
+            edges += [
+                (i, j) for i in range(n) for j in range(i + 1, n) if not config.touches(i, j)
+            ][:1]
+        graph = ContactGraph(n, edges)
+        states = [sample_unit_state(n, d, rng) for _ in range(3)]
+        for state, max_nodes in itertools.product(states, (1, 2, 7, 2000)):
             try:
                 result = exhaustive_max_collisions(
                     config, state, depth_cap, graph=graph, max_branch_edges=len(edges),
